@@ -9,7 +9,8 @@
 //! mailval-artifacts --list               # what exists
 //! mailval-artifacts --store DIR table4   # explicit store directory
 //! mailval-artifacts --no-store table4    # always simulate, never persist
-//! mailval-artifacts bench-campaign [OUT] # performance suites
+//! mailval-artifacts bench [SWEEP]...     # campaign sweeps -> results/BENCH.json
+//! mailval-artifacts bench --check        # re-run and gate against it
 //! ```
 //!
 //! Artifact text goes to stdout; all progress (campaign content
@@ -24,9 +25,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: mailval-artifacts [OPTIONS] ARTIFACT...
-       mailval-artifacts bench-campaign|bench-chaos|bench-resume|bench-hostile|bench-io|bench-perf [OUT.json]
-       mailval-artifacts bench-perf-check [BASELINE.json]
-       mailval-artifacts bench-trace [OUT.json]
+       mailval-artifacts bench [SWEEP]... [--out FILE]
+       mailval-artifacts bench --check [SWEEP]... [--out FILE]
        mailval-artifacts trace [--session N]... [--shard K/N] [--metrics] [--out FILE]
        mailval-artifacts fuzz [FRAMES]
 
@@ -42,57 +42,21 @@ options:
   --no-store     disable the store: always simulate, never persist
   -h, --help     this text
 
+bench runs the campaign sweeps (perf trace chaos journal io hostile;
+all by default) and writes one row per point to results/BENCH.json or
+--out FILE; --check re-runs them and gates against results/BENCH.json,
+writing rows only to an explicit --out FILE.
+
 environment: MAILVAL_SCALE, MAILVAL_SEED, MAILVAL_SHARDS, MAILVAL_STORE";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Suite subcommands keep their old behavior (JSON reports).
+    // Measurement subcommands.
     if let Some(first) = args.first() {
         let out = args.get(1).cloned();
         match first.as_str() {
-            "bench-campaign" => {
-                suites::campaign::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-chaos" => {
-                suites::chaos::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-resume" => {
-                suites::resume::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-hostile" => {
-                suites::hostile::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-io" => {
-                suites::io::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-perf" => {
-                suites::perf::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-perf-check" => {
-                // The perf gate: non-zero exit on setup-share or
-                // throughput regression vs the committed baseline.
-                return if suites::perf::check(out) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            "bench-trace" => {
-                // The telemetry gate: non-zero exit on tracer overhead
-                // or a traced-vs-untraced content-hash divergence.
-                return if suites::trace::run(out) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
+            "bench" => return suites::sweep::command(&args[1..], USAGE),
             "trace" => {
                 // Chrome trace-event / metrics JSON export.
                 return if suites::trace::export(&args[1..]) {
@@ -102,7 +66,7 @@ fn main() -> ExitCode {
                 };
             }
             "fuzz" => {
-                suites::hostile::fuzz(out);
+                suites::fuzz::fuzz(out);
                 return ExitCode::SUCCESS;
             }
             _ => {}

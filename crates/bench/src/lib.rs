@@ -8,9 +8,9 @@
 //! persists it in the content-addressed
 //! [`mailval_measure::store::CampaignStore`], and renders everything
 //! else from disk. A warm store renders the full suite with zero
-//! simulations. The [`suites`] module carries the three performance
-//! suites (campaign throughput, chaos sweep, journal overhead) behind
-//! CLI subcommands.
+//! simulations. The [`suites`] module carries the measurement
+//! subcommands: the campaign sweep harness (`bench`), the parser fuzz
+//! harness (`fuzz`) and the trace exporter (`trace`).
 //!
 //! The CLI reads the environment variables:
 //!

@@ -1,36 +1,9 @@
-//! The performance suites behind the `bench-*` CLI subcommands:
-//! campaign throughput ([`campaign`]), the chaos fault sweep
-//! ([`chaos`]), the journal-overhead budget ([`resume`]), the
-//! hostile-payload sweep plus fuzz harness ([`hostile`]), the
-//! storage-fault sweep ([`io`]), the
-//! phase-accounting perf gate ([`perf`]) and the telemetry overhead
-//! gate plus trace exporter ([`trace`]). Each bench writes a
-//! hand-rolled JSON report (offline builds have no serde) to
-//! `results/BENCH_*.json` or an explicit output path, and reports
-//! progress through the unified `[mailval]` channel.
+//! The measurement subcommands of `mailval-artifacts`: the campaign
+//! sweep harness behind `bench` ([`sweep`]: one sweep type, one row
+//! schema, one results file, one gate), the parser fuzz harness behind
+//! `fuzz` ([`fuzz`]) and the trace exporter behind `trace` ([`trace`]).
+//! All report progress through the unified `[mailval]` channel.
 
-use mailval_measure::campaign::PhaseTimes;
-
-pub mod campaign;
-pub mod chaos;
-pub mod hostile;
-pub mod io;
-pub mod perf;
-pub mod resume;
+pub mod fuzz;
+pub mod sweep;
 pub mod trace;
-
-/// Render the shared `"phases": {...}` JSON fragment every suite
-/// embeds in its per-run rows: the per-phase wall-clock breakdown that
-/// separates simulator throughput from campaign setup (`wall_s` alone
-/// silently conflates them).
-pub(crate) fn phases_json(p: &PhaseTimes) -> String {
-    format!(
-        "\"phases\": {{\"setup_s\": {:.3}, \"simulate_s\": {:.3}, \
-         \"merge_s\": {:.3}, \"persist_s\": {:.3}, \"setup_share\": {:.3}}}",
-        p.setup_s,
-        p.simulate_s,
-        p.merge_s,
-        p.persist_s,
-        p.setup_share()
-    )
-}

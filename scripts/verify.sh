@@ -15,8 +15,11 @@
 #   scripts/verify.sh --artifacts  # only the artifact-store stage
 #   scripts/verify.sh --hostile    # only the hostile-payload stage
 #   scripts/verify.sh --io         # only the storage-fault stage
-#   scripts/verify.sh --perf       # only the performance-regression stage
-#   scripts/verify.sh --trace      # only the telemetry stage
+#                                  # (+ bench --check io)
+#   scripts/verify.sh --perf       # only the performance gates
+#                                  # (bench --check perf trace)
+#   scripts/verify.sh --trace      # only the telemetry determinism and
+#                                  # export stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,36 +92,33 @@ io() {
   # short writes, fsync/rename failures and read corruption must merge
   # byte-identically to a clean run for shards = 1/2/4/8, salvage exact
   # journal prefixes, survive kill-and-resume, and shed over-budget
-  # sessions identically at any shard count — then the bench sweep
+  # sessions identically at any shard count — then the io sweep
   # re-asserts hash equality across fault rates {0, .01, .05, .20}.
   echo "== tier-1: storage-fault determinism (cargo test --test io_determinism) =="
   MAILVAL_QUIET=1 cargo test -q --test io_determinism
-  echo "== bench: storage-fault sweep (mailval-artifacts bench-io) =="
-  local dir
-  dir=$(mktemp -d)
-  trap 'rm -rf "$dir"' RETURN
-  cargo run --release -q -p mailval-bench --bin mailval-artifacts -- \
-    bench-io "$dir/BENCH_io.json"
+  echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
+  cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
 }
 
 perf() {
-  # Performance regression gate: re-run the bench-perf sweep (2k and
-  # 20k domains at shards = 1/2/4/8) and fail if campaign setup exceeds
-  # 30% of wall time or sessions/s drops more than 10% below the
-  # committed baseline in results/BENCH_perf.json. The sweep also
-  # asserts the merged output is identical across shard counts.
-  echo "== perf: regression gate (mailval-artifacts bench-perf-check) =="
+  # Performance regression gate: re-run the perf sweep (2k and 20k
+  # domains at shards = 1/2/4/8) and the trace sweep, and fail if
+  # campaign setup exceeds 30% of wall time, sessions/s drops more than
+  # 10% below the committed rows in results/BENCH.json, the disabled
+  # tracer costs more than 1% or the recording tracer more than 10%,
+  # the traced run records no events, or any shard count or the traced
+  # run changes the merged output's content hash.
+  echo "== perf: regression gate (mailval-artifacts bench --check perf trace) =="
   cargo build --release -p mailval-bench --bin mailval-artifacts
-  target/release/mailval-artifacts bench-perf-check
+  target/release/mailval-artifacts bench --check perf trace
 }
 
 trace() {
   # Telemetry gates: the determinism test (byte-identical trace streams
   # at shards 1/2/4/8 and across kill-and-resume, identical metrics
-  # merges, golden hashes unchanged with tracing on), a smoke export of
-  # Chrome trace-event JSON from a ~100-session campaign, and the
-  # bench-trace overhead gate (disabled tracer ≤1%, recording tracer
-  # ≤10% vs the committed BENCH_perf.json baseline).
+  # merges, golden hashes unchanged with tracing on) and a smoke export
+  # of Chrome trace-event JSON from a ~100-session campaign. The tracer
+  # overhead gate runs in the perf stage.
   echo "== tier-1: telemetry determinism (cargo test --test telemetry_determinism) =="
   MAILVAL_QUIET=1 cargo test -q --test telemetry_determinism
   echo "== trace: Chrome trace-event export smoke (mailval-artifacts trace) =="
@@ -139,8 +139,6 @@ trace() {
     echo "trace: metrics export missing counters" >&2
     return 1
   }
-  echo "== trace: overhead gate (mailval-artifacts bench-trace) =="
-  "$bin" bench-trace "$dir/BENCH_trace.json"
 }
 
 if [[ "${1:-}" == "--chaos" ]]; then
