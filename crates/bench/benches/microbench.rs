@@ -4,8 +4,10 @@
 //! [`mailval_bench::timing`] harness (no external dependencies;
 //! `harness = false`).
 //!
-//! Run with `cargo bench -p mailval-bench --bench microbench`; set
-//! `MAILVAL_BENCH_MS` to shrink or grow the per-benchmark budget.
+//! Run with `cargo bench -p mailval-bench --bench microbench [-- FILTER]`:
+//! only rows whose name contains `FILTER` run (cargo's own `--bench`
+//! argument is ignored). Set `MAILVAL_BENCH_MS` to shrink or grow the
+//! per-benchmark budget.
 
 use mailval_bench::timing::bench_fn;
 use mailval_crypto::bigint::SplitMix64;
@@ -21,11 +23,35 @@ use mailval_simnet::Simulator;
 use mailval_spf::{DnsQuestion, EvalParams, EvalStep, SpfBehavior, SpfEvaluator, SpfRecord};
 use std::hint::black_box;
 
+/// The rows to run: those whose name contains the first argument that
+/// is not a flag, or every row without one.
+struct Filter(Option<String>);
+
+impl Filter {
+    fn from_args() -> Filter {
+        Filter(std::env::args().skip(1).find(|a| !a.starts_with('-')))
+    }
+
+    fn wants(&self, name: &str) -> bool {
+        self.0.as_deref().is_none_or(|f| name.contains(f))
+    }
+
+    fn wants_any(&self, names: &[&str]) -> bool {
+        names.iter().any(|name| self.wants(name))
+    }
+
+    fn bench<T>(&self, name: &str, f: impl FnMut() -> T) {
+        if self.wants(name) {
+            bench_fn(name, f);
+        }
+    }
+}
+
 fn n(s: &str) -> Name {
     Name::parse(s).unwrap()
 }
 
-fn bench_dns_wire() {
+fn bench_dns_wire(filter: &Filter) {
     let mut msg = Message::query(1, n("l2.t01.m00042.spf-test.dns-lab.org"), RecordType::Txt);
     msg.answers = vec![
         Record::new(
@@ -40,18 +66,18 @@ fn bench_dns_wire() {
         ),
     ];
     let bytes = msg.to_bytes();
-    bench_fn("dns_encode", || black_box(&msg).to_bytes());
-    bench_fn("dns_decode", || {
+    filter.bench("dns_encode", || black_box(&msg).to_bytes());
+    filter.bench("dns_decode", || {
         Message::from_bytes(black_box(&bytes)).unwrap()
     });
 }
 
-fn bench_spf() {
+fn bench_spf(filter: &Filter) {
     let policy = "v=spf1 ip4:192.0.2.0/24 a:mail.example.com include:other.example.net ~all";
-    bench_fn("spf_parse", || SpfRecord::parse(black_box(policy)).unwrap());
+    filter.bench("spf_parse", || SpfRecord::parse(black_box(policy)).unwrap());
 
     // Full evaluation against an in-memory answer set.
-    bench_fn("spf_evaluate", || {
+    filter.bench("spf_evaluate", || {
         let params = EvalParams {
             ip: "192.0.2.9".parse().unwrap(),
             domain: n("example.com"),
@@ -87,7 +113,10 @@ fn bench_spf() {
     });
 }
 
-fn bench_dkim() {
+fn bench_dkim(filter: &Filter) {
+    if !filter.wants_any(&["dkim_sign", "dkim_verify"]) {
+        return;
+    }
     use mailval_dkim::sign::{sign_message, SignConfig};
     use mailval_smtp::mail::MailMessage;
     let mut rng = SplitMix64::new(42);
@@ -98,7 +127,7 @@ fn bench_dkim() {
     msg.add_header("Subject", "benchmark");
     msg.set_body_text(&"benchmark body line\n".repeat(40));
     let config = SignConfig::new(n("example.com"), n("sel1"));
-    bench_fn("dkim_sign", || {
+    filter.bench("dkim_sign", || {
         sign_message(black_box(&msg), &config, &kp.private).unwrap()
     });
 
@@ -106,7 +135,7 @@ fn bench_dkim() {
     let mut signed = msg.clone();
     signed.prepend_header("DKIM-Signature", &value);
     let key_record = mailval_dkim::key::DkimKeyRecord::for_key(&kp.public).to_record_text();
-    bench_fn("dkim_verify", || {
+    filter.bench("dkim_verify", || {
         let mut v = mailval_dkim::DkimVerifier::new(black_box(&signed), 0);
         let mailval_dkim::VerifyStep::NeedKey { name, .. } = v.start() else {
             panic!()
@@ -123,13 +152,13 @@ fn bench_dkim() {
     });
 }
 
-fn bench_synthesis() {
+fn bench_synthesis(filter: &Filter) {
     let scheme = NameScheme::default();
     let addrs = SynthAddrs::default();
     let base = scheme.probe_domain("t02", 42);
     let qname = n("c.a.s3.t02.m00042.spf-test.dns-lab.org");
     let path: Vec<String> = vec!["c".into(), "a".into(), "s3".into()];
-    bench_fn("policy_synthesis", || {
+    filter.bench("policy_synthesis", || {
         synthesize_probe(
             black_box("t02"),
             black_box(&path),
@@ -139,13 +168,13 @@ fn bench_synthesis() {
             &addrs,
         )
     });
-    bench_fn("name_attribution", || {
+    filter.bench("name_attribution", || {
         scheme.parse(black_box(&qname)).unwrap()
     });
 }
 
-fn bench_simulator() {
-    bench_fn("simulator_100k_events", || {
+fn bench_simulator(filter: &Filter) {
+    filter.bench("simulator_100k_events", || {
         let mut sim: Simulator<u32> = Simulator::new();
         for i in 0..100_000u32 {
             sim.schedule((i % 977) as u64, i);
@@ -158,25 +187,34 @@ fn bench_simulator() {
     });
 }
 
-fn bench_rsa() {
+fn bench_rsa(filter: &Filter) {
+    // The apparatus key's seed (`CampaignWorld::build` at seed 2021):
+    // every iteration repeats the same prime search.
+    filter.bench("rsa1024_keygen", || {
+        RsaKeyPair::generate(1024, &mut SplitMix64::new(black_box(2021 ^ 0x444b_4559)))
+    });
+    if !filter.wants_any(&["rsa1024_sign", "rsa1024_verify"]) {
+        return;
+    }
     let mut rng = SplitMix64::new(7);
     let kp = RsaKeyPair::generate(1024, &mut rng);
     let digest = HashAlg::Sha256.digest(b"benchmark payload");
     let sig = kp.private.sign_digest(HashAlg::Sha256, &digest).unwrap();
-    bench_fn("rsa1024_sign", || {
+    filter.bench("rsa1024_sign", || {
         kp.private.sign_digest(HashAlg::Sha256, black_box(&digest))
     });
-    bench_fn("rsa1024_verify", || {
+    filter.bench("rsa1024_verify", || {
         kp.public
             .verify_digest(HashAlg::Sha256, &digest, black_box(&sig))
     });
 }
 
 fn main() {
-    bench_dns_wire();
-    bench_spf();
-    bench_dkim();
-    bench_synthesis();
-    bench_simulator();
-    bench_rsa();
+    let filter = Filter::from_args();
+    bench_dns_wire(&filter);
+    bench_spf(&filter);
+    bench_dkim(&filter);
+    bench_synthesis(&filter);
+    bench_simulator(&filter);
+    bench_rsa(&filter);
 }

@@ -1,12 +1,22 @@
 //! Arbitrary-precision unsigned (and minimally signed) integer arithmetic.
 //!
 //! Just enough number theory for RSA: schoolbook multiplication, Knuth
-//! Algorithm D division, square-and-multiply modular exponentiation,
-//! Miller–Rabin primality testing and modular inverses via the extended
-//! Euclidean algorithm.
+//! Algorithm D division, modular exponentiation, Miller–Rabin primality
+//! testing and modular inverses via the extended Euclidean algorithm.
 //!
 //! Representation: little-endian `u64` limbs with no trailing zero limbs
 //! (the canonical form of zero is an empty limb vector).
+//!
+//! Exponentiation and Miller–Rabin under an odd modulus of up to 4096
+//! bits run on a fixed-width Montgomery kernel: residues are `[u64; K]`
+//! stack arrays for K ∈ {4, 8, 16, 32, 64} (the modulus zero-padded to
+//! the narrowest that holds it), one interleaved multiply-and-reduce
+//! pass per product, a dedicated squaring routine, and no heap
+//! allocation per product. Exponents of at most 32 bits use
+//! left-to-right square-and-multiply, longer ones a sliding 5-bit
+//! window. Even and wider moduli take the same ladder over `mulmod`.
+//! Every path computes the same unique residue, so results never
+//! depend on which one ran.
 
 use std::cmp::Ordering;
 
@@ -416,37 +426,35 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
+    /// `self % d` for a single-limb divisor, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        let d = d as u128;
+        self.limbs
+            .iter()
+            .rev()
+            .fold(0u128, |r, &l| ((r << 64) | l as u128) % d) as u64
+    }
+
     /// `self^exp mod m`.
     ///
-    /// Odd multi-limb moduli — the RSA sign/verify and Miller–Rabin
-    /// case — go through a Montgomery-form 4-bit-window ladder
-    /// ([`Montgomery`]), which replaces every schoolbook
-    /// multiply-then-divide step with one CIOS pass. Even or
-    /// single-limb moduli keep the plain square-and-multiply path.
-    /// Both paths return identical values for identical inputs.
+    /// Odd moduli of up to 4096 bits — the RSA sign/verify and
+    /// Miller–Rabin case — run on the fixed-width Montgomery kernel;
+    /// even and wider moduli multiply and divide with
+    /// [`BigUint::mulmod`]. Both use the same exponent ladder and
+    /// return identical values for identical inputs. Each call builds
+    /// the modulus's context afresh; the crate's repeated
+    /// exponentiations under one modulus (CRT signing, Miller–Rabin
+    /// rounds) keep a `Modulus` instead.
     ///
     /// # Panics
     /// Panics if `m` is zero.
     pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modpow with zero modulus");
-        if m.limbs == [1] {
-            return BigUint::zero();
-        }
-        if m.is_odd() && m.limbs.len() > 1 {
-            return Montgomery::new(m).modpow(self, exp);
-        }
-        let mut result = BigUint::one();
-        let mut base = self.rem(m);
-        let bits = exp.bit_len();
-        for i in 0..bits {
-            if exp.bit(i) {
-                result = result.mulmod(&base, m);
-            }
-            if i + 1 < bits {
-                base = base.mulmod(&base, m);
-            }
-        }
-        result
+        Modulus::new(m).modpow(self, exp)
     }
 
     /// Greatest common divisor (binary-free, Euclid via div_rem).
@@ -552,11 +560,10 @@ impl BigUint {
         }
         // Trial division by small primes.
         for &p in SMALL_PRIMES {
-            let pb = BigUint::from_u64(p);
-            if self.cmp_big(&pb) == Ordering::Equal {
+            if self.to_u64() == Some(p) {
                 return true;
             }
-            if self.rem(&pb).is_zero() {
+            if self.rem_u64(p) == 0 {
                 return false;
             }
         }
@@ -570,20 +577,13 @@ impl BigUint {
         }
         let two = BigUint::from_u64(2);
         let n_minus_3 = self.sub(&BigUint::from_u64(3));
-        'witness: for _ in 0..rounds {
+        let modulus = Modulus::new(self);
+        for _ in 0..rounds {
             // a in [2, n-2]
             let a = BigUint::random_below(&n_minus_3, rng).add(&two);
-            let mut x = a.modpow(&d, self);
-            if x == BigUint::one() || x == n_minus_1 {
-                continue;
+            if !modulus.miller_rabin_round(&a, &d, s, &n_minus_1) {
+                return false;
             }
-            for _ in 0..s - 1 {
-                x = x.mulmod(&x, self);
-                if x == n_minus_1 {
-                    continue 'witness;
-                }
-            }
-            return false;
         }
         true
     }
@@ -619,30 +619,143 @@ impl Ord for BigUint {
     }
 }
 
-/// Montgomery-reduction context for one odd multi-limb modulus.
-///
-/// Residues are held as exactly-`k`-limb little-endian vectors scaled
-/// by `R = 2^(64k)`; one CIOS interleaved multiply-and-reduce
-/// ([`Montgomery::mont_mul`]) replaces the schoolbook multiply plus
-/// Knuth division of [`BigUint::mulmod`]. This is the engine behind
-/// [`BigUint::modpow`] for RSA signing/verification and Miller–Rabin
-/// witnesses; every value it produces is identical to the schoolbook
-/// path's — Montgomery form only changes the representation between
-/// the entry and exit conversions.
-struct Montgomery {
-    /// Modulus limbs, little-endian, length `k ≥ 2`, top limb nonzero.
-    m: Vec<u64>,
-    /// `-m^{-1} mod 2^64`.
-    n0inv: u64,
-    /// `R² mod m`: multiplying by it (in Montgomery form) converts a
-    /// plain residue into Montgomery form.
-    rr: Vec<u64>,
+/// Exponents of at most this many bits — every RSA public exponent in
+/// use (65537 has 17) — take plain left-to-right square-and-multiply:
+/// a window table would cost more products than it saves.
+const SHORT_EXP_BITS: usize = 32;
+
+/// Modular arithmetic under one modulus, in some representation of
+/// the residues. The exponent ladder ([`pow`]) and the Miller–Rabin
+/// round are written once against it.
+trait ModArith {
+    /// A fully reduced residue in this representation.
+    type Elem: Clone + PartialEq;
+    /// The modulus.
+    fn modulus(&self) -> &BigUint;
+    /// `x mod m`, in this representation.
+    fn enter(&self, x: &BigUint) -> Self::Elem;
+    /// The value of a residue.
+    fn leave(&self, x: &Self::Elem) -> BigUint;
+    /// The residue of 1.
+    fn one(&self) -> Self::Elem;
+    /// `a·b mod m`.
+    fn mul(&self, a: &Self::Elem, b: &Self::Elem) -> Self::Elem;
+    /// `a² mod m`.
+    fn sqr(&self, a: &Self::Elem) -> Self::Elem {
+        self.mul(a, a)
+    }
 }
 
-impl Montgomery {
-    fn new(m: &BigUint) -> Montgomery {
-        debug_assert!(m.is_odd() && m.limbs.len() > 1);
-        let k = m.limbs.len();
+/// `base^exp` in `ar`'s representation: left-to-right
+/// square-and-multiply for short exponents, otherwise a left-to-right
+/// sliding window of up to 5 bits over the 16 odd powers `base^1` to
+/// `base^31` (one table product per window, ~1 per 6 exponent bits).
+fn pow<A: ModArith>(ar: &A, base: &A::Elem, exp: &BigUint) -> A::Elem {
+    let bits = exp.bit_len();
+    if bits == 0 {
+        return ar.one();
+    }
+    if bits <= SHORT_EXP_BITS {
+        let mut acc = base.clone();
+        for i in (0..bits - 1).rev() {
+            acc = ar.sqr(&acc);
+            if exp.bit(i) {
+                acc = ar.mul(&acc, base);
+            }
+        }
+        return acc;
+    }
+    // table[i] = base^(2i+1).
+    let square = ar.sqr(base);
+    let mut table: [A::Elem; 16] = std::array::from_fn(|_| base.clone());
+    for i in 1..16 {
+        table[i] = ar.mul(&table[i - 1], &square);
+    }
+    // The window of at most 5 exponent bits whose top bit is `top - 1`
+    // (a set bit), shortened to end on a set bit: (lowest bit, value).
+    let window = |top: usize| {
+        let mut lo = top.saturating_sub(5);
+        while !exp.bit(lo) {
+            lo += 1;
+        }
+        let value = (lo..top)
+            .rev()
+            .fold(0, |v, b| v << 1 | usize::from(exp.bit(b)));
+        (lo, value)
+    };
+    let (mut i, first) = window(bits);
+    let mut acc = table[first >> 1].clone();
+    while i > 0 {
+        if exp.bit(i - 1) {
+            let (lo, value) = window(i);
+            for _ in lo..i {
+                acc = ar.sqr(&acc);
+            }
+            acc = ar.mul(&acc, &table[value >> 1]);
+            i = lo;
+        } else {
+            acc = ar.sqr(&acc);
+            i -= 1;
+        }
+    }
+    acc
+}
+
+/// One Miller–Rabin round for the odd modulus `m = d·2^s + 1`: false
+/// iff the base `a` witnesses that `m` is composite.
+fn miller_rabin_round<A: ModArith>(
+    ar: &A,
+    a: &BigUint,
+    d: &BigUint,
+    s: usize,
+    m_minus_1: &BigUint,
+) -> bool {
+    let minus_one = ar.enter(m_minus_1);
+    let mut x = pow(ar, &ar.enter(a), d);
+    if x == ar.one() || x == minus_one {
+        return true;
+    }
+    for _ in 1..s {
+        x = ar.sqr(&x);
+        if x == minus_one {
+            return true;
+        }
+    }
+    false
+}
+
+/// Montgomery arithmetic at a fixed width of `K` limbs.
+///
+/// Residues are `[u64; K]` stack arrays scaled by `R = 2^(64K)`, and
+/// products and squares allocate nothing; because `K` is a
+/// compile-time constant every loop bound is known and the compiler
+/// specializes each width. A modulus with fewer than `K` limbs is
+/// zero-padded, which Montgomery reduction allows: it needs only an
+/// odd `m < R`.
+#[derive(Clone)]
+pub(crate) struct MontCtx<const K: usize> {
+    /// The modulus, zero-padded to `K` limbs.
+    m: [u64; K],
+    /// `-m^{-1} mod 2^64`.
+    n0inv: u64,
+    /// `R² mod m`: a product with it converts into Montgomery form.
+    rr: [u64; K],
+    /// `R mod m`, the Montgomery form of 1.
+    one: [u64; K],
+    /// The modulus as a `BigUint`, for reducing inputs wider than `K`.
+    modulus: BigUint,
+}
+
+/// The limbs of `x` (at most `K` of them), zero-padded to `K`.
+fn padded<const K: usize>(x: &BigUint) -> [u64; K] {
+    let mut out = [0u64; K];
+    out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    out
+}
+
+impl<const K: usize> MontCtx<K> {
+    fn new(m: &BigUint) -> Box<MontCtx<K>> {
+        debug_assert!(m.is_odd() && m.limbs.len() <= K);
         // Newton–Hensel iteration: each step doubles the number of
         // correct low bits of m₀⁻¹ mod 2^64 (seeding with m₀ gives 3).
         let m0 = m.limbs[0];
@@ -651,119 +764,261 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
         debug_assert_eq!(m0.wrapping_mul(inv), 1);
-        let mut rr = BigUint::one().shl(128 * k).rem(m).limbs;
-        rr.resize(k, 0);
-        Montgomery {
-            m: m.limbs.clone(),
+        let mut ctx = Box::new(MontCtx {
+            m: padded(m),
             n0inv: inv.wrapping_neg(),
-            rr,
-        }
+            rr: padded(&BigUint::one().shl(128 * K).rem(m)),
+            one: [0; K],
+            modulus: m.clone(),
+        });
+        ctx.one = ctx.mul(&ctx.rr, &padded(&BigUint::one()));
+        ctx
     }
 
-    /// CIOS Montgomery product: `a·b·R⁻¹ mod m`, operands and result
-    /// exactly `k` limbs.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.m.len();
-        let mut t = vec![0u64; k + 2];
-        for &ai in a {
-            let mut carry = 0u64;
-            for j in 0..k {
-                let acc = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                t[j] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[k] as u128 + carry as u128;
-            t[k] = acc as u64;
-            t[k + 1] = (acc >> 64) as u64;
-
-            // One reduction step: add u·m so the low limb cancels, then
-            // shift the whole accumulator down one limb.
-            let u = t[0].wrapping_mul(self.n0inv);
-            let acc = t[0] as u128 + u as u128 * self.m[0] as u128;
-            let mut carry = (acc >> 64) as u64;
-            for j in 1..k {
-                let acc = t[j] as u128 + u as u128 * self.m[j] as u128 + carry as u128;
-                t[j - 1] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[k] as u128 + carry as u128;
-            t[k - 1] = acc as u64;
-            t[k] = t[k + 1] + ((acc >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        // CIOS keeps t < 2m, so one conditional subtract normalizes.
-        let over = t[k] != 0
-            || self
-                .m
-                .iter()
-                .zip(&t[..k])
+    /// `t + top·R` reduced into `[0, m)`, given that it is below `2m`.
+    fn reduce_once(&self, mut t: [u64; K], top: u64) -> [u64; K] {
+        let over = top != 0
+            || t.iter()
+                .zip(&self.m)
                 .rev()
-                .find(|(mi, ti)| mi != ti)
-                .is_none_or(|(mi, ti)| ti > mi);
-        t.truncate(k);
+                .find(|(ti, mi)| ti != mi)
+                .is_none_or(|(ti, mi)| ti > mi);
         if over {
-            let mut borrow = 0u64;
+            let mut borrow = false;
             for (ti, &mi) in t.iter_mut().zip(&self.m) {
                 let (d1, b1) = ti.overflowing_sub(mi);
-                let (d2, b2) = d1.overflowing_sub(borrow);
+                let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
                 *ti = d2;
-                borrow = u64::from(b1 | b2);
+                borrow = b1 | b2;
             }
         }
         t
     }
+}
 
-    /// `base^exp mod m` by a 4-bit-window ladder over Montgomery
-    /// squarings (left-to-right: 4 squarings + at most one table
-    /// multiply per exponent nibble).
-    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one();
+impl<const K: usize> ModArith for MontCtx<K> {
+    type Elem = [u64; K];
+
+    fn modulus(&self) -> &BigUint {
+        &self.modulus
+    }
+
+    fn enter(&self, x: &BigUint) -> [u64; K] {
+        // A product with rr needs only x·rr < m·R, so any x below R
+        // goes in unreduced.
+        if x.limbs.len() <= K {
+            self.mul(&padded(x), &self.rr)
+        } else {
+            self.mul(&padded(&x.rem(&self.modulus)), &self.rr)
         }
-        let k = self.m.len();
-        let modulus = BigUint {
-            limbs: self.m.clone(),
-        };
-        let mut plain_one = vec![0u64; k];
-        plain_one[0] = 1;
-        let one_mont = self.mont_mul(&plain_one, &self.rr);
+    }
 
-        let mut b = base.rem(&modulus).limbs;
-        b.resize(k, 0);
-        let b_mont = self.mont_mul(&b, &self.rr);
-
-        // table[i] = base^i in Montgomery form, i ∈ 0..16.
-        let mut table = Vec::with_capacity(16);
-        table.push(one_mont.clone());
-        table.push(b_mont);
-        for i in 2..16 {
-            let next = self.mont_mul(&table[i - 1], &table[1]);
-            table.push(next);
-        }
-
-        let windows = exp.bit_len().div_ceil(4);
-        let mut acc = one_mont;
-        for w in (0..windows).rev() {
-            if w + 1 < windows {
-                for _ in 0..4 {
-                    acc = self.mont_mul(&acc, &acc);
-                }
-            }
-            let mut idx = 0usize;
-            for bit in 0..4 {
-                if exp.bit(w * 4 + bit) {
-                    idx |= 1 << bit;
-                }
-            }
-            if idx != 0 {
-                acc = self.mont_mul(&acc, &table[idx]);
-            }
-        }
+    fn leave(&self, x: &[u64; K]) -> BigUint {
+        let mut unit = [0u64; K];
+        unit[0] = 1;
         let mut out = BigUint {
-            limbs: self.mont_mul(&acc, &plain_one),
+            limbs: self.mul(x, &unit).to_vec(),
         };
         out.normalize();
         out
+    }
+
+    fn one(&self) -> [u64; K] {
+        self.one
+    }
+
+    /// Montgomery product `a·b·R⁻¹ mod m`, fully reduced, with the
+    /// multiply and the reduction interleaved limb by limb of `a`. Needs
+    /// `a·b < m·R`: both below `m`, or one below `m` and the other below
+    /// `R`.
+    fn mul(&self, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
+        // The accumulator is t plus a top limb; it stays below 2m. Each
+        // outer step adds a_i·b and u·m in one pass over the limbs (two
+        // carry chains), u chosen so the low limb cancels, and shifts
+        // down one limb.
+        let mut t = [0u64; K];
+        let mut top = 0u64;
+        for &ai in a {
+            let x = t[0] as u128 + ai as u128 * b[0] as u128;
+            let u = (x as u64).wrapping_mul(self.n0inv);
+            let y = (x as u64) as u128 + u as u128 * self.m[0] as u128;
+            let (mut cx, mut cy) = ((x >> 64) as u64, (y >> 64) as u64);
+            for j in 1..K {
+                let x = t[j] as u128 + ai as u128 * b[j] as u128 + cx as u128;
+                let y = (x as u64) as u128 + u as u128 * self.m[j] as u128 + cy as u128;
+                t[j - 1] = y as u64;
+                (cx, cy) = ((x >> 64) as u64, (y >> 64) as u64);
+            }
+            let x = top as u128 + cx as u128;
+            let y = (x as u64) as u128 + cy as u128;
+            t[K - 1] = y as u64;
+            top = (x >> 64) as u64 + (y >> 64) as u64;
+        }
+        self.reduce_once(t, top)
+    }
+
+    /// Montgomery square `a²·R⁻¹ mod m` for `a < m`: the full 2K-limb
+    /// square first, computing each cross product `a_i·a_j` once and
+    /// doubling, then K reduction steps — about 3K²/2 limb products
+    /// where [`ModArith::mul`] takes 2K².
+    fn sqr(&self, a: &[u64; K]) -> [u64; K] {
+        let mut buf = [[0u64; K]; 2];
+        let t = buf.as_flattened_mut();
+        // Cross products a_i·a_j, i < j.
+        for i in 0..K {
+            let mut carry = 0u64;
+            for j in i + 1..K {
+                let x = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+                t[i + j] = x as u64;
+                carry = (x >> 64) as u64;
+            }
+            t[i + K] = carry;
+        }
+        // Double them and add the squares a_i².
+        let (mut shift, mut c) = (0u64, 0u64);
+        for i in 0..K {
+            let sq = a[i] as u128 * a[i] as u128;
+            let (lo, hi) = (t[2 * i], t[2 * i + 1]);
+            let dlo = lo << 1 | shift;
+            let dhi = hi << 1 | lo >> 63;
+            shift = hi >> 63;
+            let x = dlo as u128 + (sq as u64) as u128 + c as u128;
+            let y = dhi as u128 + (sq >> 64) + (x >> 64);
+            t[2 * i] = x as u64;
+            t[2 * i + 1] = y as u64;
+            c = (y >> 64) as u64;
+        }
+        debug_assert_eq!((shift, c), (0, 0), "a² < R²");
+        // Reduce: K steps of adding u·m at limb i so that limb cancels;
+        // the result is the upper K limbs plus `top`, below 2m since
+        // a² < m·R.
+        let mut top = 0u64;
+        for i in 0..K {
+            let u = t[i].wrapping_mul(self.n0inv);
+            let mut carry = 0u64;
+            for j in 0..K {
+                let x = t[i + j] as u128 + u as u128 * self.m[j] as u128 + carry as u128;
+                t[i + j] = x as u64;
+                carry = (x >> 64) as u64;
+            }
+            let x = t[i + K] as u128 + carry as u128 + top as u128;
+            t[i + K] = x as u64;
+            top = (x >> 64) as u64;
+        }
+        self.reduce_once(buf[1], top)
+    }
+}
+
+/// Plain residues reduced by Knuth division after every product: the
+/// path for moduli the Montgomery kernel does not take (even ones and
+/// those wider than 4096 bits).
+#[derive(Clone)]
+pub(crate) struct Schoolbook(BigUint);
+
+impl ModArith for Schoolbook {
+    type Elem = BigUint;
+
+    fn modulus(&self) -> &BigUint {
+        &self.0
+    }
+
+    fn enter(&self, x: &BigUint) -> BigUint {
+        x.rem(&self.0)
+    }
+
+    fn leave(&self, x: &BigUint) -> BigUint {
+        x.clone()
+    }
+
+    fn one(&self) -> BigUint {
+        BigUint::one().rem(&self.0)
+    }
+
+    fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        a.mulmod(b, &self.0)
+    }
+}
+
+/// A modulus prepared for exponentiation: an odd modulus of up to 4096
+/// bits gets a Montgomery context at the narrowest width that holds it
+/// (4, 8, 16, 32 or 64 limbs — 8 for 512-bit CRT primes, 16 for a
+/// 1024-bit RSA modulus); any other modulus gets [`Schoolbook`].
+/// Building one costs a Knuth division (`R² mod m`), so callers that
+/// exponentiate repeatedly under one modulus keep it.
+#[derive(Clone)]
+pub(crate) enum Modulus {
+    Limbs4(Box<MontCtx<4>>),
+    Limbs8(Box<MontCtx<8>>),
+    Limbs16(Box<MontCtx<16>>),
+    Limbs32(Box<MontCtx<32>>),
+    Limbs64(Box<MontCtx<64>>),
+    Schoolbook(Schoolbook),
+}
+
+/// Run `$body` with `$ar` bound to the [`ModArith`] behind a [`Modulus`],
+/// monomorphized per width.
+macro_rules! dispatch {
+    ($modulus:expr, $ar:ident => $body:expr) => {
+        match $modulus {
+            Modulus::Limbs4(ctx) => {
+                let $ar = &**ctx;
+                $body
+            }
+            Modulus::Limbs8(ctx) => {
+                let $ar = &**ctx;
+                $body
+            }
+            Modulus::Limbs16(ctx) => {
+                let $ar = &**ctx;
+                $body
+            }
+            Modulus::Limbs32(ctx) => {
+                let $ar = &**ctx;
+                $body
+            }
+            Modulus::Limbs64(ctx) => {
+                let $ar = &**ctx;
+                $body
+            }
+            Modulus::Schoolbook($ar) => $body,
+        }
+    };
+}
+
+impl Modulus {
+    pub(crate) fn new(m: &BigUint) -> Modulus {
+        if !m.is_odd() {
+            return Modulus::Schoolbook(Schoolbook(m.clone()));
+        }
+        match m.limbs.len() {
+            ..=4 => Modulus::Limbs4(MontCtx::new(m)),
+            5..=8 => Modulus::Limbs8(MontCtx::new(m)),
+            9..=16 => Modulus::Limbs16(MontCtx::new(m)),
+            17..=32 => Modulus::Limbs32(MontCtx::new(m)),
+            33..=64 => Modulus::Limbs64(MontCtx::new(m)),
+            _ => Modulus::Schoolbook(Schoolbook(m.clone())),
+        }
+    }
+
+    /// The modulus.
+    pub(crate) fn value(&self) -> &BigUint {
+        dispatch!(self, ar => ar.modulus())
+    }
+
+    /// `base^exp mod m`.
+    pub(crate) fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        dispatch!(self, ar => ar.leave(&pow(ar, &ar.enter(base), exp)))
+    }
+
+    /// One Miller–Rabin round (see [`miller_rabin_round`]).
+    fn miller_rabin_round(&self, a: &BigUint, d: &BigUint, s: usize, m_minus_1: &BigUint) -> bool {
+        dispatch!(self, ar => miller_rabin_round(ar, a, d, s, m_minus_1))
+    }
+}
+
+impl std::fmt::Debug for Modulus {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.value().fmt(f)
     }
 }
 
@@ -974,40 +1229,161 @@ mod tests {
         assert_eq!(a.modpow(&p.sub(&BigUint::one()), &p), BigUint::one());
         // mod 1 is 0
         assert_eq!(big(5).modpow(&big(3), &BigUint::one()), BigUint::zero());
+        assert_eq!(
+            big(5).modpow(&BigUint::zero(), &BigUint::one()),
+            BigUint::zero()
+        );
+    }
+
+    /// Right-to-left square-and-multiply over `mulmod`: the reference
+    /// the exponent ladder and both arithmetics are checked against.
+    fn reference_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut result = BigUint::one().rem(m);
+        let mut b = base.rem(m);
+        for i in 0..exp.bit_len() {
+            if exp.bit(i) {
+                result = result.mulmod(&b, m);
+            }
+            b = b.mulmod(&b, m);
+        }
+        result
+    }
+
+    /// A random odd modulus of exactly `limbs` limbs (top bit set).
+    fn odd_modulus(limbs: usize, rng: &mut SplitMix64) -> BigUint {
+        let m = BigUint::random_bits(64 * limbs, rng);
+        if m.is_odd() {
+            m
+        } else {
+            m.add(&BigUint::one())
+        }
+    }
+
+    #[test]
+    fn modulus_width_is_the_narrowest_that_holds_it() {
+        let mut rng = SplitMix64::new(0x3d7);
+        for (limbs, width) in [(1, 4), (3, 4), (4, 4), (5, 8), (8, 8), (12, 16), (16, 16)] {
+            let got = match Modulus::new(&odd_modulus(limbs, &mut rng)) {
+                Modulus::Limbs4(_) => 4,
+                Modulus::Limbs8(_) => 8,
+                Modulus::Limbs16(_) => 16,
+                Modulus::Limbs32(_) => 32,
+                Modulus::Limbs64(_) => 64,
+                Modulus::Schoolbook(_) => 0,
+            };
+            assert_eq!(got, width, "{limbs}-limb modulus");
+        }
+        for m in [
+            odd_modulus(8, &mut rng).add(&BigUint::one()),
+            odd_modulus(65, &mut rng),
+        ] {
+            assert!(matches!(Modulus::new(&m), Modulus::Schoolbook(_)));
+        }
     }
 
     #[test]
     fn montgomery_modpow_matches_schoolbook() {
-        // Odd multi-limb moduli dispatch to the Montgomery window
-        // ladder; check it against a plain mulmod square-and-multiply
-        // chain on random inputs, including base ≥ m and base ≡ 0.
-        fn schoolbook(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-            let mut result = BigUint::one();
-            let mut b = base.rem(m);
-            let bits = exp.bit_len();
-            for i in 0..bits {
-                if exp.bit(i) {
-                    result = result.mulmod(&b, m);
-                }
-                if i + 1 < bits {
-                    b = b.mulmod(&b, m);
+        // The campaign's widths (8 limbs for CRT primes, 16 for the
+        // 1024-bit modulus) and zero-padded ones (3, 5, 12 limbs), with
+        // edge bases and the exponents RSA uses.
+        let mut rng = SplitMix64::new(0x5eed_40d5);
+        for limbs in [3, 5, 8, 12, 16] {
+            let m = odd_modulus(limbs, &mut rng);
+            let modulus = Modulus::new(&m);
+            let m_minus_1 = m.sub(&BigUint::one());
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                m_minus_1.clone(),
+                m.clone(),
+                m.add(&BigUint::one()),
+                BigUint::random_below(&m, &mut rng),
+                BigUint::random_bits(64 * limbs + 64, &mut rng),
+            ];
+            let exps = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64(65537),
+                BigUint::random_bits(33, &mut rng),
+                BigUint::random_bits(64 * limbs, &mut rng),
+                // Window edges: one long zero run, then all ones.
+                BigUint::one().shl(64 * limbs - 1),
+                BigUint::one().shl(70).sub(&BigUint::one()),
+            ];
+            for base in &bases {
+                for exp in &exps {
+                    let want = reference_modpow(base, exp, &m);
+                    assert_eq!(modulus.modpow(base, exp), want, "{limbs} limbs");
+                    assert_eq!(base.modpow(exp, &m), want, "{limbs} limbs");
                 }
             }
-            result
         }
-        let mut rng = SplitMix64::new(0x5eed_40d5);
-        for _ in 0..16 {
-            let m = BigUint::random_bits(192, &mut rng)
-                .shl(1)
-                .add(&BigUint::one());
-            let base = BigUint::random_bits(256, &mut rng);
-            let exp = BigUint::random_bits(96, &mut rng);
-            assert_eq!(base.modpow(&exp, &m), schoolbook(&base, &exp, &m));
-            // Degenerate bases and exponents.
-            assert_eq!(BigUint::zero().modpow(&exp, &m), BigUint::zero());
-            assert_eq!(m.modpow(&exp, &m), BigUint::zero());
-            assert_eq!(base.modpow(&BigUint::zero(), &m), BigUint::one());
+    }
+
+    #[test]
+    fn schoolbook_path_matches_reference() {
+        // Even moduli and moduli wider than 4096 bits skip Montgomery.
+        let mut rng = SplitMix64::new(0xe7e7);
+        let even = odd_modulus(4, &mut rng).add(&BigUint::one());
+        let wide = odd_modulus(65, &mut rng);
+        for m in [even, wide] {
+            let base = BigUint::random_bits(m.bit_len() + 7, &mut rng);
+            for exp in [
+                BigUint::zero(),
+                BigUint::from_u64(65537),
+                BigUint::random_bits(70, &mut rng),
+            ] {
+                assert_eq!(base.modpow(&exp, &m), reference_modpow(&base, &exp, &m));
+            }
         }
+    }
+
+    #[test]
+    fn miller_rabin_rounds_agree_across_arithmetics() {
+        // Keygen's verdicts must not depend on which arithmetic runs
+        // the round: check the Montgomery kernel against Schoolbook on
+        // primes, products of primes and random odd numbers.
+        let mut rng = SplitMix64::new(0x3141);
+        let p = BigUint::gen_prime(256, &mut rng);
+        let q = BigUint::gen_prime(256, &mut rng);
+        let mut candidates = vec![
+            p.clone(),
+            q.clone(),
+            p.mul(&q),
+            BigUint::gen_prime(512, &mut rng),
+        ];
+        candidates.extend((0..4).map(|_| odd_modulus(8, &mut rng)));
+        for m in candidates {
+            let m_minus_1 = m.sub(&BigUint::one());
+            let mut d = m_minus_1.clone();
+            let mut s = 0;
+            while !d.is_odd() {
+                d = d.shr(1);
+                s += 1;
+            }
+            let mont = Modulus::new(&m);
+            let plain = Schoolbook(m.clone());
+            let n_minus_3 = m.sub(&BigUint::from_u64(3));
+            for _ in 0..4 {
+                let a = BigUint::random_below(&n_minus_3, &mut rng).add(&BigUint::from_u64(2));
+                assert_eq!(
+                    mont.miller_rabin_round(&a, &d, s, &m_minus_1),
+                    miller_rabin_round(&plain, &a, &d, s, &m_minus_1),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rem_u64_matches_rem() {
+        let mut rng = SplitMix64::new(11);
+        for _ in 0..50 {
+            let x = BigUint::random_bits(1 + (rng.next_u64() % 600) as usize, &mut rng);
+            for d in [1u64, 2, 3, 997, u64::MAX, rng.next_u64() | 1] {
+                assert_eq!(Some(x.rem_u64(d)), x.rem(&BigUint::from_u64(d)).to_u64());
+            }
+        }
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`hmac`] — HMAC over either hash (used for deterministic identifier
 //!   derivation in the measurement name encoding).
 //! * [`bigint`] — arbitrary-precision unsigned integers with schoolbook
-//!   multiplication, Knuth Algorithm D division and square-and-multiply
-//!   modular exponentiation.
+//!   multiplication, Knuth Algorithm D division and modular
+//!   exponentiation on a fixed-width, allocation-free Montgomery kernel.
 //! * [`rsa`] — RSA key generation (Miller–Rabin), PKCS#1 v1.5 signing and
 //!   verification with SHA-1/SHA-256 `DigestInfo` encodings.
 //!

@@ -2,7 +2,7 @@
 //! minimal ASN.1 DER codec needed for `SubjectPublicKeyInfo` — the encoding
 //! DKIM key records carry in their `p=` tag (RFC 6376 §3.6.1).
 
-use crate::bigint::{BigUint, Rng64};
+use crate::bigint::{BigUint, Modulus, Rng64};
 use crate::HashAlg;
 
 /// Errors from RSA operations.
@@ -60,36 +60,52 @@ pub struct RsaPrivateKey {
 /// representation): signing computes two half-width exponentiations
 /// `m^dP mod p` / `m^dQ mod q` and recombines with Garner's formula
 /// instead of one full-width `m^d mod n` — ~4× fewer limb operations,
-/// same signature bytes (`s = m^d mod n` is unique in `[0, n)`).
+/// same signature bytes (`s = m^d mod n` is unique in `[0, n)`). The
+/// primes' Montgomery contexts are built once, with the parameters.
 #[derive(Debug, Clone)]
 pub struct RsaCrtParams {
     /// First prime factor.
-    pub p: BigUint,
+    p: Modulus,
     /// Second prime factor.
-    pub q: BigUint,
+    q: Modulus,
     /// `d mod (p − 1)`.
-    pub dp: BigUint,
+    dp: BigUint,
     /// `d mod (q − 1)`.
-    pub dq: BigUint,
+    dq: BigUint,
     /// `q⁻¹ mod p`.
-    pub qinv: BigUint,
+    qinv: BigUint,
 }
 
 impl RsaCrtParams {
+    /// The CRT form of the private exponent `d` of the modulus `p·q`,
+    /// or `None` if `q` has no inverse mod `p` (the primes are not
+    /// distinct).
+    pub(crate) fn new(p: BigUint, q: BigUint, d: &BigUint) -> Option<RsaCrtParams> {
+        let qinv = q.mod_inverse(&p)?;
+        Some(RsaCrtParams {
+            dp: d.rem(&p.sub(&BigUint::one())),
+            dq: d.rem(&q.sub(&BigUint::one())),
+            qinv,
+            p: Modulus::new(&p),
+            q: Modulus::new(&q),
+        })
+    }
+
     /// `m^d mod n` via the two prime-power residues.
     fn modpow_d(&self, m: &BigUint) -> BigUint {
-        let m1 = m.modpow(&self.dp, &self.p);
-        let m2 = m.modpow(&self.dq, &self.q);
+        let (p, q) = (self.p.value(), self.q.value());
+        let m1 = self.p.modpow(m, &self.dp);
+        let m2 = self.q.modpow(m, &self.dq);
         // h = qinv·(m1 − m2) mod p, with the subtraction lifted into
         // [0, p) first (m2 can be ≥ p when q > p).
-        let m2p = m2.rem(&self.p);
+        let m2p = m2.rem(p);
         let diff = if m1 >= m2p {
             m1.sub(&m2p)
         } else {
-            m1.add(&self.p).sub(&m2p)
+            m1.add(p).sub(&m2p)
         };
-        let h = diff.mulmod(&self.qinv, &self.p);
-        m2.add(&self.q.mul(&h))
+        let h = diff.mulmod(&self.qinv, p);
+        m2.add(&q.mul(&h))
     }
 }
 
@@ -127,15 +143,8 @@ impl RsaKeyPair {
             let Some(d) = e.mod_inverse(&phi) else {
                 continue;
             };
-            let Some(qinv) = q.mod_inverse(&p) else {
+            let Some(crt) = RsaCrtParams::new(p, q, &d) else {
                 continue; // unreachable for distinct primes
-            };
-            let crt = RsaCrtParams {
-                dp: d.rem(&p.sub(&BigUint::one())),
-                dq: d.rem(&q.sub(&BigUint::one())),
-                qinv,
-                p,
-                q,
             };
             return RsaKeyPair {
                 public: RsaPublicKey {
@@ -450,6 +459,49 @@ mod tests {
             assert_eq!(fast, slow, "CRT path diverged from m^d mod n");
             kp.public.verify(HashAlg::Sha256, msg, &fast).unwrap();
         }
+    }
+
+    #[test]
+    fn crt_signature_is_bit_identical_to_plain_at_1024_bits() {
+        let mut rng = SplitMix64::new(0x5eed_1024);
+        let kp = RsaKeyPair::generate(1024, &mut rng);
+        let mut plain = kp.private.clone();
+        plain.crt = None;
+        for i in 0u32..8 {
+            let digest = HashAlg::Sha256.digest(&i.to_be_bytes());
+            let fast = kp.private.sign_digest(HashAlg::Sha256, &digest).unwrap();
+            let slow = plain.sign_digest(HashAlg::Sha256, &digest).unwrap();
+            assert_eq!(fast, slow, "CRT path diverged from m^d mod n");
+            kp.public
+                .verify_digest(HashAlg::Sha256, &digest, &fast)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn campaign_key_signature_known_answer() {
+        // The apparatus key exactly as `CampaignWorld::build` seeds it
+        // at the default campaign seed (2021), signing a fixed digest.
+        // Both hashes were recorded before the fixed-width Montgomery
+        // kernel replaced the allocating one; any change to keygen
+        // (prime search, Miller–Rabin verdicts, RNG draws) or to the
+        // signature value moves them.
+        let mut rng = SplitMix64::new(2021 ^ 0x444b_4559);
+        let kp = RsaKeyPair::generate(1024, &mut rng);
+        let digest = HashAlg::Sha256.digest(b"mailval rsa1024 known-answer");
+        let sig = kp.private.sign_digest(HashAlg::Sha256, &digest).unwrap();
+        let hex_sha256 = |bytes: &[u8]| crate::hex::encode(&crate::sha256::sha256(bytes));
+        assert_eq!(
+            hex_sha256(&kp.public.n.to_bytes_be()),
+            "c5756af9c23e7c27a827e4e7f66581593872d06e92f81df7a8815941118644c7"
+        );
+        assert_eq!(
+            hex_sha256(&sig),
+            "548de517636e9753bcf8c2b61a98373fbf66014415b3f443a5c0334d6cc460f8"
+        );
+        kp.public
+            .verify_digest(HashAlg::Sha256, &digest, &sig)
+            .unwrap();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 #
 # Usage:
 #   scripts/verify.sh              # the full gate (fmt, clippy, build,
-#                                  # tests, chaos + resume determinism,
-#                                  # warm-store artifact determinism)
+#                                  # tests, crypto, chaos + resume
+#                                  # determinism, warm-store artifact
+#                                  # determinism, perf, trace)
 #   scripts/verify.sh --chaos      # only the chaos determinism stage
 #   scripts/verify.sh --resume     # only the kill-and-resume stage
 #   scripts/verify.sh --artifacts  # only the artifact-store stage
@@ -20,6 +21,8 @@
 #                                  # (bench --check perf trace)
 #   scripts/verify.sh --trace      # only the telemetry determinism and
 #                                  # export stage
+#   scripts/verify.sh --crypto     # only the crypto stage (crypto + DKIM
+#                                  # tests in release, RSA micro-benches)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,6 +144,24 @@ trace() {
   }
 }
 
+crypto() {
+  # The RSA kernel at the widths campaigns use: Montgomery against
+  # schoolbook, CRT against plain, the campaign key's known-answer
+  # signature and DKIM sign/verify, in release (where the kernel's
+  # arithmetic is compiled as benchmarks and campaigns run it); then
+  # the RSA keygen/sign/verify micro-benchmarks on a short budget.
+  echo "== crypto: release tests (cargo test -p mailval-crypto -p mailval-dkim) =="
+  cargo test -q --release -p mailval-crypto -p mailval-dkim
+  echo "== crypto: RSA micro-benchmarks (cargo bench --bench microbench -- rsa) =="
+  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- rsa
+}
+
+if [[ "${1:-}" == "--crypto" ]]; then
+  crypto
+  echo "verify --crypto: OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "--chaos" ]]; then
   chaos
   echo "verify --chaos: OK"
@@ -195,6 +216,7 @@ cargo build --release
 echo "== tier-1: cargo test -q (MAILVAL_QUIET silences progress) =="
 MAILVAL_QUIET=1 cargo test -q
 
+crypto
 chaos
 resume
 hostile
