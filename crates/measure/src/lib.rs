@@ -27,10 +27,13 @@
 //!   (real deliveries, Exim-like client), NotifyMX and TwoWeekMX (probe
 //!   client with 15 s sleeps, aborted before DATA), fanned out over
 //!   shard worker threads against the one shared authority, supervised
-//!   with bounded shard restarts and a wall-clock deadline.
+//!   with bounded shard restarts.
 //! * [`journal`] — durable per-shard session journals: append-only,
 //!   checksummed frames that let an interrupted campaign resume with
 //!   byte-identical output instead of restarting from zero.
+//! * `codec` (crate-private) — the one binary codec and frame format
+//!   behind the journal, the store and the campaign content hash: a
+//!   `Codec` trait with field-list impls for every persisted record.
 //! * [`store`] — the content-addressed campaign result store: completed
 //!   [`CampaignResult`]s serialized with the journal's framing, keyed
 //!   by a hash of every result-determining knob, so analyses re-render
@@ -62,6 +65,7 @@
 pub mod analysis;
 pub mod apparatus;
 pub mod campaign;
+mod codec;
 pub mod engine;
 pub mod fingerprint;
 pub mod hostile;

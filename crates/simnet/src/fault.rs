@@ -239,73 +239,96 @@ impl MalformedStats {
     }
 }
 
-/// Fault counters, aggregated across engines and shards. All fields are
-/// shard-count invariant (they count deterministic fate decisions and
-/// their consequences, never wall-clock effects).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
+/// Declares the [`FaultStats`] counters once: the struct's public
+/// `u64` fields plus [`FaultStats::COUNTER_NAMES`],
+/// [`FaultStats::counters`], [`FaultStats::from_counters`] and
+/// [`FaultStats::merge`]. Every encoding (journal, store, content hash)
+/// and every report walks the counters in this order, so adding one is a
+/// one-line change in the invocation below (append it: the journal and
+/// store encode counters positionally).
+macro_rules! fault_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Fault counters, aggregated across engines and shards. All
+        /// fields are shard-count invariant (they count deterministic
+        /// fate decisions and their consequences, never wall-clock
+        /// effects).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FaultStats {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Classified hostile-input rejections, by taxonomy class.
+            pub malformed: MalformedStats,
+        }
+
+        impl FaultStats {
+            /// The counter field names, in declaration order.
+            pub const COUNTER_NAMES: [&'static str; FAULT_COUNTERS] = [$(stringify!($field)),*];
+
+            /// The counters, in [`FaultStats::COUNTER_NAMES`] order.
+            pub fn counters(&self) -> [u64; FAULT_COUNTERS] {
+                [$(self.$field),*]
+            }
+
+            /// Inverse of [`FaultStats::counters`].
+            pub fn from_counters(
+                counters: [u64; FAULT_COUNTERS],
+                malformed: MalformedStats,
+            ) -> FaultStats {
+                let [$($field),*] = counters;
+                FaultStats { $($field,)* malformed }
+            }
+
+            /// Accumulate another stats block into this one.
+            pub fn merge(&mut self, other: &FaultStats) {
+                $(self.$field += other.$field;)*
+                self.malformed.merge(&other.malformed);
+            }
+        }
+
+        /// Number of [`FaultStats`] counters (excluding `malformed`).
+        pub const FAULT_COUNTERS: usize = [$(stringify!($field)),*].len();
+    };
+}
+
+fault_stats! {
     /// UDP datagrams (queries or responses) dropped by the loss oracle.
-    pub dns_dropped: u64,
+    dns_dropped,
     /// UDP datagrams delivered twice.
-    pub dns_duplicated: u64,
+    dns_duplicated,
     /// UDP datagrams delivered late (reordered).
-    pub dns_delayed: u64,
+    dns_delayed,
     /// UDP responses truncated mid-path.
-    pub dns_truncated: u64,
+    dns_truncated,
     /// Lookups that concluded in a timeout outcome (includes retries
     /// exhausted under loss and unreachable v6-only zones).
-    pub dns_timeouts: u64,
+    dns_timeouts,
     /// SMTP segments replaced by connection resets.
-    pub conn_resets: u64,
+    conn_resets,
     /// SMTP segments stalled in flight.
-    pub conn_stalls: u64,
+    conn_stalls,
     /// Stalls issued by flaky MTAs before reacting to MAIL.
-    pub mta_stalls: u64,
+    mta_stalls,
     /// 451 tempfails issued by greylisting MTAs.
-    pub tempfails: u64,
+    tempfails,
     /// Transaction retries performed by probe clients after 4xx replies.
-    pub client_retries: u64,
+    client_retries,
     /// Session panics contained by the engine (`catch_unwind`).
-    pub contained_panics: u64,
+    contained_panics,
     /// Sessions terminated for exceeding their virtual-time or
     /// dispatched-event budget (`SessionOutcome::BudgetExhausted`).
-    pub budget_exhausted: u64,
+    budget_exhausted,
     /// DNS response datagrams mutated in flight by the payload plan.
-    pub dns_payload_mutations: u64,
+    dns_payload_mutations,
     /// SMTP reply segments mutated in flight by the payload plan.
-    pub smtp_payload_mutations: u64,
+    smtp_payload_mutations,
     /// Sessions terminated because the probe client received input it
     /// refused to parse (`SessionOutcome::HostileInput`).
-    pub hostile_inputs: u64,
+    hostile_inputs,
     /// Sessions shed by the engine's memory budget before their queued
     /// payloads could blow up the shard (`SessionOutcome::ResourceShed`).
-    pub resource_shed: u64,
-    /// Classified hostile-input rejections, by taxonomy class.
-    pub malformed: MalformedStats,
+    resource_shed,
 }
 
 impl FaultStats {
-    /// Accumulate another stats block into this one.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.dns_dropped += other.dns_dropped;
-        self.dns_duplicated += other.dns_duplicated;
-        self.dns_delayed += other.dns_delayed;
-        self.dns_truncated += other.dns_truncated;
-        self.dns_timeouts += other.dns_timeouts;
-        self.conn_resets += other.conn_resets;
-        self.conn_stalls += other.conn_stalls;
-        self.mta_stalls += other.mta_stalls;
-        self.tempfails += other.tempfails;
-        self.client_retries += other.client_retries;
-        self.contained_panics += other.contained_panics;
-        self.budget_exhausted += other.budget_exhausted;
-        self.dns_payload_mutations += other.dns_payload_mutations;
-        self.smtp_payload_mutations += other.smtp_payload_mutations;
-        self.hostile_inputs += other.hostile_inputs;
-        self.resource_shed += other.resource_shed;
-        self.malformed.merge(&other.malformed);
-    }
-
     /// True when any wire-level fault fired (injection diagnostics).
     pub fn any_injected(&self) -> bool {
         self.dns_dropped
@@ -1294,5 +1317,25 @@ mod tests {
         assert_eq!(a.contained_panics, 4);
         assert!(a.any_injected());
         assert!(!FaultStats::default().any_injected());
+    }
+
+    #[test]
+    fn counters_roundtrip_in_declaration_order() {
+        let mut counters = [0u64; FAULT_COUNTERS];
+        for (i, c) in counters.iter_mut().enumerate() {
+            *c = i as u64 + 1;
+        }
+        let mut malformed = MalformedStats::default();
+        malformed.record(MalformedClass::SpfPolicyLoop);
+        let stats = FaultStats::from_counters(counters, malformed);
+        assert_eq!(stats.counters(), counters);
+        assert_eq!(stats.malformed, malformed);
+        assert_eq!(FaultStats::COUNTER_NAMES[0], "dns_dropped");
+        assert_eq!(stats.dns_dropped, 1);
+        assert_eq!(
+            FaultStats::COUNTER_NAMES[FAULT_COUNTERS - 1],
+            "resource_shed"
+        );
+        assert_eq!(stats.resource_shed, FAULT_COUNTERS as u64);
     }
 }

@@ -1,28 +1,33 @@
 #!/usr/bin/env bash
 # Full offline verification: formatting, lints, tier-1 build + tests,
-# and the chaos determinism gate.
+# and the determinism, storage, artifact, performance and crypto gates.
 #
 # Everything here must run without network access — the workspace has
 # no registry dependencies (see the `proptest` feature note in the root
 # Cargo.toml), and CARGO_NET_OFFLINE pins cargo to what is vendored.
 #
 # Usage:
-#   scripts/verify.sh              # the full gate (fmt, clippy, build,
-#                                  # tests, crypto, chaos + resume
-#                                  # determinism, warm-store artifact
-#                                  # determinism, perf, trace)
+#   scripts/verify.sh              # the full gate: fmt, clippy, build,
+#                                  # `cargo test -q` (every workspace
+#                                  # test binary, once), then crypto,
+#                                  # fuzz, bench --check io, warm-store
+#                                  # artifacts, perf, trace export
 #   scripts/verify.sh --chaos      # only the chaos determinism stage
 #   scripts/verify.sh --resume     # only the kill-and-resume stage
 #   scripts/verify.sh --artifacts  # only the artifact-store stage
 #   scripts/verify.sh --hostile    # only the hostile-payload stage
+#                                  # (tests + fuzz)
 #   scripts/verify.sh --io         # only the storage-fault stage
-#                                  # (+ bench --check io)
+#                                  # (tests + bench --check io)
 #   scripts/verify.sh --perf       # only the performance gates
 #                                  # (bench --check perf trace)
 #   scripts/verify.sh --trace      # only the telemetry determinism and
 #                                  # export stage
 #   scripts/verify.sh --crypto     # only the crypto stage (crypto + DKIM
 #                                  # tests in release, RSA micro-benches)
+#
+# The per-stage flags run their stage's test binary; the full gate
+# does not repeat them, because `cargo test -q` already ran them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +91,9 @@ hostile() {
   # zero panics and every rejection classified.
   echo "== tier-1: hostile-payload determinism (cargo test --test hostile_determinism) =="
   MAILVAL_QUIET=1 cargo test -q --test hostile_determinism
+}
+
+fuzz() {
   echo "== fuzz: 100k mutated frames (mailval-artifacts fuzz) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- fuzz 100000
 }
@@ -99,6 +107,9 @@ io() {
   # re-asserts hash equality across fault rates {0, .01, .05, .20}.
   echo "== tier-1: storage-fault determinism (cargo test --test io_determinism) =="
   MAILVAL_QUIET=1 cargo test -q --test io_determinism
+}
+
+io_bench() {
   echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
 }
@@ -124,6 +135,9 @@ trace() {
   # overhead gate runs in the perf stage.
   echo "== tier-1: telemetry determinism (cargo test --test telemetry_determinism) =="
   MAILVAL_QUIET=1 cargo test -q --test telemetry_determinism
+}
+
+trace_export() {
   echo "== trace: Chrome trace-event export smoke (mailval-artifacts trace) =="
   cargo build --release -p mailval-bench --bin mailval-artifacts
   local bin=target/release/mailval-artifacts
@@ -156,51 +170,23 @@ crypto() {
   MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- rsa
 }
 
-if [[ "${1:-}" == "--crypto" ]]; then
-  crypto
-  echo "verify --crypto: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--chaos" ]]; then
-  chaos
-  echo "verify --chaos: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--resume" ]]; then
-  resume
-  echo "verify --resume: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--artifacts" ]]; then
-  artifacts
-  echo "verify --artifacts: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--hostile" ]]; then
-  hostile
-  echo "verify --hostile: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--io" ]]; then
-  io
-  echo "verify --io: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--perf" ]]; then
-  perf
-  echo "verify --perf: OK"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--trace" ]]; then
-  trace
-  echo "verify --trace: OK"
+case "${1:-}" in
+  --crypto) crypto ;;
+  --chaos) chaos ;;
+  --resume) resume ;;
+  --artifacts) artifacts ;;
+  --hostile) hostile; fuzz ;;
+  --io) io; io_bench ;;
+  --perf) perf ;;
+  --trace) trace; trace_export ;;
+  "") ;;
+  *)
+    echo "verify: unknown option ${1}" >&2
+    exit 2
+    ;;
+esac
+if [[ -n "${1:-}" ]]; then
+  echo "verify ${1}: OK"
   exit 0
 fi
 
@@ -213,16 +199,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
+# The root Cargo.toml's default-members cover every crate, so this runs
+# each test binary of the workspace once, the determinism suites
+# (chaos, resume, hostile, io, telemetry) included.
 echo "== tier-1: cargo test -q (MAILVAL_QUIET silences progress) =="
 MAILVAL_QUIET=1 cargo test -q
 
 crypto
-chaos
-resume
-hostile
-io
+fuzz
+io_bench
 artifacts
 perf
-trace
+trace_export
 
 echo "verify: OK"

@@ -165,7 +165,6 @@ fn kill_and_resume_under_io_faults_is_byte_identical() {
     crashed.faults.crash_after_sessions = 5;
     crashed.supervisor = SupervisorConfig {
         max_shard_restarts: 0,
-        ..SupervisorConfig::default()
     };
     crashed.io = IoConfig {
         fsync_fail_probability: 0.25,

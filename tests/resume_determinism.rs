@@ -149,7 +149,6 @@ fn partial_finalize_then_explicit_resume_completes() {
     crashed.faults.crash_after_sessions = 5;
     crashed.supervisor = SupervisorConfig {
         max_shard_restarts: 0,
-        ..SupervisorConfig::default()
     };
     let partial = run_campaign(&crashed, &pop, &profiles);
     assert!(partial.partial, "restart budget 0 must finalize partial");
@@ -194,7 +193,6 @@ fn corrupt_journal_tail_is_rerun_not_fatal() {
     crashed.faults.crash_after_sessions = 6;
     crashed.supervisor = SupervisorConfig {
         max_shard_restarts: 0,
-        ..SupervisorConfig::default()
     };
     let _ = run_campaign(&crashed, &pop, &profiles);
 
