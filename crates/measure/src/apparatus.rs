@@ -75,19 +75,6 @@ impl QueryLog {
         self.records.sort_by_key(|r| (r.time_ms, r.session));
     }
 
-    /// Merge per-shard logs into one canonical log. Each input is
-    /// already internally canonical; the concatenation is re-sorted with
-    /// the same stable key, so the result is independent of the shard
-    /// count and of thread completion order.
-    pub fn merge(logs: Vec<QueryLog>) -> QueryLog {
-        let mut merged = QueryLog::new();
-        for mut log in logs {
-            merged.records.append(&mut log.records);
-        }
-        merged.sort_canonical();
-        merged
-    }
-
     /// Iterate records attributed to a given test.
     pub fn for_test<'a>(&'a self, testid: &'a str) -> impl Iterator<Item = &'a QueryRecord> {
         self.records.iter().filter(move |r| {

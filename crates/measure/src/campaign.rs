@@ -10,23 +10,27 @@
 //! * **TwoWeekMX** — same probing against the high-demand dataset, with
 //!   guessed recipients (§6.3).
 //!
-//! This module builds the session list (deterministically, from the
-//! config seed alone), partitions it into `shards` independent shards
-//! ([`crate::shard`]), runs one [`crate::engine::SessionEngine`] per
-//! shard on its own thread against the one shared
-//! [`SynthesizingAuthority`], and merges the per-shard outputs by the
-//! stable `(time_ms, session)` key — so the merged [`QueryLog`] and
-//! session records are byte-identical for every shard count.
+//! This module lays out the session blueprints (deterministically, from
+//! the config seed alone) and deals them round-robin to independent
+//! shards ([`crate::shard`]). Each shard runs one
+//! [`crate::engine::SessionEngine`] on its own thread against the one
+//! shared [`SynthesizingAuthority`]: it walks its blueprints in id
+//! order, skips the ids its journal already holds, and instantiates
+//! and runs one session at a time. The merge flattens every shard's
+//! journal frames into global session order and sorts the query log by
+//! the stable `(time_ms, session)` key once — so the merged
+//! [`QueryLog`] and session records are byte-identical for every shard
+//! count.
 
 use crate::apparatus::{QueryLog, SynthesizingAuthority};
 use crate::codec::{self, Enc};
 use crate::engine::{
     EngineConfig, EngineOutput, LiveSession, MemoryBudget, SessionBudget, SessionEngine,
 };
-use crate::journal::{self, JournalWriter};
+use crate::journal::{self, JournalWriter, Replay};
 use crate::names::NameScheme;
 use crate::policies::SynthAddrs;
-use crate::shard::{merge_session_records, partition, ShardStats};
+use crate::shard::{merge_frames, shard_count, ShardStats};
 use crate::telemetry::{NullTracer, RecordingTracer, Telemetry, Tracer};
 use crate::vfs::{OsFs, SimFs, Vfs};
 use mailval_crypto::bigint::SplitMix64;
@@ -48,7 +52,7 @@ use mailval_simnet::{
 use mailval_smtp::client::{probe_usernames, ClientConfig, ClientSession};
 use mailval_smtp::mail::MailMessage;
 use mailval_smtp::EmailAddress;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::IpAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -413,19 +417,19 @@ struct WorldHost {
 }
 
 /// What a NotifyEmail session's message is made of. The actual
-/// build-and-sign runs at session instantiation on the shard threads
-/// ([`CampaignWorld::shard_sessions`]): signing is per-session work, so
-/// it belongs to the parallel simulate phase, not the shared setup.
+/// build-and-sign runs at session instantiation on the shard threads:
+/// signing is per-session work, so it belongs to the parallel simulate
+/// phase, not the shared setup.
 struct MessageSpec {
     recipient_domain: Name,
     signing_domain: Name,
 }
 
 /// One session, described instead of instantiated: the prototype
-/// record (carrying the global session id, the merge key) plus the
-/// client-side parameters. Blueprints are immutable and shard-count
-/// agnostic; every shard — and every supervised restart — instantiates
-/// live actors from the same list.
+/// record (carrying the global session id, the merge key, and the start
+/// time staggered by it) plus the client-side parameters. Blueprints
+/// are immutable and shard-count agnostic; every shard — and every
+/// supervised restart — instantiates live actors from the same list.
 struct SessionBlueprint {
     record: SessionRecord,
     helo_identity: String,
@@ -445,9 +449,10 @@ struct SessionBlueprint {
 /// shared [`ServerCore`], the engine configuration, per-host
 /// instantiation data, behavior profiles and the full session blueprint
 /// list. Per-shard state is reduced to what a shard genuinely owns —
-/// its live actors, fault cursors and journal. Nothing here is cloned
-/// per shard, and a restarted shard re-instantiates its sessions from
-/// these blueprints instead of re-deriving the campaign from scratch.
+/// the one live session it is running, and its journal. Nothing here is
+/// cloned per shard, and a restarted shard re-instantiates its sessions
+/// from these blueprints instead of re-deriving the campaign from
+/// scratch.
 pub struct CampaignWorld {
     config: CampaignConfig,
     server: ServerCore<SynthesizingAuthority>,
@@ -539,20 +544,30 @@ impl CampaignWorld {
         &self.config
     }
 
-    /// Instantiate live actors for shard `k` of `nshards`: the
-    /// blueprint's round-robin assignment (`session_id % nshards`)
-    /// matches [`partition`], so a shard's session set is a pure
-    /// function of `(world, k, nshards)` — first attempt and supervised
-    /// restart take the identical path. Runs on the shard's own thread;
-    /// NotifyEmail message signing happens here, in parallel.
+    /// Instantiate live actors for every session of shard `k` of
+    /// `nshards` at once. Campaign runs instantiate the same sessions
+    /// one at a time, through the same path; this batch form exists to
+    /// time instantiation on its own.
     pub fn shard_sessions(&self, k: usize, nshards: usize) -> Vec<LiveSession> {
-        self.blueprints
-            .iter()
-            .filter(|b| b.record.session_id % nshards == k)
+        self.shard_blueprints(k, nshards)
             .map(|b| self.instantiate(b))
             .collect()
     }
 
+    /// Shard `k` of `nshards`'s blueprints in id order: the round-robin
+    /// assignment `session_id % nshards == k` (blueprint `i` has id
+    /// `i`), a pure function of `(world, k, nshards)`, so a first
+    /// attempt and a supervised restart walk the identical list.
+    fn shard_blueprints(
+        &self,
+        k: usize,
+        nshards: usize,
+    ) -> impl Iterator<Item = &SessionBlueprint> {
+        self.blueprints.iter().skip(k).step_by(nshards)
+    }
+
+    /// Build a blueprint's live actors. Runs on the shard's own thread;
+    /// NotifyEmail message signing happens here, in parallel.
     fn instantiate(&self, bp: &SessionBlueprint) -> LiveSession {
         let host = &self.hosts[bp.record.host_index];
         let profile = self.profiles[bp.record.host_index].clone();
@@ -599,9 +614,9 @@ impl CampaignWorld {
         session
     }
 
-    /// Run one shard to completion: instantiate its sessions from the
-    /// shared world (on this shard's thread), replay its journal if
-    /// durability is on, and drive the event loop. A journal that
+    /// Run one shard to completion: replay its journal if durability
+    /// is on, then instantiate and run its remaining sessions one at a
+    /// time, in id order (on this shard's thread). A journal that
     /// cannot be opened leaves the shard running non-durable with
     /// `durability_lost` set — never a crash. Generic over the tracer
     /// so the untraced path pays nothing for the telemetry seam.
@@ -616,21 +631,18 @@ impl CampaignWorld {
         vfs: &dyn Vfs,
         tracer: T,
     ) -> EngineOutput {
-        let sessions = self.shard_sessions(k, nshards);
-        let mut engine = SessionEngine::with_tracer(&self.server, self.engine.clone(), tracer);
+        let mut engine = SessionEngine::new(&self.server, self.engine.clone(), tracer);
         if exec.telemetry.heartbeat_ms > 0 {
             engine.set_heartbeat(k, exec.telemetry.heartbeat_ms);
         }
-        let mut skip: HashSet<usize> = HashSet::new();
+        let mut replay = Replay::default();
         let mut durability_lost = false;
         match journal_paths {
             Some(paths) if journal_enabled[k] => {
                 let path = &paths[k];
-                let replay = journal::replay_with(path, vfs);
-                let valid_len = replay.valid_len;
-                skip = replay.completed_ids();
-                engine.seed_replay(replay);
-                match JournalWriter::open_append_with(path, valid_len, exec.fsync_every, vfs) {
+                replay = journal::replay_with(path, vfs);
+                match JournalWriter::open_append_with(path, replay.valid_len, exec.fsync_every, vfs)
+                {
                     Ok(writer) => engine.set_journal(writer),
                     Err(e) => {
                         durability_lost = true;
@@ -646,16 +658,12 @@ impl CampaignWorld {
             None if exec.journal_dir.is_some() => durability_lost = true,
             None => {}
         }
-        for session in sessions {
-            if skip.contains(&session.session_id()) {
-                continue; // already completed and journaled
-            }
-            // Stagger session starts by global id, exactly as the
-            // single-threaded driver did.
-            let start = (session.session_id() as u64) * 7;
-            engine.add_session(session, start);
-        }
-        let mut output = engine.run();
+        let journaled = replay.completed_ids();
+        let sessions = self
+            .shard_blueprints(k, nshards)
+            .filter(|b| !journaled.contains(&b.record.session_id))
+            .map(|b| self.instantiate(b));
+        let mut output = engine.run(replay.frames, sessions);
         output.stats.durability_lost |= durability_lost;
         output
     }
@@ -668,8 +676,7 @@ impl CampaignWorld {
     /// for every value, which the golden determinism test pins).
     pub fn run(&self, exec: &CampaignConfig) -> CampaignResult {
         let run_start = std::time::Instant::now();
-        let parts = partition(self.blueprints.len(), exec.shards);
-        let nshards = parts.len();
+        let nshards = shard_count(self.blueprints.len(), exec.shards);
 
         // The storage layer every journal touch goes through: the
         // passthrough unless an IO fault plan is active.
@@ -806,8 +813,7 @@ impl CampaignWorld {
         let simulate_s = sim_start.elapsed().as_secs_f64();
 
         let merge_start = std::time::Instant::now();
-        let mut logs = Vec::with_capacity(nshards);
-        let mut per_shard_records = Vec::with_capacity(nshards);
+        let mut frames = Vec::with_capacity(self.blueprints.len());
         let mut shard_stats = Vec::with_capacity(nshards);
         let mut telemetries = Vec::new();
         let mut events = 0;
@@ -819,15 +825,13 @@ impl CampaignWorld {
             events += output.stats.events;
             faults.merge(&output.stats.faults);
             shard_stats.push(ShardStats::new(k, output.stats, wall_ms[k], restarts[k]));
-            logs.push(output.log);
-            per_shard_records.push(output.records);
+            frames.extend(output.frames);
             // Journal-finalized shards carry no telemetry (it is never
             // journaled); the merged trace covers exactly the sessions
             // this run actually simulated.
             telemetries.extend(output.telemetry);
         }
-        let log = QueryLog::merge(logs);
-        let sessions = merge_session_records(per_shard_records);
+        let (sessions, log) = merge_frames(frames);
         let telemetry = if exec.telemetry.tracing {
             Some(Telemetry::merge(telemetries))
         } else {
@@ -960,9 +964,9 @@ pub fn run_campaign_stored(
 }
 
 /// Lay out the full session list in deterministic campaign order and
-/// assign global session ids (`0..n`, the merge key). Blueprints carry
-/// everything a shard needs to instantiate a session; nothing here
-/// touches profiles, actors or signing.
+/// assign global session ids (`0..n`, the merge key) and start times.
+/// Blueprints carry everything a shard needs to instantiate a session;
+/// nothing here touches profiles, actors or signing.
 fn build_blueprints(
     config: &CampaignConfig,
     pop: &Population,
@@ -983,7 +987,7 @@ fn build_blueprints(
                         host_index,
                         domain_index: d.index,
                         testid: None,
-                        start_ms: 0,
+                        start_ms: stagger_ms(blueprints.len()),
                         outcome: None,
                         delivery_time_ms: None,
                         closed_by_server: false,
@@ -1036,7 +1040,7 @@ fn build_blueprints(
                             host_index,
                             domain_index,
                             testid: Some(testid),
-                            start_ms: 0,
+                            start_ms: stagger_ms(blueprints.len()),
                             outcome: None,
                             delivery_time_ms: None,
                             closed_by_server: false,
@@ -1054,6 +1058,12 @@ fn build_blueprints(
         }
     }
     blueprints
+}
+
+/// A session's virtual start time: starts are staggered by global id,
+/// 7 ms apart.
+fn stagger_ms(session_id: usize) -> u64 {
+    session_id as u64 * 7
 }
 
 /// Build the signed notification message (§4.3.1: "the content was in
@@ -1232,6 +1242,28 @@ mod tests {
             assert_eq!(stats_sessions, sharded.sessions.len());
             assert_eq!(sharded.faults, single.faults, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn shard_sessions_round_robin_covers_all() {
+        let pop = tiny_pop(DatasetKind::TwoWeekMx, 19);
+        let profiles = sample_host_profiles(&pop, 19);
+        let config = test_config(CampaignKind::TwoWeekMx, vec!["t01", "t12"], 19);
+        let world = CampaignWorld::build(&config, &pop, &profiles);
+        let mut all = Vec::new();
+        for k in 0..4 {
+            let ids: Vec<usize> = world
+                .shard_sessions(k, 4)
+                .iter()
+                .map(LiveSession::session_id)
+                .collect();
+            // Shard k holds k, k+4, k+8, ... in id order.
+            let expected: Vec<usize> = (k..world.session_count()).step_by(4).collect();
+            assert_eq!(ids, expected, "shard {k}");
+            all.extend(ids);
+        }
+        all.sort_unstable();
+        assert_eq!(all, (0..world.session_count()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,11 +1,20 @@
-//! The per-shard session engine: a virtual-time event loop driving any
-//! number of **independent** probe sessions against the shared
-//! authoritative server.
+//! The per-shard session engine: it runs a shard's **independent**
+//! probe sessions one at a time against the shared authoritative
+//! server.
+//!
+//! Each session runs to completion on its own virtual-time queue
+//! ([`LiveSession`] owns a [`mailval_simnet::Simulator`]) until the
+//! queue is empty or the engine terminates the session (budget, memory
+//! shed, hostile input, contained panic). The engine then folds the
+//! session into one [`JournalFrame`], appends it to the shard's
+//! journal, and only then takes the next session. Sessions never
+//! exchange events, so nothing here depends on which sessions share a
+//! shard or in what order they run.
 
 use super::event::Ev;
-use super::session::{LiveSession, SessionOutcome, SessionRecord};
-use crate::apparatus::{QueryLog, QueryRecord, SynthesizingAuthority};
-use crate::journal::{JournalFrame, JournalWriter, Replay};
+use super::session::{LiveSession, SessionOutcome};
+use crate::apparatus::{QueryRecord, SynthesizingAuthority};
+use crate::journal::{JournalFrame, JournalWriter};
 use crate::telemetry::{NullTracer, Telemetry, TraceKind, Tracer};
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::server::{ServerCore, Transport};
@@ -13,7 +22,7 @@ use mailval_mta::actor::{MtaEvent, MtaInput, MtaOutput};
 use mailval_mta::resolver::{ResolverEvent, UpstreamSend};
 use mailval_simnet::{
     ConnFault, DatagramFate, DnsMutation, FaultConfig, FaultPlan, FaultStats, LatencyModel,
-    MalformedClass, PayloadConfig, PayloadPlan, Simulator,
+    MalformedClass, PayloadConfig, PayloadPlan,
 };
 use mailval_smtp::client::ClientAction;
 use std::net::IpAddr;
@@ -100,11 +109,10 @@ pub struct EngineConfig {
 
 /// What one engine run produced.
 pub struct EngineOutput {
-    /// The shard's query log, already in canonical `(time_ms, session)`
-    /// order.
-    pub log: QueryLog,
-    /// Finished session records, in the shard's insertion order.
-    pub records: Vec<SessionRecord>,
+    /// One frame per session the shard completed, replayed from its
+    /// journal or run live, in completion order. The campaign merge
+    /// puts them into canonical order.
+    pub frames: Vec<JournalFrame>,
     /// Run counters.
     pub stats: EngineStats,
     /// The shard's trace + metrics, when the engine ran with a
@@ -113,9 +121,33 @@ pub struct EngineOutput {
     pub telemetry: Option<Telemetry>,
 }
 
+impl EngineOutput {
+    /// Fold a shard's frames into its output. The live path and the
+    /// journal-salvage path ([`crate::journal::Replay::into_engine_output`])
+    /// both count through here, so a salvaged shard reports exactly
+    /// what its live run would have for the same sessions.
+    pub fn from_frames(frames: Vec<JournalFrame>, telemetry: Option<Telemetry>) -> EngineOutput {
+        let mut stats = EngineStats {
+            sessions: frames.len(),
+            ..EngineStats::default()
+        };
+        for frame in &frames {
+            stats.events += frame.events;
+            stats.queries_logged += frame.queries.len() as u64;
+            stats.virtual_ms = stats.virtual_ms.max(frame.end_ms);
+            stats.faults.merge(&frame.faults);
+        }
+        EngineOutput {
+            frames,
+            stats,
+            telemetry,
+        }
+    }
+}
+
 /// Live heartbeat configuration: a rate-limited progress line the
-/// engine emits from its event loop (per-shard sessions/s, pending
-/// events, simulator backlog). Wall-clock rate limiting only affects
+/// engine emits from its event loop (per-shard sessions/s, the current
+/// session's queue length). Wall-clock rate limiting only affects
 /// *when lines print*, never the simulation — the heartbeat reads
 /// engine state, it does not write it.
 #[derive(Debug)]
@@ -132,15 +164,14 @@ struct Heartbeat {
 pub struct EngineStats {
     /// Sessions driven (including sessions replayed from a journal).
     pub sessions: usize,
-    /// Virtual events dispatched to live sessions. Drained stale events
-    /// of already-finished sessions are excluded, which makes the count
-    /// both shard-invariant and resume-invariant (a replayed session
-    /// contributes exactly the events its original run dispatched).
+    /// Virtual events dispatched, summed over the shard's frames. Events
+    /// still queued when a session is terminated are never dispatched
+    /// and not counted, so the count is shard- and resume-invariant.
     pub events: u64,
     /// Queries logged at the authoritative server.
     pub queries_logged: u64,
-    /// Virtual time of the latest event dispatched to a live session
-    /// (or replayed from a journal), ms.
+    /// Virtual time of the latest event dispatched to any of the
+    /// shard's sessions (live or replayed), ms.
     pub virtual_ms: u64,
     /// Fault-injection counters (all zero when no faults configured).
     pub faults: FaultStats,
@@ -151,35 +182,25 @@ pub struct EngineStats {
     pub durability_lost: bool,
 }
 
-/// A virtual-time driver for a set of sessions that never interact.
+/// A driver for a set of sessions that never interact.
 ///
-/// This is the unit of parallelism: a campaign partitions its sessions
-/// into shards and runs one `SessionEngine` per shard, all borrowing the
-/// same [`ServerCore`] (whose handling is `&self`-only and stateless per
-/// query). The clock is injectable via [`SessionEngine::with_clock`];
-/// the default starts at virtual zero.
+/// This is the unit of parallelism: a campaign assigns its sessions
+/// round-robin to shards and runs one `SessionEngine` per shard, all
+/// borrowing the same [`ServerCore`] (whose handling is `&self`-only
+/// and stateless per query).
 ///
 /// The engine is generic over its [`Tracer`]; the default
 /// [`NullTracer`] monomorphizes every `if self.tracer.enabled()` hook
 /// to dead code, so tracing costs nothing unless a recording tracer is
-/// injected via [`SessionEngine::with_tracer`].
+/// injected.
 pub struct SessionEngine<'a, T: Tracer = NullTracer> {
-    sim: Simulator<Ev>,
-    sessions: Vec<LiveSession>,
     server: &'a ServerCore<SynthesizingAuthority>,
-    log: QueryLog,
     config: EngineConfig,
     plan: FaultPlan,
     payload: PayloadPlan,
     /// Journal receiving one frame per completed session, when the
     /// campaign runs with durability enabled.
     journal: Option<JournalWriter>,
-    /// Records of sessions already completed in a previous run of this
-    /// shard, replayed from its journal (resume).
-    replay_records: Vec<SessionRecord>,
-    replay_faults: FaultStats,
-    replay_events: u64,
-    replay_virtual_ms: u64,
     /// Sessions completed so far, replayed *plus* live — the cursor the
     /// deterministic `crash_after_sessions` injection compares against.
     completed: u64,
@@ -198,56 +219,23 @@ pub struct SessionEngine<'a, T: Tracer = NullTracer> {
     ticks: u64,
 }
 
-impl<'a> SessionEngine<'a> {
-    /// A fresh engine at virtual time zero.
-    pub fn new(server: &'a ServerCore<SynthesizingAuthority>, config: EngineConfig) -> Self {
-        Self::with_clock(server, config, Simulator::new())
-    }
-
-    /// An engine over an injected clock (e.g. one pre-advanced to a
-    /// campaign epoch, or shared-sequence test setups).
-    pub fn with_clock(
-        server: &'a ServerCore<SynthesizingAuthority>,
-        config: EngineConfig,
-        clock: Simulator<Ev>,
-    ) -> Self {
-        Self::with_parts(server, config, clock, NullTracer)
-    }
-}
-
 impl<'a, T: Tracer> SessionEngine<'a, T> {
     /// A fresh engine recording through `tracer`. Tracing is
     /// observability only: the simulation takes exactly the same steps
     /// as an untraced run (the golden determinism tests pin this).
-    pub fn with_tracer(
+    pub fn new(
         server: &'a ServerCore<SynthesizingAuthority>,
         config: EngineConfig,
-        tracer: T,
-    ) -> Self {
-        Self::with_parts(server, config, Simulator::new(), tracer)
-    }
-
-    fn with_parts(
-        server: &'a ServerCore<SynthesizingAuthority>,
-        config: EngineConfig,
-        clock: Simulator<Ev>,
         tracer: T,
     ) -> Self {
         let plan = FaultPlan::new(config.faults.clone(), config.latency.clone());
         let payload = PayloadPlan::new(config.payload.clone());
         SessionEngine {
-            sim: clock,
-            sessions: Vec::new(),
             server,
-            log: QueryLog::new(),
             config,
             plan,
             payload,
             journal: None,
-            replay_records: Vec::new(),
-            replay_faults: FaultStats::default(),
-            replay_events: 0,
-            replay_virtual_ms: 0,
             completed: 0,
             scratch: Vec::new(),
             durability_lost: false,
@@ -272,115 +260,96 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
 
     /// Attach a journal: every completed session is appended as one
     /// frame. On resume, attach with `JournalWriter::open_append` at the
-    /// `valid_len` established by the [`Replay`] fed to
-    /// [`SessionEngine::seed_replay`].
+    /// `valid_len` established by the replay whose frames are passed to
+    /// [`SessionEngine::run`].
     pub fn set_journal(&mut self, writer: JournalWriter) {
         self.journal = Some(writer);
     }
 
-    /// Seed the engine with sessions already completed by a previous run
-    /// of this shard (replayed from its journal). The caller must *not*
-    /// [`SessionEngine::add_session`] those sessions again — use
-    /// [`Replay::completed_ids`] to skip them. The merged output is then
-    /// byte-identical to an uninterrupted run.
-    pub fn seed_replay(&mut self, replay: Replay) {
-        for frame in replay.frames {
-            self.replay_events += frame.events;
-            self.replay_faults.merge(&frame.faults);
-            self.replay_virtual_ms = self.replay_virtual_ms.max(frame.end_ms);
-            self.log.records.extend(frame.queries);
-            self.replay_records.push(frame.record);
-        }
-        self.completed = self.replay_records.len() as u64;
-    }
-
-    /// Add a session and schedule its connection establishment at
-    /// `start_ms` (absolute virtual time).
-    pub fn add_session(&mut self, mut session: LiveSession, start_ms: u64) {
-        let local = self.sessions.len();
-        session.record.start_ms = start_ms;
-        self.sessions.push(session);
-        self.sched_at(start_ms, Ev::Start(local));
-    }
-
-    /// Number of sessions added so far.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Drive every session to completion and return the shard's output.
+    /// Run `sessions` one after another, each to completion, and return
+    /// the shard's output. `replayed` holds the frames of sessions a
+    /// previous run of this shard already completed (from its journal);
+    /// they count towards `crash_after_sessions` and are part of the
+    /// output, and `sessions` must not contain them again. The caller
+    /// passes a lazy iterator, so only one session is alive at a time.
     ///
     /// Per-session failures are *contained*: a panic while dispatching an
     /// event (e.g. a poisoned MTA implementation) marks that session's
-    /// record with an error outcome and stops dispatching to it, instead
-    /// of killing the whole shard.
-    pub fn run(mut self) -> EngineOutput {
-        while let Some((time_ms, ev)) = self.sim.next() {
+    /// record with an error outcome and ends it, instead of killing the
+    /// whole shard.
+    pub fn run(
+        mut self,
+        replayed: Vec<JournalFrame>,
+        sessions: impl IntoIterator<Item = LiveSession>,
+    ) -> EngineOutput {
+        self.completed = replayed.len() as u64;
+        let mut frames = replayed;
+        frames.extend(sessions.into_iter().map(|s| self.run_session(s)));
+        if let Some(w) = self.journal.as_mut() {
+            if let Err(e) = w.sync() {
+                // The final fsync failing means the journal tail may not
+                // survive a machine crash: surface it as lost durability.
+                crate::progress!("final journal sync failed: {e}");
+                self.durability_lost = true;
+            }
+        }
+        let mut output = EngineOutput::from_frames(frames, self.tracer.finish());
+        output.stats.durability_lost = self.durability_lost;
+        output
+    }
+
+    /// Run one session from its connection at `record.start_ms` until
+    /// its queue is empty or the engine terminates it, then finish it.
+    fn run_session(&mut self, mut s: LiveSession) -> JournalFrame {
+        let budget = self.config.budget;
+        let memory = self.config.memory;
+        s.queue.schedule_at(s.record.start_ms, Ev::Start);
+        while let Some((time_ms, ev)) = s.queue.next() {
             self.ticks += 1;
             if self.heartbeat.is_some() && self.ticks & 0xFFF == 0 {
-                self.maybe_heartbeat(time_ms);
+                self.maybe_heartbeat(time_ms, s.queue.pending());
             }
-            let id = ev.session();
-            let budget = self.config.budget;
-            let memory = self.config.memory;
+            s.queued_bytes -= ev.payload_bytes();
+            s.last_event_ms = time_ms;
+            let elapsed = time_ms.saturating_sub(s.record.start_ms);
+            if s.events >= budget.max_events || elapsed > budget.max_virtual_ms {
+                // Checked *before* dispatch and *before* counting the
+                // event, so a terminated session never exceeds either
+                // limit.
+                s.record.termination = SessionOutcome::BudgetExhausted {
+                    virtual_ms: elapsed,
+                    events: s.events,
+                };
+                s.stats.budget_exhausted += 1;
+                break;
+            }
+            let pending = s.queue.pending() as u64;
+            if (memory.max_pending_events > 0 && pending > memory.max_pending_events)
+                || (memory.max_session_bytes > 0 && s.queued_bytes > memory.max_session_bytes)
             {
-                let s = &mut self.sessions[id];
-                if s.done {
-                    continue; // stale event of an already-finished session
-                }
-                s.pending = s.pending.saturating_sub(1);
-                s.queued_bytes = s.queued_bytes.saturating_sub(ev.payload_bytes());
-                s.last_event_ms = time_ms;
-                let elapsed = time_ms.saturating_sub(s.record.start_ms);
-                if s.events >= budget.max_events || elapsed > budget.max_virtual_ms {
-                    // Checked *before* dispatch and *before* counting the
-                    // event, so a terminated session never exceeds either
-                    // limit.
-                    s.record.termination = SessionOutcome::BudgetExhausted {
-                        virtual_ms: elapsed,
-                        events: s.events,
-                    };
-                    s.stats.budget_exhausted += 1;
-                    self.finish_session(id);
-                    continue;
-                }
-                if (memory.max_pending_events > 0 && s.pending > memory.max_pending_events)
-                    || (memory.max_session_bytes > 0 && s.queued_bytes > memory.max_session_bytes)
-                {
-                    // Memory backpressure: the session's *queued* work
-                    // exceeds its budget — shed it before its payload
-                    // queue can blow up the shard. Decided purely from
-                    // the session's own accounting at its own dispatch
-                    // (same-session events keep their relative order for
-                    // any shard count), so the shed point is shard- and
-                    // resume-invariant.
-                    s.record.termination = SessionOutcome::ResourceShed {
-                        queued_bytes: s.queued_bytes,
-                        pending_events: s.pending,
-                    };
-                    s.stats.resource_shed += 1;
-                    self.finish_session(id);
-                    continue;
-                }
-                s.events += 1;
+                // Memory backpressure: the session's *queued* work
+                // exceeds its budget — shed it before its payload queue
+                // can blow up the shard. Decided purely from the
+                // session's own queue, so the shed point is shard- and
+                // resume-invariant.
+                s.record.termination = SessionOutcome::ResourceShed {
+                    queued_bytes: s.queued_bytes,
+                    pending_events: pending,
+                };
+                s.stats.resource_shed += 1;
+                break;
             }
+            s.events += 1;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.dispatch(ev);
+                self.dispatch(&mut s, ev);
             }));
             match result {
-                Ok(()) => {
-                    // A hostile-input termination ends the session at the
-                    // rejection even while later events are still queued
-                    // (they drain as stale).
-                    let finished = {
-                        let s = &self.sessions[id];
-                        s.pending == 0
-                            || matches!(s.record.termination, SessionOutcome::HostileInput { .. })
-                    };
-                    if finished {
-                        self.finish_session(id);
-                    }
+                // A hostile-input termination ends the session at the
+                // rejection even while later events are still queued.
+                Ok(()) if matches!(s.record.termination, SessionOutcome::HostileInput { .. }) => {
+                    break
                 }
+                Ok(()) => {}
                 Err(payload) => {
                     // Materialized only here, on the (rare) error path;
                     // an owned `String` payload is moved, not cloned.
@@ -390,62 +359,19 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                             .downcast_ref::<&str>()
                             .map_or_else(|| "panic".to_string(), |s| (*s).to_string()),
                     };
-                    self.sessions[id].record.error = Some(msg);
-                    self.sessions[id].stats.contained_panics += 1;
-                    self.finish_session(id);
+                    s.record.error = Some(msg);
+                    s.stats.contained_panics += 1;
+                    break;
                 }
             }
         }
-        // The queue is empty, so every session's `pending` hit zero and
-        // was finished above; this sweep only matters for engines run
-        // with zero events (added sessions but a pre-drained clock).
-        for id in 0..self.sessions.len() {
-            if !self.sessions[id].done {
-                self.finish_session(id);
-            }
-        }
-        if let Some(w) = self.journal.as_mut() {
-            if let Err(e) = w.sync() {
-                // The final fsync failing means the journal tail may not
-                // survive a machine crash: surface it as lost durability.
-                crate::progress!("final journal sync failed: {e}");
-                self.durability_lost = true;
-            }
-        }
-        let mut faults = self.replay_faults;
-        let mut events = self.replay_events;
-        let mut virtual_ms = self.replay_virtual_ms;
-        for s in &self.sessions {
-            faults.merge(&s.stats);
-            events += s.events;
-            virtual_ms = virtual_ms.max(s.last_event_ms);
-        }
-        let stats = EngineStats {
-            sessions: self.replay_records.len() + self.sessions.len(),
-            events,
-            queries_logged: self.log.records.len() as u64,
-            virtual_ms,
-            faults,
-            durability_lost: self.durability_lost,
-        };
-        self.log.sort_canonical();
-        let telemetry = self.tracer.finish();
-        let mut records = self.replay_records;
-        records.extend(self.sessions.into_iter().map(|s| s.record));
-        EngineOutput {
-            log: self.log,
-            records,
-            stats,
-            telemetry,
-        }
+        self.finish_session(s)
     }
 
     /// Emit the rate-limited heartbeat line, if its interval elapsed.
     /// Pure observability: reads counters, emits one `progress!` line.
-    fn maybe_heartbeat(&mut self, virtual_ms: u64) {
+    fn maybe_heartbeat(&mut self, virtual_ms: u64, pending: usize) {
         let completed = self.completed;
-        let pending = self.sim.pending();
-        let live: usize = self.sessions.iter().filter(|s| !s.done).count();
         let Some(hb) = self.heartbeat.as_mut() else {
             return;
         };
@@ -460,23 +386,17 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
         let shard = hb.shard;
         crate::progress!(
             "shard {shard} heartbeat: {completed} sessions done (+{delta}, {rate:.0}/s), \
-             {live} live, {pending} pending events, t={virtual_ms}ms"
+             {pending} pending events, t={virtual_ms}ms"
         );
     }
 
-    /// Mark session `id` finished: fold its retries into its fault
-    /// counters, journal it as one frame, and move its buffered queries
-    /// into the shard log. Fires the deterministic
+    /// Finish a session: fold its retries into its fault counters and
+    /// journal it as one frame. Fires the deterministic
     /// `crash_after_sessions` injection once the completion count
     /// (replayed + live) reaches the configured N — *after* the N-th
     /// frame is durably journaled, so a resumed run replays exactly N
     /// sessions and sails past the trigger.
-    fn finish_session(&mut self, id: usize) {
-        let s = &mut self.sessions[id];
-        if s.done {
-            return;
-        }
-        s.done = true;
+    fn finish_session(&mut self, mut s: LiveSession) -> JournalFrame {
         if self.tracer.enabled() {
             let termination = match (&s.record.error, &s.record.termination) {
                 (Some(_), _) => "contained_panic",
@@ -495,8 +415,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
             s.stats.client_retries += u64::from(outcome.retries);
         }
         let frame = JournalFrame {
-            record: s.record.clone(),
-            queries: std::mem::take(&mut s.queries),
+            record: s.record,
+            queries: s.queries,
             faults: s.stats,
             events: s.events,
             end_ms: s.last_event_ms,
@@ -515,7 +435,6 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 self.durability_lost = true;
             }
         }
-        self.log.records.extend(frame.queries);
         self.completed += 1;
         let crash_after = self.config.faults.crash_after_sessions;
         if crash_after > 0 && self.completed == crash_after {
@@ -524,81 +443,57 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
             }
             panic!("fault injection: shard crash after {crash_after} completed sessions");
         }
+        frame
     }
 
-    /// Schedule `ev` after `delay_ms`, counting it against its session's
-    /// pending-event balance (completion is `pending == 0`) and queued
-    /// payload bytes (memory-budget accounting).
-    fn sched(&mut self, delay_ms: u64, ev: Ev) {
-        let s = &mut self.sessions[ev.session()];
-        s.pending += 1;
-        s.queued_bytes += ev.payload_bytes();
-        self.sim.schedule(delay_ms, ev);
-    }
-
-    /// Absolute-time variant of [`SessionEngine::sched`].
-    fn sched_at(&mut self, time_ms: u64, ev: Ev) {
-        let s = &mut self.sessions[ev.session()];
-        s.pending += 1;
-        s.queued_bytes += ev.payload_bytes();
-        self.sim.schedule_at(time_ms, ev);
-    }
-
-    /// Record one trace event for session `id` at the current virtual
+    /// Record one trace event for session `s` at its current virtual
     /// time. Call sites guard with `self.tracer.enabled()` so payload
     /// construction never happens on the untraced hot path.
     #[inline]
-    fn trace(&mut self, id: usize, kind: TraceKind) {
-        let sid = self.sessions[id].record.session_id;
-        let now = self.sim.now_ms();
-        self.tracer.record(now, sid, kind);
+    fn trace(&mut self, s: &LiveSession, kind: TraceKind) {
+        self.tracer
+            .record(s.queue.now_ms(), s.record.session_id, kind);
     }
 
-    fn one_way_client(&self, id: usize) -> u64 {
+    fn one_way_client(&self, s: &LiveSession) -> u64 {
         self.config
             .latency
-            .one_way_ms(&self.config.client_ip, &self.sessions[id].mta_ip)
+            .one_way_ms(&self.config.client_ip, &s.mta_ip)
     }
 
-    fn one_way_auth(&self, id: usize) -> u64 {
+    fn one_way_auth(&self, s: &LiveSession) -> u64 {
         self.config
             .latency
-            .one_way_ms(&self.sessions[id].mta_ip, &self.config.auth_ip)
+            .one_way_ms(&s.mta_ip, &self.config.auth_ip)
     }
 
-    /// The fate of the next UDP datagram of session `id`. Keyed by the
+    /// The fate of the next UDP datagram of session `s`. Keyed by the
     /// campaign-global session id and the session's own datagram cursor,
-    /// so the decision is independent of shard count and event
-    /// interleaving.
-    fn datagram_fate(&mut self, id: usize, may_truncate: bool) -> DatagramFate {
-        let session = &mut self.sessions[id];
-        let sid = session.record.session_id as u64;
-        self.plan
-            .datagram_fate(sid, &mut session.faults, may_truncate)
+    /// so the decision is independent of shard count and run order.
+    fn datagram_fate(&self, s: &mut LiveSession, may_truncate: bool) -> DatagramFate {
+        let sid = s.record.session_id as u64;
+        self.plan.datagram_fate(sid, &mut s.faults, may_truncate)
     }
 
-    /// The fate of the next SMTP segment of session `id`.
-    fn conn_fault(&mut self, id: usize) -> ConnFault {
-        let session = &mut self.sessions[id];
-        let sid = session.record.session_id as u64;
-        self.plan.conn_fault(sid, &mut session.faults)
+    /// The fate of the next SMTP segment of session `s`.
+    fn conn_fault(&self, s: &mut LiveSession) -> ConnFault {
+        let sid = s.record.session_id as u64;
+        self.plan.conn_fault(sid, &mut s.faults)
     }
 
-    /// Maybe mutate the next DNS response payload of session `id` in
+    /// Maybe mutate the next DNS response payload of session `s` in
     /// place (keyed like the fate decisions: campaign-global session id
     /// plus the session's payload cursor). Content-level kinds (SPF
     /// cycle, CNAME self-chain; only offered when the session's profile
     /// is `hostile_dns`) are synthesized here from the response's own
     /// question — the plan itself never sees domain names.
-    fn mutate_dns_payload(&mut self, id: usize, bytes: &mut Vec<u8>) -> Option<DnsMutation> {
-        let session = &mut self.sessions[id];
-        let sid = session.record.session_id as u64;
-        let hostile = session.hostile_dns;
+    fn mutate_dns_payload(&self, s: &mut LiveSession, bytes: &mut Vec<u8>) -> Option<DnsMutation> {
+        let sid = s.record.session_id as u64;
         let mutation = self
             .payload
-            .mutate_dns(sid, &mut session.faults, bytes, hostile);
+            .mutate_dns(sid, &mut s.faults, bytes, s.hostile_dns);
         if let Some(kind) = mutation {
-            session.stats.dns_payload_mutations += 1;
+            s.stats.dns_payload_mutations += 1;
             if matches!(kind, DnsMutation::SpfCycle | DnsMutation::CnameChain) {
                 if let Some(replacement) = crate::hostile::synthesize_hostile_dns(bytes, kind) {
                     *bytes = replacement;
@@ -608,140 +503,112 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
         mutation
     }
 
-    /// Maybe mutate the next SMTP reply payload of session `id` in
+    /// Maybe mutate the next SMTP reply payload of session `s` in
     /// place; true when a mutation was applied.
-    fn mutate_smtp_payload(&mut self, id: usize, text: &mut String) -> bool {
-        let session = &mut self.sessions[id];
-        let sid = session.record.session_id as u64;
-        if self
-            .payload
-            .mutate_smtp(sid, &mut session.faults, text)
-            .is_some()
-        {
-            session.stats.smtp_payload_mutations += 1;
-            true
-        } else {
-            false
+    fn mutate_smtp_payload(&self, s: &mut LiveSession, text: &mut String) -> bool {
+        let sid = s.record.session_id as u64;
+        let mutated = self.payload.mutate_smtp(sid, &mut s.faults, text).is_some();
+        if mutated {
+            s.stats.smtp_payload_mutations += 1;
         }
+        mutated
     }
 
-    fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, s: &mut LiveSession, ev: Ev) {
         match ev {
-            Ev::Start(id) => {
+            Ev::Start => {
                 if self.tracer.enabled() {
-                    self.trace(id, TraceKind::SessionStart);
+                    self.trace(s, TraceKind::SessionStart);
                 }
-                let outputs = self.sessions[id].mta.handle(MtaInput::Connected);
-                self.handle_mta_outputs(id, outputs);
+                let outputs = s.mta.handle(MtaInput::Connected);
+                self.handle_mta_outputs(s, outputs);
             }
-            Ev::ToMta(id, text) => {
+            Ev::ToMta(text) => {
                 if self.tracer.enabled() {
                     let verb = text.split_whitespace().next().unwrap_or("").to_string();
-                    self.trace(id, TraceKind::SmtpCommand { verb });
+                    self.trace(s, TraceKind::SmtpCommand { verb });
                 }
                 let mut outputs = Vec::new();
                 for line in text.split_inclusive("\r\n") {
                     let line = line.trim_end_matches(['\r', '\n']);
-                    outputs.extend(
-                        self.sessions[id]
-                            .mta
-                            .handle(MtaInput::Line(line.to_string())),
-                    );
+                    outputs.extend(s.mta.handle(MtaInput::Line(line.to_string())));
                 }
-                self.handle_mta_outputs(id, outputs);
+                self.handle_mta_outputs(s, outputs);
             }
-            Ev::ToClient(id, text) => {
-                let tracing = self.tracer.enabled();
-                let mut traced_codes: Vec<u16> = Vec::new();
-                let mut traced_reject: Option<String> = None;
+            Ev::ToClient(text) => {
                 let mut actions = Vec::new();
-                let mut rejected = false;
-                {
-                    let session = &mut self.sessions[id];
-                    for line in text.split_inclusive("\r\n") {
-                        let line = line.trim_end_matches(['\r', '\n']);
-                        if line.is_empty() {
-                            continue;
-                        }
-                        match session.parser.push_line(line) {
-                            Ok(Some(reply)) => {
-                                if tracing {
-                                    traced_codes.push(reply.code);
-                                }
-                                actions.push(session.client.on_reply(reply));
+                for line in text.split_inclusive("\r\n") {
+                    let line = line.trim_end_matches(['\r', '\n']);
+                    if line.is_empty() {
+                        continue;
+                    }
+                    match s.parser.push_line(line) {
+                        Ok(Some(reply)) => {
+                            if self.tracer.enabled() {
+                                self.trace(s, TraceKind::SmtpReply { code: reply.code });
                             }
-                            Ok(None) => {}
-                            Err(e) => {
-                                // The probe client fails closed on a
-                                // reply its parser refuses: classify the
-                                // rejection, settle the outcome, and end
-                                // the session here (a measurement probe
-                                // has no business guessing at garbage).
-                                let class = crate::hostile::classify_reply(&e);
-                                if tracing {
-                                    traced_reject = Some(format!("{class:?}"));
-                                }
-                                session.stats.malformed.record(class);
-                                session.stats.hostile_inputs += 1;
-                                session.record.termination = SessionOutcome::HostileInput { class };
-                                if session.record.outcome.is_none() {
-                                    session.record.outcome = Some(session.client.on_disconnect());
-                                }
-                                rejected = true;
-                                break;
+                            actions.push(s.client.on_reply(reply));
+                        }
+                        Ok(None) => {}
+                        Err(e) => {
+                            // The probe client fails closed on a reply
+                            // its parser refuses: classify the rejection,
+                            // settle the outcome, and end the session
+                            // here (a measurement probe has no business
+                            // guessing at garbage).
+                            let class = crate::hostile::classify_reply(&e);
+                            if self.tracer.enabled() {
+                                let class = format!("{class:?}");
+                                self.trace(s, TraceKind::SmtpRejected { class });
                             }
+                            s.stats.malformed.record(class);
+                            s.stats.hostile_inputs += 1;
+                            s.record.termination = SessionOutcome::HostileInput { class };
+                            if s.record.outcome.is_none() {
+                                s.record.outcome = Some(s.client.on_disconnect());
+                            }
+                            // The client hangs up; the MTA observes the
+                            // disconnect. The session ends here, and
+                            // anything the MTA schedules is dropped with
+                            // its queue.
+                            let outputs = s.mta.handle(MtaInput::Disconnected);
+                            self.handle_mta_outputs(s, outputs);
+                            return;
                         }
                     }
-                }
-                if tracing {
-                    for code in traced_codes {
-                        self.trace(id, TraceKind::SmtpReply { code });
-                    }
-                    if let Some(class) = traced_reject {
-                        self.trace(id, TraceKind::SmtpRejected { class });
-                    }
-                }
-                if rejected {
-                    // The client hangs up; the MTA observes the
-                    // disconnect. Anything it schedules drains as stale
-                    // once the session is finished below.
-                    let outputs = self.sessions[id].mta.handle(MtaInput::Disconnected);
-                    self.handle_mta_outputs(id, outputs);
-                    return;
                 }
                 for action in actions {
-                    self.handle_client_action(id, action);
+                    self.handle_client_action(s, action);
                 }
             }
-            Ev::ClientPauseDone(id) => {
-                let action = self.sessions[id].client.on_pause_elapsed();
-                self.handle_client_action(id, action);
+            Ev::ClientPauseDone => {
+                let action = s.client.on_pause_elapsed();
+                self.handle_client_action(s, action);
             }
-            Ev::MtaTimer(id, token) => {
-                let outputs = self.sessions[id].mta.handle(MtaInput::Timer { token });
-                self.handle_mta_outputs(id, outputs);
+            Ev::MtaTimer(token) => {
+                let outputs = s.mta.handle(MtaInput::Timer { token });
+                self.handle_mta_outputs(s, outputs);
             }
-            Ev::DnsArrive(id, core_id, bytes, transport, via_ipv6) => {
+            Ev::DnsArrive(core_id, bytes, transport, via_ipv6) => {
                 // Log with attribution (§4.5). Buffered on the session
-                // (not the shard log) so a completed session journals as
-                // one self-contained frame; the buffers concatenate into
-                // the shard log at completion and a stable canonical
-                // sort restores the global order.
+                // so a completed session journals as one self-contained
+                // frame; the campaign merge sorts every frame's queries
+                // into canonical order once.
                 if let Ok(msg) = mailval_dns::Message::from_bytes(&bytes) {
                     if let Some(q) = msg.question() {
                         let record = QueryRecord {
-                            time_ms: self.sim.now_ms(),
-                            session: self.sessions[id].record.session_id,
+                            time_ms: s.queue.now_ms(),
+                            session: s.record.session_id,
                             qname: q.name.clone(),
                             qtype: q.rtype,
                             transport,
                             via_ipv6,
                             attribution: self.server.authority().attribute(&q.name),
                         };
-                        self.sessions[id].queries.push(record);
+                        s.queries.push(record);
                     }
                 }
-                // Encode the reply into the shard's scratch buffer
+                // Encode the reply into the engine's scratch buffer
                 // (taken out of `self` for the duration so the borrow
                 // checker sees disjoint pieces, returned below with its
                 // allocation intact for the next reply).
@@ -750,18 +617,18 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     .server
                     .handle_with(&bytes, transport, via_ipv6, &mut reply);
                 if let Some(delay_ms) = delay_ms {
-                    let rtt = self.one_way_auth(id);
+                    let rtt = self.one_way_auth(s);
                     let base = delay_ms + rtt;
                     // Hostile-peer payload mutation happens at the
                     // *server* (before the network decides the
                     // datagram's fate), so it applies on TCP too: a
                     // hostile peer is not bound by transport
                     // reliability.
-                    let mutation = self.mutate_dns_payload(id, &mut reply);
+                    let mutation = self.mutate_dns_payload(s, &mut reply);
                     if self.tracer.enabled() {
                         if let Some(kind) = mutation {
                             self.trace(
-                                id,
+                                s,
                                 TraceKind::FaultDnsMutation {
                                     kind: format!("{kind:?}"),
                                 },
@@ -771,14 +638,14 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     // Response-side faults (UDP only; TCP is reliable,
                     // and only responses can be meaningfully truncated).
                     let fate = if transport == Transport::Udp {
-                        self.datagram_fate(id, true)
+                        self.datagram_fate(s, true)
                     } else {
                         DatagramFate::Deliver
                     };
                     if self.tracer.enabled() {
                         if let Some(label) = fate_label(fate) {
                             self.trace(
-                                id,
+                                s,
                                 TraceKind::FaultDatagram {
                                     fate: label,
                                     query_side: false,
@@ -788,163 +655,151 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     }
                     match fate {
                         DatagramFate::Drop => {
-                            self.sessions[id].stats.dns_dropped += 1;
+                            s.stats.dns_dropped += 1;
                             // The armed DnsTimeout will fire the retry.
                         }
                         DatagramFate::Truncate => {
-                            self.sessions[id].stats.dns_truncated += 1;
+                            s.stats.dns_truncated += 1;
                             if let Some(mangled) = mailval_dns::truncate_response(&reply) {
                                 reply = mangled;
                             }
                             let bytes: Arc<[u8]> = reply.as_slice().into();
-                            self.sched(base, Ev::DnsReturn(id, core_id, bytes, via_ipv6));
+                            s.sched(base, Ev::DnsReturn(core_id, bytes, via_ipv6));
                         }
                         DatagramFate::Duplicate { gap_ms } => {
-                            self.sessions[id].stats.dns_duplicated += 1;
+                            s.stats.dns_duplicated += 1;
                             let bytes: Arc<[u8]> = reply.as_slice().into();
-                            self.sched(
-                                base,
-                                Ev::DnsReturn(id, core_id, Arc::clone(&bytes), via_ipv6),
-                            );
+                            s.sched(base, Ev::DnsReturn(core_id, Arc::clone(&bytes), via_ipv6));
                             // The copy arrives after the original; the
                             // resolver sees it as Idle (lookup settled).
-                            self.sched(base + gap_ms, Ev::DnsReturn(id, core_id, bytes, via_ipv6));
+                            s.sched(base + gap_ms, Ev::DnsReturn(core_id, bytes, via_ipv6));
                         }
                         DatagramFate::Delay { extra_ms } => {
-                            self.sessions[id].stats.dns_delayed += 1;
+                            s.stats.dns_delayed += 1;
                             let bytes: Arc<[u8]> = reply.as_slice().into();
-                            self.sched(
-                                base + extra_ms,
-                                Ev::DnsReturn(id, core_id, bytes, via_ipv6),
-                            );
+                            s.sched(base + extra_ms, Ev::DnsReturn(core_id, bytes, via_ipv6));
                         }
                         DatagramFate::Deliver => {
                             let bytes: Arc<[u8]> = reply.as_slice().into();
-                            self.sched(base, Ev::DnsReturn(id, core_id, bytes, via_ipv6));
+                            s.sched(base, Ev::DnsReturn(core_id, bytes, via_ipv6));
                         }
                     }
                 }
                 self.scratch = reply;
             }
-            Ev::DnsReturn(id, core_id, bytes, via_ipv6) => {
+            Ev::DnsReturn(core_id, bytes, via_ipv6) => {
                 if self.tracer.enabled() {
                     self.trace(
-                        id,
+                        s,
                         TraceKind::DnsRecv {
                             core_id,
                             bytes: bytes.len(),
                         },
                     );
                 }
-                let now = self.sim.now_ms();
-                let event = self.sessions[id]
+                let now = s.queue.now_ms();
+                let event = s
                     .resolver
                     .on_upstream_response(core_id, &bytes, via_ipv6, now);
                 // The resolver failed closed (ServFail) on anything its
                 // decoder rejected; classify those rejections. DNS-level
                 // garbage never ends a session — the dialogue continues
                 // on the failed lookup.
-                for e in self.sessions[id].resolver.take_wire_errors() {
+                for e in s.resolver.take_wire_errors() {
                     let class = crate::hostile::classify_wire(&e);
-                    self.sessions[id].stats.malformed.record(class);
+                    s.stats.malformed.record(class);
                 }
-                self.handle_resolver_event(id, event);
+                self.handle_resolver_event(s, event);
             }
-            Ev::DnsTimeout(id, core_id, via_ipv6) => {
-                let now = self.sim.now_ms();
-                let event = self.sessions[id]
-                    .resolver
-                    .on_timeout(core_id, via_ipv6, now);
+            Ev::DnsTimeout(core_id, via_ipv6) => {
+                let now = s.queue.now_ms();
+                let event = s.resolver.on_timeout(core_id, via_ipv6, now);
                 // A stale timer pop (lookup already settled) comes back
                 // Idle — simulator bookkeeping, not a wire fact, so it
                 // leaves no trace.
                 if self.tracer.enabled() && !matches!(event, ResolverEvent::Idle) {
-                    self.trace(id, TraceKind::DnsTimeout { core_id });
+                    self.trace(s, TraceKind::DnsTimeout { core_id });
                 }
-                self.handle_resolver_event(id, event);
+                self.handle_resolver_event(s, event);
             }
-            Ev::MtaDns(id, qid, outcome) => {
-                let outputs = self.sessions[id]
-                    .mta
-                    .handle(MtaInput::DnsFinished { qid, outcome });
-                self.handle_mta_outputs(id, outputs);
+            Ev::MtaDns(qid, outcome) => {
+                let outputs = s.mta.handle(MtaInput::DnsFinished { qid, outcome });
+                self.handle_mta_outputs(s, outputs);
             }
-            Ev::ServerClosed(id) => {
+            Ev::ServerClosed => {
                 if self.tracer.enabled() {
-                    self.trace(id, TraceKind::ServerClose);
+                    self.trace(s, TraceKind::ServerClose);
                 }
                 // The server-side FIN reached the client. If the client
                 // already finished through its own close path the session
                 // record is settled; otherwise capture the partial
                 // outcome (§6.2: MTA-initiated disconnects, e.g.
                 // blacklist rejections that slam the connection).
-                let session = &mut self.sessions[id];
-                if session.record.outcome.is_none() {
-                    session.record.outcome = Some(session.client.on_disconnect());
-                    session.record.closed_by_server = true;
+                if s.record.outcome.is_none() {
+                    s.record.outcome = Some(s.client.on_disconnect());
+                    s.record.closed_by_server = true;
                 }
             }
-            Ev::ConnReset(id) => {
+            Ev::ConnReset => {
                 if self.tracer.enabled() {
-                    self.trace(id, TraceKind::ConnReset);
+                    self.trace(s, TraceKind::ConnReset);
                 }
                 // An injected reset reached the wire: the segment that
                 // carried it is gone and both ends observe a disconnect.
                 // Unlike `ServerClosed` this is the *network's* doing,
                 // so `closed_by_server` stays false.
-                let session = &mut self.sessions[id];
-                if session.record.outcome.is_none() {
-                    session.record.outcome = Some(session.client.on_disconnect());
+                if s.record.outcome.is_none() {
+                    s.record.outcome = Some(s.client.on_disconnect());
                 }
-                let outputs = self.sessions[id].mta.handle(MtaInput::Disconnected);
-                self.handle_mta_outputs(id, outputs);
+                let outputs = s.mta.handle(MtaInput::Disconnected);
+                self.handle_mta_outputs(s, outputs);
             }
         }
     }
 
-    fn handle_mta_outputs(&mut self, id: usize, outputs: Vec<MtaOutput>) {
+    fn handle_mta_outputs(&mut self, s: &mut LiveSession, outputs: Vec<MtaOutput>) {
         for output in outputs {
             match output {
                 MtaOutput::Smtp(mut text) => {
                     // Hostile-peer reply mutation happens at the server,
                     // before the network decides the segment's fate.
-                    if self.mutate_smtp_payload(id, &mut text) && self.tracer.enabled() {
-                        self.trace(id, TraceKind::FaultSmtpMutation);
+                    if self.mutate_smtp_payload(s, &mut text) && self.tracer.enabled() {
+                        self.trace(s, TraceKind::FaultSmtpMutation);
                     }
                     let text: Arc<str> = text.into();
                     // Any stall the MTA declared in this batch delays the
                     // reply segment that follows it.
-                    let stall = std::mem::take(&mut self.sessions[id].stall_credit_ms);
-                    let delay = self.one_way_client(id) + stall;
-                    match self.conn_fault(id) {
+                    let stall = std::mem::take(&mut s.stall_credit_ms);
+                    let delay = self.one_way_client(s) + stall;
+                    match self.conn_fault(s) {
                         ConnFault::Reset => {
-                            self.sessions[id].stats.conn_resets += 1;
+                            s.stats.conn_resets += 1;
                             if self.tracer.enabled() {
-                                self.trace(id, TraceKind::FaultConn { kind: "reset" });
+                                self.trace(s, TraceKind::FaultConn { kind: "reset" });
                             }
-                            self.sched(delay, Ev::ConnReset(id));
+                            s.sched(delay, Ev::ConnReset);
                         }
                         ConnFault::Stall { extra_ms } => {
-                            self.sessions[id].stats.conn_stalls += 1;
+                            s.stats.conn_stalls += 1;
                             if self.tracer.enabled() {
-                                self.trace(id, TraceKind::FaultConn { kind: "stall" });
+                                self.trace(s, TraceKind::FaultConn { kind: "stall" });
                             }
-                            self.sched(delay + extra_ms, Ev::ToClient(id, text));
+                            s.sched(delay + extra_ms, Ev::ToClient(text));
                         }
                         ConnFault::Deliver => {
-                            self.sched(delay, Ev::ToClient(id, text));
+                            s.sched(delay, Ev::ToClient(text));
                         }
                     }
                 }
                 MtaOutput::Stall { delay_ms } => {
-                    self.sessions[id].stats.mta_stalls += 1;
-                    self.sessions[id].stall_credit_ms += delay_ms;
+                    s.stats.mta_stalls += 1;
+                    s.stall_credit_ms += delay_ms;
                     if self.tracer.enabled() {
-                        self.trace(id, TraceKind::MtaStall { delay_ms });
+                        self.trace(s, TraceKind::MtaStall { delay_ms });
                     }
                 }
                 MtaOutput::Resolve { qid, name, rtype } => {
-                    let now = self.sim.now_ms();
+                    let now = s.queue.now_ms();
                     // Snapshot the cache-hit counter around the resolve
                     // call: a lookup answered synchronously from cache is
                     // marked `cached` so the exporter doesn't draw a
@@ -954,12 +809,12 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     } else {
                         None
                     };
-                    let hits_before = self.sessions[id].resolver.cache_hits();
-                    let event = self.sessions[id].resolver.resolve(qid, name, rtype, now);
+                    let hits_before = s.resolver.cache_hits();
+                    let event = s.resolver.resolve(qid, name, rtype, now);
                     if let Some((qname, qtype)) = traced {
-                        let cached = self.sessions[id].resolver.cache_hits() > hits_before;
+                        let cached = s.resolver.cache_hits() > hits_before;
                         self.trace(
-                            id,
+                            s,
                             TraceKind::ResolveStart {
                                 qid,
                                 name: qname,
@@ -968,47 +823,47 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                             },
                         );
                     }
-                    self.handle_resolver_event(id, event);
+                    self.handle_resolver_event(s, event);
                 }
                 MtaOutput::SetTimer { token, delay_ms } => {
-                    self.sched(delay_ms, Ev::MtaTimer(id, token));
+                    s.sched(delay_ms, Ev::MtaTimer(token));
                 }
                 MtaOutput::Close => {
                     // Propagate the server-initiated disconnect to the
                     // client after the wire delay (it travels with, and
                     // sorts after, any final reply emitted in the same
                     // output batch).
-                    let delay = self.one_way_client(id);
-                    self.sched(delay, Ev::ServerClosed(id));
+                    let delay = self.one_way_client(s);
+                    s.sched(delay, Ev::ServerClosed);
                 }
                 MtaOutput::Event(MtaEvent::MessageAccepted) => {
-                    self.sessions[id].record.delivery_time_ms = Some(self.sim.now_ms());
+                    s.record.delivery_time_ms = Some(s.queue.now_ms());
                     if self.tracer.enabled() {
-                        self.trace(id, TraceKind::Delivered);
+                        self.trace(s, TraceKind::Delivered);
                     }
                 }
                 MtaOutput::Event(MtaEvent::TempFailed) => {
-                    self.sessions[id].stats.tempfails += 1;
+                    s.stats.tempfails += 1;
                     if self.tracer.enabled() {
-                        self.trace(id, TraceKind::TempFail);
+                        self.trace(s, TraceKind::TempFail);
                     }
                 }
                 MtaOutput::Event(MtaEvent::SpfConcluded(result)) if self.tracer.enabled() => {
                     self.trace(
-                        id,
+                        s,
                         TraceKind::SpfConcluded {
                             result: format!("{result:?}"),
                         },
                     );
                 }
                 MtaOutput::Event(MtaEvent::SpfLookups(count)) if self.tracer.enabled() => {
-                    self.trace(id, TraceKind::SpfLookups { count });
+                    self.trace(s, TraceKind::SpfLookups { count });
                 }
                 MtaOutput::Event(MtaEvent::DkimConcluded(pass)) if self.tracer.enabled() => {
-                    self.trace(id, TraceKind::DkimConcluded { pass });
+                    self.trace(s, TraceKind::DkimConcluded { pass });
                 }
                 MtaOutput::Event(MtaEvent::DmarcConcluded(pass)) if self.tracer.enabled() => {
-                    self.trace(id, TraceKind::DmarcConcluded { pass });
+                    self.trace(s, TraceKind::DmarcConcluded { pass });
                 }
                 MtaOutput::Event(MtaEvent::SpfHostile {
                     cycle_detected,
@@ -1016,7 +871,7 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 }) => {
                     if self.tracer.enabled() {
                         self.trace(
-                            id,
+                            s,
                             TraceKind::SpfHostile {
                                 cycle: cycle_detected,
                                 exhausted: lookups_exhausted,
@@ -1029,8 +884,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     // payload campaign (or a hostile zone) — the paper's
                     // own probe policies deliberately exceed the lookup
                     // limits, and those measurements are not attacks.
-                    if self.payload.is_active() || self.sessions[id].hostile_dns {
-                        let stats = &mut self.sessions[id].stats;
+                    if self.payload.is_active() || s.hostile_dns {
+                        let stats = &mut s.stats;
                         if cycle_detected {
                             stats.malformed.record(MalformedClass::SpfPolicyLoop);
                         }
@@ -1044,22 +899,22 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
         }
     }
 
-    fn handle_resolver_event(&mut self, id: usize, event: ResolverEvent) {
+    fn handle_resolver_event(&mut self, s: &mut LiveSession, event: ResolverEvent) {
         match event {
             ResolverEvent::Finished { qid, outcome } => {
                 if matches!(outcome, ResolveOutcome::Timeout) {
-                    self.sessions[id].stats.dns_timeouts += 1;
+                    s.stats.dns_timeouts += 1;
                 }
                 if self.tracer.enabled() {
                     self.trace(
-                        id,
+                        s,
                         TraceKind::ResolveDone {
                             qid,
                             outcome: outcome_label(&outcome),
                         },
                     );
                 }
-                self.sched(self.config.local_hop_ms, Ev::MtaDns(id, qid, outcome));
+                s.sched(self.config.local_hop_ms, Ev::MtaDns(qid, outcome));
             }
             ResolverEvent::Send(UpstreamSend {
                 core_id,
@@ -1068,14 +923,14 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 via_ipv6,
                 timeout_ms,
             }) => {
-                let rtt = self.one_way_auth(id);
+                let rtt = self.one_way_auth(s);
                 // The attempt timeout is ALWAYS armed, whatever happens
                 // to the datagram: a dropped query must trip
                 // `ResolverCore::on_timeout`'s retry machinery.
-                self.sched(timeout_ms, Ev::DnsTimeout(id, core_id, via_ipv6));
+                s.sched(timeout_ms, Ev::DnsTimeout(core_id, via_ipv6));
                 if self.tracer.enabled() {
                     self.trace(
-                        id,
+                        s,
                         TraceKind::DnsSend {
                             core_id,
                             transport: match transport {
@@ -1090,14 +945,14 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 let bytes: Arc<[u8]> = bytes.into();
                 // Query-side faults (UDP only; queries can't truncate).
                 let fate = if transport == Transport::Udp {
-                    self.datagram_fate(id, false)
+                    self.datagram_fate(s, false)
                 } else {
                     DatagramFate::Deliver
                 };
                 if self.tracer.enabled() {
                     if let Some(label) = fate_label(fate) {
                         self.trace(
-                            id,
+                            s,
                             TraceKind::FaultDatagram {
                                 fate: label,
                                 query_side: true,
@@ -1107,28 +962,28 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 }
                 match fate {
                     DatagramFate::Drop => {
-                        self.sessions[id].stats.dns_dropped += 1;
+                        s.stats.dns_dropped += 1;
                     }
                     DatagramFate::Duplicate { gap_ms } => {
-                        self.sessions[id].stats.dns_duplicated += 1;
-                        self.sched(
+                        s.stats.dns_duplicated += 1;
+                        s.sched(
                             rtt,
-                            Ev::DnsArrive(id, core_id, Arc::clone(&bytes), transport, via_ipv6),
+                            Ev::DnsArrive(core_id, Arc::clone(&bytes), transport, via_ipv6),
                         );
-                        self.sched(
+                        s.sched(
                             rtt + gap_ms,
-                            Ev::DnsArrive(id, core_id, bytes, transport, via_ipv6),
+                            Ev::DnsArrive(core_id, bytes, transport, via_ipv6),
                         );
                     }
                     DatagramFate::Delay { extra_ms } => {
-                        self.sessions[id].stats.dns_delayed += 1;
-                        self.sched(
+                        s.stats.dns_delayed += 1;
+                        s.sched(
                             rtt + extra_ms,
-                            Ev::DnsArrive(id, core_id, bytes, transport, via_ipv6),
+                            Ev::DnsArrive(core_id, bytes, transport, via_ipv6),
                         );
                     }
                     DatagramFate::Deliver | DatagramFate::Truncate => {
-                        self.sched(rtt, Ev::DnsArrive(id, core_id, bytes, transport, via_ipv6));
+                        s.sched(rtt, Ev::DnsArrive(core_id, bytes, transport, via_ipv6));
                     }
                 }
             }
@@ -1136,10 +991,10 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
         }
     }
 
-    fn handle_client_action(&mut self, id: usize, action: ClientAction) {
+    fn handle_client_action(&mut self, s: &mut LiveSession, action: ClientAction) {
         match action {
             ClientAction::Send(bytes) => {
-                let delay = self.one_way_client(id);
+                let delay = self.one_way_client(s);
                 // Valid UTF-8 (every command the probe client emits) is
                 // wrapped without a second copy; only genuinely invalid
                 // bytes pay for the lossy conversion.
@@ -1147,46 +1002,46 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     Ok(s) => s.into(),
                     Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned().into(),
                 };
-                match self.conn_fault(id) {
+                match self.conn_fault(s) {
                     ConnFault::Reset => {
-                        self.sessions[id].stats.conn_resets += 1;
+                        s.stats.conn_resets += 1;
                         if self.tracer.enabled() {
-                            self.trace(id, TraceKind::FaultConn { kind: "reset" });
+                            self.trace(s, TraceKind::FaultConn { kind: "reset" });
                         }
-                        self.sched(delay, Ev::ConnReset(id));
+                        s.sched(delay, Ev::ConnReset);
                     }
                     ConnFault::Stall { extra_ms } => {
-                        self.sessions[id].stats.conn_stalls += 1;
+                        s.stats.conn_stalls += 1;
                         if self.tracer.enabled() {
-                            self.trace(id, TraceKind::FaultConn { kind: "stall" });
+                            self.trace(s, TraceKind::FaultConn { kind: "stall" });
                         }
-                        self.sched(delay + extra_ms, Ev::ToMta(id, text));
+                        s.sched(delay + extra_ms, Ev::ToMta(text));
                     }
                     ConnFault::Deliver => {
-                        self.sched(delay, Ev::ToMta(id, text));
+                        s.sched(delay, Ev::ToMta(text));
                     }
                 }
             }
             ClientAction::Pause(0) => {}
             ClientAction::Pause(ms) => {
                 if self.tracer.enabled() {
-                    self.trace(id, TraceKind::ClientPause { ms });
+                    self.trace(s, TraceKind::ClientPause { ms });
                 }
-                self.sched(ms, Ev::ClientPauseDone(id));
+                s.sched(ms, Ev::ClientPauseDone);
             }
             ClientAction::Close(outcome) => {
                 if self.tracer.enabled() {
                     self.trace(
-                        id,
+                        s,
                         TraceKind::ClientClose {
                             delivered: outcome.delivered,
                             retries: outcome.retries,
                         },
                     );
                 }
-                self.sessions[id].record.outcome = Some(*outcome);
-                let outputs = self.sessions[id].mta.handle(MtaInput::Disconnected);
-                self.handle_mta_outputs(id, outputs);
+                s.record.outcome = Some(*outcome);
+                let outputs = s.mta.handle(MtaInput::Disconnected);
+                self.handle_mta_outputs(s, outputs);
             }
         }
     }

@@ -4,40 +4,40 @@ use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::server::Transport;
 use std::sync::Arc;
 
-/// One scheduled occurrence inside a [`crate::engine::SessionEngine`].
+/// One scheduled occurrence inside a session's own queue.
 ///
-/// The `usize` in every variant is the session's **local index** within
-/// its engine (not the campaign-global id); an engine only ever
-/// dispatches events to sessions it owns, so shards need no coordination.
+/// Events carry no session index: every session runs to completion on
+/// a queue of its own ([`crate::engine::SessionEngine`]), so an event
+/// always belongs to the session whose queue holds it.
 ///
 /// Wire payloads ride as `Arc<[u8]>` / `Arc<str>`: an event that fans
 /// out (a duplicated datagram) clones a pointer, not the payload, and
-/// the bytes a shard encodes are the bytes every hop observes.
+/// the bytes a session encodes are the bytes every hop observes.
 pub enum Ev {
     /// TCP established: the MTA emits its greeting.
-    Start(usize),
+    Start,
     /// Client bytes arriving at the MTA.
-    ToMta(usize, Arc<str>),
+    ToMta(Arc<str>),
     /// MTA reply text arriving at the probe client.
-    ToClient(usize, Arc<str>),
+    ToClient(Arc<str>),
     /// The probe client's inter-command pause elapsed.
-    ClientPauseDone(usize),
+    ClientPauseDone,
     /// An MTA-armed timer fired.
-    MtaTimer(usize, u64),
+    MtaTimer(u64),
     /// Resolver datagram arriving at the authoritative server.
-    DnsArrive(usize, u16, Arc<[u8]>, Transport, bool),
+    DnsArrive(u16, Arc<[u8]>, Transport, bool),
     /// Server response arriving back at the resolver.
-    DnsReturn(usize, u16, Arc<[u8]>, bool),
+    DnsReturn(u16, Arc<[u8]>, bool),
     /// Resolver attempt timeout.
-    DnsTimeout(usize, u16, bool),
+    DnsTimeout(u16, bool),
     /// Resolver finished a lookup for the MTA.
-    MtaDns(usize, u64, ResolveOutcome),
+    MtaDns(u64, ResolveOutcome),
     /// The MTA-side close reached the client (server-initiated
     /// disconnect, e.g. an SMTP `ReplyAndClose`).
-    ServerClosed(usize),
+    ServerClosed,
     /// An injected connection reset reached both ends: the in-flight
     /// segment is lost and the session is torn down.
-    ConnReset(usize),
+    ConnReset,
 }
 
 impl Ev {
@@ -46,26 +46,9 @@ impl Ev {
     /// [`crate::engine::MemoryBudget`] accounts in.
     pub fn payload_bytes(&self) -> u64 {
         match self {
-            Ev::ToMta(_, s) | Ev::ToClient(_, s) => s.len() as u64,
-            Ev::DnsArrive(_, _, b, _, _) | Ev::DnsReturn(_, _, b, _) => b.len() as u64,
+            Ev::ToMta(s) | Ev::ToClient(s) => s.len() as u64,
+            Ev::DnsArrive(_, b, _, _) | Ev::DnsReturn(_, b, _) => b.len() as u64,
             _ => 0,
-        }
-    }
-
-    /// The local session index this event belongs to.
-    pub fn session(&self) -> usize {
-        match *self {
-            Ev::Start(id)
-            | Ev::ToMta(id, _)
-            | Ev::ToClient(id, _)
-            | Ev::ClientPauseDone(id)
-            | Ev::MtaTimer(id, _)
-            | Ev::DnsArrive(id, _, _, _, _)
-            | Ev::DnsReturn(id, _, _, _)
-            | Ev::DnsTimeout(id, _, _)
-            | Ev::MtaDns(id, _, _)
-            | Ev::ServerClosed(id)
-            | Ev::ConnReset(id) => id,
         }
     }
 }

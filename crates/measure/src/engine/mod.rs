@@ -1,18 +1,17 @@
-//! The session-engine layer: a per-shard virtual-time driver.
+//! The session-engine layer: per-shard drivers that run independent
+//! sessions one at a time.
 //!
-//! Extracted from the former monolithic `experiment.rs` so the event
-//! loop is reusable and testable in isolation:
+//! * [`Ev`] — the event vocabulary on a session's queue;
+//! * [`LiveSession`] / [`SessionRecord`] — one probe↔MTA connection
+//!   with its own event queue, and its durable output;
+//! * [`SessionEngine`] — the driver: runs each session of a shard to
+//!   completion on that session's queue, borrows the shared
+//!   authoritative server, and returns one journal frame per session
+//!   ([`EngineOutput`]).
 //!
-//! * [`Ev`] — the event vocabulary carried by the simulator;
-//! * [`LiveSession`] / [`SessionRecord`] — one probe↔MTA connection and
-//!   its durable output;
-//! * [`SessionEngine`] — the driver: owns one clock and any number of
-//!   *independent* sessions, borrows the shared authoritative server,
-//!   and produces a canonically-ordered [`crate::apparatus::QueryLog`].
-//!
-//! Sessions never exchange events, so a campaign can partition them
-//! into shards (`crate::shard`) and run one engine per shard on its own
-//! thread; the per-shard outputs merge deterministically.
+//! Sessions never exchange events, so a campaign deals them round-robin
+//! to shards and runs one engine per shard on its own thread; the
+//! campaign merge puts every shard's frames into canonical order.
 
 mod driver;
 mod event;

@@ -18,7 +18,7 @@
 //! virtual time. On resume, [`replay`] walks the file, drops the first
 //! frame whose length, checksum or payload fails to verify **and
 //! everything after it** (a torn tail is re-run, never trusted), and the
-//! engine skips the surviving sessions — producing output byte-identical
+//! shard skips the surviving sessions — producing output byte-identical
 //! to an uninterrupted run.
 //!
 //! Durability discipline: every append is flushed to the file (a
@@ -28,9 +28,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::apparatus::{QueryLog, QueryRecord};
+use crate::apparatus::QueryRecord;
 use crate::codec::{Dec, Enc};
-use crate::engine::{EngineOutput, EngineStats, SessionRecord};
+use crate::engine::{EngineOutput, SessionRecord};
 use crate::vfs::{OsFs, Vfs, VfsFile};
 use mailval_simnet::FaultStats;
 use std::collections::HashSet;
@@ -51,7 +51,7 @@ pub struct JournalFrame {
     /// The completed session's record.
     pub record: SessionRecord,
     /// Query-log entries the session's resolver generated, in dispatch
-    /// order (re-sorted canonically at merge time).
+    /// order (sorted canonically by the campaign merge).
     pub queries: Vec<QueryRecord>,
     /// The session's fault counters.
     pub faults: FaultStats,
@@ -196,39 +196,11 @@ impl Replay {
 
     /// Reconstruct a shard's [`EngineOutput`] from its journal alone —
     /// the salvage path when a shard exhausts its restart budget and
-    /// the journaled prefix is all that survives of it.
+    /// the journaled prefix is all that survives of it. It folds the
+    /// frames exactly as a live run does; telemetry is never journaled,
+    /// so a salvaged shard's trace covers nothing, by design.
     pub fn into_engine_output(self) -> EngineOutput {
-        let mut log = QueryLog::new();
-        let mut records = Vec::with_capacity(self.frames.len());
-        let mut faults = FaultStats::default();
-        let mut events = 0u64;
-        let mut virtual_ms = 0u64;
-        for frame in self.frames {
-            events += frame.events;
-            faults.merge(&frame.faults);
-            virtual_ms = virtual_ms.max(frame.end_ms);
-            log.records.extend(frame.queries);
-            records.push(frame.record);
-        }
-        log.sort_canonical();
-        let stats = EngineStats {
-            sessions: records.len(),
-            events,
-            queries_logged: log.records.len() as u64,
-            virtual_ms,
-            faults,
-            // A journal-salvaged shard by definition outlived its
-            // durability; the flag is observability, never hashed.
-            durability_lost: false,
-        };
-        EngineOutput {
-            log,
-            records,
-            stats,
-            // Telemetry is never journaled: a salvaged shard's trace
-            // covers nothing, by design.
-            telemetry: None,
-        }
+        EngineOutput::from_frames(self.frames, None)
     }
 }
 
@@ -589,10 +561,23 @@ mod tests {
         assert_eq!(out.stats.queries_logged, 2);
         assert_eq!(out.stats.virtual_ms, 604_800_036);
         assert_eq!(out.stats.faults.dns_dropped, 6);
-        assert_eq!(out.records.len(), 2);
-        // The salvaged log is canonical: sorted by (time_ms, session).
-        assert_eq!(out.log.records[0].session, 1);
-        assert_eq!(out.log.records[1].session, 3);
+        // The salvaged frames keep journal order; the campaign merge
+        // sorts them canonically.
+        let ids: Vec<usize> = out.frames.iter().map(|f| f.record.session_id).collect();
+        assert_eq!(ids, vec![3, 1]);
+        assert!(out.telemetry.is_none());
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_on_known_answer_frames() {
+        use crate::codec::tests::crc32_bitwise;
+        for frame in [sample_frame(42), hostile_frame(43), shed_frame(44)] {
+            let payload = encode_frame(&frame);
+            assert_eq!(crc32(&payload), crc32_bitwise(&payload));
+            let mut framed = Enc::default();
+            framed.push_frame(|enc| enc.put(&frame));
+            assert_eq!(crc32(&framed.0), crc32_bitwise(&framed.0));
+        }
     }
 
     #[test]

@@ -1,22 +1,25 @@
-//! Campaign sharding: partition independent sessions across engines and
-//! merge their outputs deterministically.
+//! Campaign sharding: deal independent sessions to engines and merge
+//! their frames deterministically.
 //!
 //! Sessions of a campaign never interact — each drives its own MTA,
-//! resolver and client state machines, and the shared authoritative
-//! server answers every query statelessly from the name alone. A
-//! campaign therefore partitions its session list into `K` shards, runs
-//! one [`crate::engine::SessionEngine`] per shard on its own thread
-//! (via [`mailval_simnet::run_shards`]), and merges:
+//! resolver and client state machines on its own event queue, and the
+//! shared authoritative server answers every query statelessly from
+//! the name alone. A campaign therefore runs [`shard_count`] shards,
+//! each a [`crate::engine::SessionEngine`] on its own thread (via
+//! [`mailval_simnet::run_shards`]) over the sessions with
+//! `session_id % shards == k`, and [`merge_frames`] flattens every
+//! shard's frames into
 //!
-//! * query logs by the stable `(time_ms, session)` key
-//!   ([`crate::apparatus::QueryLog::merge`]);
-//! * session records back into global `session_id` order
-//!   ([`merge_session_records`]).
+//! * session records in global `session_id` order;
+//! * one query log, stable-sorted once by `(time_ms, session)`
+//!   ([`crate::apparatus::QueryLog::sort_canonical`]).
 //!
-//! Both merges are independent of `K` and of thread scheduling, so
-//! `shards = K` output is byte-identical to `shards = 1`.
+//! Both orders are independent of the shard count and of thread
+//! scheduling, so `shards = K` output is byte-identical to `shards = 1`.
 
+use crate::apparatus::QueryLog;
 use crate::engine::{EngineStats, SessionRecord};
+use crate::journal::JournalFrame;
 use mailval_simnet::FaultStats;
 
 /// Lightweight per-shard counters surfaced in
@@ -66,28 +69,28 @@ impl ShardStats {
     }
 }
 
-/// Partition `n` sessions into `shards` index lists, round-robin:
-/// session `i` goes to shard `i % shards`. Round-robin keeps shard
-/// loads balanced even though campaign build order clusters sessions by
-/// test and host. A `shards` of 0 is treated as 1; empty shards are
-/// dropped (never more shards than sessions).
-pub fn partition(n: usize, shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.clamp(1, n.max(1));
-    let mut parts: Vec<Vec<usize>> = (0..shards)
-        .map(|_| Vec::with_capacity(n / shards + 1))
-        .collect();
-    for i in 0..n {
-        parts[i % shards].push(i);
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
+/// How many shards `n` sessions run on when `shards` are requested: 0
+/// is treated as 1, and there are never more shards than sessions (so
+/// no shard is empty, and 0 sessions run on 0 shards). Session `i` goes
+/// to shard `i % count`; round-robin keeps shard loads balanced even
+/// though campaign build order clusters sessions by test and host.
+pub fn shard_count(n: usize, shards: usize) -> usize {
+    shards.max(1).min(n)
 }
 
-/// Merge per-shard session records back into global `session_id` order.
-pub fn merge_session_records(per_shard: Vec<Vec<SessionRecord>>) -> Vec<SessionRecord> {
-    let mut all: Vec<SessionRecord> = per_shard.into_iter().flatten().collect();
-    all.sort_by_key(|r| r.session_id);
-    all
+/// Merge every shard's frames into the campaign's records (global
+/// `session_id` order) and query log (stable-sorted by `(time_ms,
+/// session)` once; a session's own queries keep their dispatch order).
+pub fn merge_frames(mut frames: Vec<JournalFrame>) -> (Vec<SessionRecord>, QueryLog) {
+    frames.sort_unstable_by_key(|f| f.record.session_id);
+    let mut records = Vec::with_capacity(frames.len());
+    let mut log = QueryLog::new();
+    for frame in frames {
+        records.push(frame.record);
+        log.records.extend(frame.queries);
+    }
+    log.sort_canonical();
+    (records, log)
 }
 
 #[cfg(test)]
@@ -95,43 +98,60 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partition_round_robin_covers_all() {
-        let parts = partition(10, 4);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[0], vec![0, 4, 8]);
-        assert_eq!(parts[1], vec![1, 5, 9]);
-        assert_eq!(parts[2], vec![2, 6]);
-        assert_eq!(parts[3], vec![3, 7]);
-        let mut all: Vec<usize> = parts.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partition_never_exceeds_sessions() {
-        assert_eq!(partition(2, 8).len(), 2);
-        assert_eq!(partition(0, 4).len(), 0);
-        assert_eq!(partition(5, 0).len(), 1);
-        assert_eq!(partition(5, 1)[0], vec![0, 1, 2, 3, 4]);
+    fn shard_count_never_exceeds_sessions() {
+        assert_eq!(shard_count(10, 4), 4);
+        assert_eq!(shard_count(2, 8), 2);
+        assert_eq!(shard_count(0, 4), 0);
+        assert_eq!(shard_count(5, 0), 1);
+        assert_eq!(shard_count(5, 1), 1);
     }
 
     #[test]
     fn merge_restores_global_order() {
-        let rec = |session_id: usize| SessionRecord {
-            session_id,
-            host_index: 0,
-            domain_index: 0,
-            testid: None,
-            start_ms: 0,
-            outcome: None,
-            delivery_time_ms: None,
-            closed_by_server: false,
-            error: None,
-            termination: crate::engine::SessionOutcome::Completed,
+        let frame = |session_id: usize, times: &[u64]| JournalFrame {
+            record: SessionRecord {
+                session_id,
+                host_index: 0,
+                domain_index: 0,
+                testid: None,
+                start_ms: 0,
+                outcome: None,
+                delivery_time_ms: None,
+                closed_by_server: false,
+                error: None,
+                termination: crate::engine::SessionOutcome::Completed,
+            },
+            queries: times
+                .iter()
+                .enumerate()
+                .map(|(i, &time_ms)| crate::apparatus::QueryRecord {
+                    time_ms,
+                    session: session_id,
+                    qname: mailval_dns::Name::parse(&format!("q{session_id}-{i}.test")).unwrap(),
+                    qtype: mailval_dns::rr::RecordType::Txt,
+                    transport: mailval_dns::server::Transport::Udp,
+                    via_ipv6: false,
+                    attribution: None,
+                })
+                .collect(),
+            faults: FaultStats::default(),
+            events: 0,
+            end_ms: 0,
         };
-        let merged =
-            merge_session_records(vec![vec![rec(0), rec(2), rec(4)], vec![rec(1), rec(3)]]);
-        let ids: Vec<usize> = merged.iter().map(|r| r.session_id).collect();
+        // Two shards' frames, each in completion order; session 3 logs
+        // two queries at one instant, which must keep their order.
+        let (records, log) = merge_frames(vec![
+            frame(0, &[5]),
+            frame(2, &[1, 9]),
+            frame(4, &[]),
+            frame(1, &[5]),
+            frame(3, &[7, 7]),
+        ]);
+        let ids: Vec<usize> = records.iter().map(|r| r.session_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        let keys: Vec<(u64, usize)> = log.records.iter().map(|q| (q.time_ms, q.session)).collect();
+        assert_eq!(keys, vec![(1, 2), (5, 0), (5, 1), (7, 3), (7, 3), (9, 2)]);
+        assert_eq!(log.records[3].qname.to_string(), "q3-0.test");
+        assert_eq!(log.records[4].qname.to_string(), "q3-1.test");
     }
 }

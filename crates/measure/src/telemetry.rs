@@ -542,8 +542,8 @@ impl Telemetry {
 pub struct TraceFilter {
     /// Keep only these campaign-global session ids (empty = all).
     pub sessions: Vec<usize>,
-    /// Keep only sessions of shard `k` of `n` (round-robin assignment,
-    /// matching [`crate::shard::partition`]).
+    /// Keep only sessions of shard `k` of `n` (the campaign's
+    /// round-robin assignment, `session % n == k`).
     pub shard: Option<(usize, usize)>,
 }
 

@@ -7,7 +7,8 @@
 # Cargo.toml), and CARGO_NET_OFFLINE pins cargo to what is vendored.
 #
 # Usage:
-#   scripts/verify.sh              # the full gate: fmt, clippy, build,
+#   scripts/verify.sh              # the full gate: fmt, clippy, build
+#                                  # (the workspace and benchmark/),
 #                                  # `cargo test -q` (every workspace
 #                                  # test binary, once), then crypto,
 #                                  # fuzz, bench --check io, warm-store
@@ -198,6 +199,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
+
+# The benchmark package is a workspace of its own and calls the campaign,
+# journal and store APIs, so an API change must still build it.
+echo "== benchmark: cargo build --release (benchmark/Cargo.toml) =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # The root Cargo.toml's default-members cover every crate, so this runs
 # each test binary of the workspace once, the determinism suites

@@ -6,7 +6,8 @@
 //! the canonical query log, event counts, fault counters and the
 //! partial flag through the journal codec — everything deterministic,
 //! nothing wall-clock. Each scenario must reproduce its pinned digest
-//! at shards 1, 2, 4 and 8, and its store key must be unchanged (the
+//! at shards 1, 2, 4, 8 and one session per shard, and its store key
+//! must be unchanged (the
 //! key is a pure function of the campaign knobs; an optimization that
 //! moves it would orphan every persisted campaign).
 //!
@@ -126,10 +127,14 @@ fn assert_golden(
     pop: &Population,
     profiles: &[MtaProfile],
 ) {
+    // One session per shard is the last cell: sessions are independent,
+    // so no session's output may depend on which others share its shard.
+    // Each shard is a thread, so this cell stays at fixture scale.
+    let per_session = run_campaign(&mk_config(1), pop, profiles).sessions.len();
     // Telemetry is observability only: the digest must hold with the
     // tracer off AND on, at every shard count.
     for tracing in [false, true] {
-        for shards in [1usize, 2, 4, 8] {
+        for shards in [1usize, 2, 4, 8, per_session] {
             let mut config = mk_config(shards);
             config.telemetry = TelemetryConfig {
                 tracing,
@@ -142,6 +147,9 @@ fn assert_golden(
                 "{label}: shards={shards} tracing={tracing} output differs \
                  from the pre-change engine"
             );
+            if shards == per_session {
+                assert_eq!(result.shard_stats.len(), per_session, "{label}");
+            }
             assert_eq!(
                 result.telemetry.is_some(),
                 tracing,

@@ -157,6 +157,17 @@ fn partial_finalize_then_explicit_resume_completes() {
         10,
         "2 shards × 5 journaled sessions each survive"
     );
+    // Each shard runs its sessions in id order, so its first five
+    // completions are its first five round-robin ids: k, k+2, ..., k+8.
+    let salvaged: Vec<usize> = partial.sessions.iter().map(|s| s.session_id).collect();
+    let mut expected: Vec<usize> = (0..2)
+        .flat_map(|k| (0..5).map(move |i| k + 2 * i))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(
+        salvaged, expected,
+        "salvaged ids are each shard's first five"
+    );
     // The salvaged prefix agrees with the clean run session-for-session.
     for s in &partial.sessions {
         let reference = clean
