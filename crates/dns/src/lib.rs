@@ -12,6 +12,10 @@
 //! discrete-event simulator (`mailval-simnet`) and behind real UDP/TCP
 //! sockets (`examples/live_loopback.rs`).
 //!
+//! A [`Name`] is one shared, immutable allocation of its lowercase
+//! dotted text, so cloning one into a query log, a cache key or a zone
+//! bumps a reference count instead of copying labels.
+//!
 //! The paper's measurement apparatus (see `mailval-measure`) plugs in a
 //! custom [`server::Authority`] that *synthesizes* SPF policy responses
 //! from the query name instead of serving a 27.8M-record zone — the
@@ -20,7 +24,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod interner;
 pub mod message;
 pub mod name;
 pub mod resolver;
@@ -29,7 +32,6 @@ pub mod server;
 pub mod wire;
 pub mod zone;
 
-pub use interner::{NameId, NameInterner};
 pub use message::{truncate_response, Message, Question};
 pub use name::{Name, NameError};
 pub use rr::{RData, Record, RecordClass, RecordType};

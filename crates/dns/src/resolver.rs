@@ -14,7 +14,6 @@
 //! * **Retries/timeout** — a bounded number of UDP retries before the
 //!   lookup fails with a timeout outcome.
 
-use crate::interner::{NameId, NameInterner};
 use crate::message::Message;
 use crate::name::Name;
 use crate::rr::{Record, RecordType};
@@ -122,12 +121,7 @@ struct CacheEntry {
 /// The resolver state machine. One instance per simulated resolver.
 pub struct ResolverCore {
     config: ResolverConfig,
-    /// Cache keys are interned: probing hashes the queried [`Name`] by
-    /// reference against `names` and then keys this map by a `u32`
-    /// pair, so a cache hit allocates nothing (a `(Name, RecordType)`
-    /// key would clone one `String` per label per probe).
-    cache: HashMap<(NameId, RecordType), CacheEntry>,
-    names: NameInterner,
+    cache: HashMap<(Name, RecordType), CacheEntry>,
     pending: HashMap<u16, Pending>,
     next_id: u16,
     /// Count of upstream queries emitted (diagnostics).
@@ -145,7 +139,6 @@ impl ResolverCore {
         ResolverCore {
             config,
             cache: HashMap::new(),
-            names: NameInterner::new(),
             pending: HashMap::new(),
             next_id: 1,
             upstream_queries: 0,
@@ -177,13 +170,9 @@ impl ResolverCore {
     /// Start a lookup at virtual time `now_ms`.
     pub fn begin(&mut self, name: Name, rtype: RecordType, now_ms: u64) -> Begin {
         if self.config.cache_enabled {
-            // Zero-alloc hit path: hash `name` by reference, then probe
-            // by the interned id.
-            if let Some(id) = self.names.get(&name) {
-                if let Some(entry) = self.cache.get(&(id, rtype)) {
-                    if entry.expires_at_ms > now_ms {
-                        return Begin::Cached(entry.outcome.clone());
-                    }
+            if let Some(entry) = self.cache.get(&(name.clone(), rtype)) {
+                if entry.expires_at_ms > now_ms {
+                    return Begin::Cached(entry.outcome.clone());
                 }
             }
         }
@@ -315,11 +304,8 @@ impl ResolverCore {
                 ResolveOutcome::Timeout | ResolveOutcome::ServFail => 0,
             };
             if ttl_ms > 0 {
-                // Takes ownership of `name`: first sighting interns it,
-                // repeats free their labels here instead of cloning.
-                let id = self.names.intern(name);
                 self.cache.insert(
-                    (id, rtype),
+                    (name, rtype),
                     CacheEntry {
                         outcome: outcome.clone(),
                         expires_at_ms: now_ms + ttl_ms,

@@ -9,7 +9,7 @@
 //! lives: `mailval-measure` implements an authority that synthesizes SPF
 //! policy responses from the query name instead of storing 27.8M records.
 
-use crate::message::Message;
+use crate::message::{Message, Question};
 use crate::name::Name;
 use crate::rr::{Record, RecordType};
 use crate::wire::Rcode;
@@ -126,6 +126,17 @@ pub struct ServerReply {
     pub delay_ms: u64,
 }
 
+/// What [`ServerCore::handle_with`] made of one request datagram.
+#[derive(Debug, Clone)]
+pub struct Handled {
+    /// The request's first question, when the request decoded and had
+    /// one (a request that fails to decode gets FORMERR and has none).
+    pub question: Option<Question>,
+    /// Artificial delay before sending the reply left in the output
+    /// buffer; `None` when the server stays silent.
+    pub delay_ms: Option<u64>,
+}
+
 /// Sans-IO authoritative server.
 pub struct ServerCore<A: Authority> {
     authority: A,
@@ -162,28 +173,29 @@ impl<A: Authority> ServerCore<A> {
         via_ipv6: bool,
     ) -> Option<ServerReply> {
         let mut bytes = Vec::new();
-        let delay_ms = self.handle_with(request, transport, via_ipv6, &mut bytes)?;
+        let delay_ms = self
+            .handle_with(request, transport, via_ipv6, &mut bytes)
+            .delay_ms?;
         Some(ServerReply { bytes, delay_ms })
     }
 
     /// [`ServerCore::handle`] encoding the reply into `out` (cleared
-    /// first, allocation reused) instead of a fresh buffer, returning
-    /// the scheduling delay. This is the shard event loop's entry
-    /// point: one scratch buffer per shard absorbs every reply encode.
+    /// first, allocation reused) instead of a fresh buffer, and handing
+    /// back the request's question so the caller need not decode the
+    /// request again. This is the shard event loop's entry point: one
+    /// scratch buffer per shard absorbs every reply encode.
     pub fn handle_with(
         &self,
         request: &[u8],
         transport: Transport,
         via_ipv6: bool,
         out: &mut Vec<u8>,
-    ) -> Option<u64> {
-        fn emit(out: &mut Vec<u8>, resp: &Message) {
-            *out = resp.to_bytes_with(std::mem::take(out));
-        }
+    ) -> Handled {
         let query = match Message::from_bytes(request) {
             Ok(q) => q,
             Err(_) => {
                 // Recover the id if we can, to send FORMERR.
+                let mut delay_ms = None;
                 if request.len() >= 2 {
                     let id = u16::from_be_bytes([request[0], request[1]]);
                     let mut resp = Message::query(id, Name::root(), RecordType::A);
@@ -191,25 +203,43 @@ impl<A: Authority> ServerCore<A> {
                     resp.is_response = true;
                     resp.rcode = Rcode::FormErr;
                     emit(out, &resp);
-                    return Some(0);
+                    delay_ms = Some(0);
                 }
-                return None;
+                return Handled {
+                    question: None,
+                    delay_ms,
+                };
             }
         };
+        Handled {
+            question: query.question().cloned(),
+            delay_ms: self.respond(&query, transport, via_ipv6, out),
+        }
+    }
+
+    /// Encode the reply to a decoded request into `out`, returning its
+    /// delay, or `None` to stay silent.
+    fn respond(
+        &self,
+        query: &Message,
+        transport: Transport,
+        via_ipv6: bool,
+        out: &mut Vec<u8>,
+    ) -> Option<u64> {
         if query.is_response {
             return None;
         }
         if query.opcode != 0 {
-            emit(out, &Message::response_to(&query, Rcode::NotImp));
+            emit(out, &Message::response_to(query, Rcode::NotImp));
             return Some(0);
         }
         let Some(question) = query.question() else {
-            emit(out, &Message::response_to(&query, Rcode::FormErr));
+            emit(out, &Message::response_to(query, Rcode::FormErr));
             return Some(0);
         };
 
         let Some(answer) = self.authority.answer(&question.name, question.rtype) else {
-            emit(out, &Message::response_to(&query, Rcode::Refused));
+            emit(out, &Message::response_to(query, Rcode::Refused));
             return Some(0);
         };
 
@@ -219,7 +249,7 @@ impl<A: Authority> ServerCore<A> {
             return None;
         }
 
-        let mut resp = Message::response_to(&query, answer.rcode);
+        let mut resp = Message::response_to(query, answer.rcode);
         resp.authoritative = true;
         resp.answers = answer.answers;
         resp.authorities = answer.authorities;
@@ -228,7 +258,7 @@ impl<A: Authority> ServerCore<A> {
         if transport == Transport::Udp && (answer.force_tcp || out.len() > self.udp_payload_max) {
             // Truncate: empty sections, TC=1 (RFC 2181 §9 style minimal
             // truncation).
-            let mut trunc = Message::response_to(&query, answer.rcode);
+            let mut trunc = Message::response_to(query, answer.rcode);
             trunc.authoritative = true;
             trunc.truncated = true;
             emit(out, &trunc);
@@ -236,6 +266,10 @@ impl<A: Authority> ServerCore<A> {
 
         Some(answer.delay_ms)
     }
+}
+
+fn emit(out: &mut Vec<u8>, resp: &Message) {
+    *out = resp.to_bytes_with(std::mem::take(out));
 }
 
 #[cfg(test)]
@@ -354,5 +388,31 @@ mod tests {
         let reply = s.handle(&q.to_bytes(), Transport::Udp, false).unwrap();
         let resp = Message::from_bytes(&reply.bytes).unwrap();
         assert_eq!(resp.rcode, Rcode::NotImp);
+    }
+
+    #[test]
+    fn handle_with_hands_back_the_decoded_question() {
+        let s = server();
+        let mut out = Vec::new();
+        // Answered, refused and ignored requests all decoded, so each
+        // hands back its question.
+        let mut response = Message::query(7, n("other.org"), RecordType::A);
+        response.is_response = true;
+        for (query, delay_ms) in [
+            (
+                Message::query(7, n("A.Example.com"), RecordType::A),
+                Some(0),
+            ),
+            (Message::query(7, n("other.org"), RecordType::Txt), Some(0)),
+            (response, None),
+        ] {
+            let handled = s.handle_with(&query.to_bytes(), Transport::Udp, false, &mut out);
+            assert_eq!(handled.question.as_ref(), query.question());
+            assert_eq!(handled.delay_ms, delay_ms);
+        }
+        // FORMERR: the request never decoded, so there is no question.
+        let handled = s.handle_with(&[0xab, 0xcd, 0xff], Transport::Udp, false, &mut out);
+        assert_eq!(handled.question, None);
+        assert_eq!(handled.delay_ms, Some(0));
     }
 }

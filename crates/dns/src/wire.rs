@@ -7,9 +7,11 @@
 //! pointers must point strictly backwards, bounding the walk.
 
 use crate::message::{Message, Question};
-use crate::name::{Name, MAX_LABEL_LEN};
+use crate::name::{Name, MAX_LABEL_LEN, MAX_NAME_LEN};
 use crate::rr::{RData, Record, RecordClass, RecordType, SoaData};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Response codes (RFC 1035 §4.1.1, names per RFC 2136 usage).
@@ -103,9 +105,44 @@ impl std::error::Error for WireError {}
 /// Streaming encoder with name compression.
 pub struct Encoder {
     buf: Vec<u8>,
-    /// Map from a name's presentation form to the offset of its first
-    /// occurrence, for compression pointers.
-    name_offsets: HashMap<String, usize>,
+    /// Map from each encoded name suffix (as dotted text) to the offset
+    /// of its first occurrence, for compression pointers.
+    name_offsets: HashMap<Tail, usize>,
+}
+
+/// A suffix of an encoded name: the text of `name` from byte `start`.
+/// It hashes and compares as that `str`, so probing the offsets map
+/// with a `&str` tail allocates nothing and an insert only shares the
+/// name.
+struct Tail {
+    name: Name,
+    start: usize,
+}
+
+impl Tail {
+    fn text(&self) -> &str {
+        &self.name.as_str()[self.start..]
+    }
+}
+
+impl Borrow<str> for Tail {
+    fn borrow(&self) -> &str {
+        self.text()
+    }
+}
+
+impl PartialEq for Tail {
+    fn eq(&self, other: &Self) -> bool {
+        self.text() == other.text()
+    }
+}
+
+impl Eq for Tail {}
+
+impl Hash for Tail {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.text().hash(state);
+    }
 }
 
 impl Default for Encoder {
@@ -169,24 +206,26 @@ impl Encoder {
     /// unchecked `as u8` cast would do) would silently corrupt the
     /// message.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix: Vec<&str> = labels[i..].iter().map(|s| s.as_str()).collect();
-            let key = suffix.join(".");
-            if let Some(&off) = self.name_offsets.get(&key) {
+        let mut start = 0;
+        for label in name.labels() {
+            if let Some(&off) = self.name_offsets.get(&name.as_str()[start..]) {
                 // Emit a pointer to the previously-encoded suffix.
                 self.put_u16(0xc000 | off as u16);
                 return Ok(());
             }
             if self.buf.len() < 0x3fff {
-                self.name_offsets.insert(key, self.buf.len());
+                let tail = Tail {
+                    name: name.clone(),
+                    start,
+                };
+                self.name_offsets.insert(tail, self.buf.len());
             }
-            let label = &labels[i];
             if label.len() > MAX_LABEL_LEN {
                 return Err(WireError::BadLabel);
             }
             self.put_u8(label.len() as u8);
             self.buf.extend_from_slice(label.as_bytes());
+            start += label.len() + 1;
         }
         self.put_u8(0);
         Ok(())
@@ -352,7 +391,9 @@ impl<'a> Decoder<'a> {
     /// Decode a (possibly compressed) name starting at the current
     /// position. Pointers must point strictly backwards.
     fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<String> = Vec::new();
+        // Validated, lowercased text; `wire_len <= 255` bounds it to 253.
+        let mut text = [0u8; MAX_NAME_LEN];
+        let mut text_len = 0usize;
         let mut wire_len = 1usize; // terminating zero
         let mut pos = self.pos;
         // `end` is where parsing resumes after the name: set at the first
@@ -378,15 +419,17 @@ impl<'a> Decoder<'a> {
                     if wire_len > 255 {
                         return Err(WireError::NameTooLong);
                     }
-                    let raw = &self.data[start..end];
-                    let mut label = String::with_capacity(raw.len());
-                    for &b in raw {
+                    if text_len > 0 {
+                        text[text_len] = b'.';
+                        text_len += 1;
+                    }
+                    for &b in &self.data[start..end] {
                         if !(0x21..=0x7e).contains(&b) || b == b'.' {
                             return Err(WireError::BadName);
                         }
-                        label.push(b.to_ascii_lowercase() as char);
+                        text[text_len] = b.to_ascii_lowercase();
+                        text_len += 1;
                     }
-                    labels.push(label);
                     pos = end;
                 }
                 l if l & 0xc0 == 0xc0 => {
@@ -405,7 +448,8 @@ impl<'a> Decoder<'a> {
             }
         }
         self.pos = resume.unwrap_or(pos);
-        Name::from_labels(labels).map_err(|_| WireError::BadName)
+        let text = std::str::from_utf8(&text[..text_len]).map_err(|_| WireError::BadName)?;
+        Ok(Name::from_canonical(text))
     }
 
     fn get_question(&mut self) -> Result<Question, WireError> {
@@ -601,6 +645,66 @@ mod tests {
         let bytes = encode_message(&msg).unwrap();
         let decoded = decode_message(&bytes).unwrap();
         assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn compression_known_answer() {
+        // Answer owners, an MX exchange, an NS target and the SOA
+        // mname/rname all share suffixes with the question and with
+        // each other. The hex is the encoding of the label-vector
+        // encoder this one replaced: every pointer must land where it did.
+        let query = Message::query(0x1234, n("example.com"), RecordType::Mx);
+        let mut msg = Message::response_to(&query, Rcode::NoError);
+        msg.authoritative = true;
+        let mx = |preference, exchange| RData::Mx {
+            preference,
+            exchange: n(exchange),
+        };
+        msg.answers = vec![
+            Record::new(n("example.com"), 300, mx(10, "mx1.example.com")),
+            Record::new(n("example.com"), 300, mx(20, "mx2.mail.example.com")),
+            Record::new(n("www.example.com"), 60, RData::Cname(n("example.com"))),
+            Record::new(n("example.com"), 60, RData::Ns(n("ns1.example.net"))),
+        ];
+        msg.authorities = vec![Record::new(
+            n("example.com"),
+            3600,
+            RData::Soa(SoaData {
+                mname: n("ns1.example.net"),
+                rname: n("hostmaster.mail.example.com"),
+                serial: 2021,
+                refresh: 7200,
+                retry: 3600,
+                expire: 1209600,
+                minimum: 300,
+            }),
+        )];
+        msg.additionals = vec![Record::new(
+            n("mx2.mail.example.com"),
+            60,
+            RData::A(Ipv4Addr::new(192, 0, 2, 2)),
+        )];
+        let bytes = encode_message(&msg).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "123484000001000400010001076578616d706c6503636f6d00000f0001c00c000f00010000012c0008000a036d7831c00cc00c000f00010000012c000d0014036d7832046d61696cc00c03777777c00c000500010000003c0002c00cc00c000200010000003c0011036e7331076578616d706c65036e657400c00c0006000100000e100023c0680a686f73746d6173746572c043000007e500001c2000000e10001275000000012cc03f000100010000003c0004c0000202"
+        );
+        assert_eq!(decode_message(&bytes).unwrap(), msg);
+
+        // A mixed-case name reached through a chain of two pointers
+        // decodes to the parsed, lowercase name.
+        let mut bytes = vec![0x12, 0x34, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0];
+        bytes.extend_from_slice(b"\x07ExAmPlE\x03COM\x00\x00\x01\x00\x01");
+        bytes.extend_from_slice(b"\x04MaIl\xc0\x0c\x00\x01\x00\x01");
+        bytes.extend_from_slice(b"\x03Sub\xc0\x1d\x00\x01\x00\x01");
+        let decoded = decode_message(&bytes).unwrap();
+        assert_eq!(decoded.questions[1].name, n("mail.example.com"));
+        assert_eq!(decoded.questions[2].name, n("sub.mail.example.com"));
+        assert_eq!(
+            decoded.questions[2].name.to_string(),
+            "sub.mail.example.com"
+        );
     }
 
     #[test]

@@ -590,33 +590,31 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 self.handle_mta_outputs(s, outputs);
             }
             Ev::DnsArrive(core_id, bytes, transport, via_ipv6) => {
-                // Log with attribution (§4.5). Buffered on the session
-                // so a completed session journals as one self-contained
-                // frame; the campaign merge sorts every frame's queries
-                // into canonical order once.
-                if let Ok(msg) = mailval_dns::Message::from_bytes(&bytes) {
-                    if let Some(q) = msg.question() {
-                        let record = QueryRecord {
-                            time_ms: s.queue.now_ms(),
-                            session: s.record.session_id,
-                            qname: q.name.clone(),
-                            qtype: q.rtype,
-                            transport,
-                            via_ipv6,
-                            attribution: self.server.authority().attribute(&q.name),
-                        };
-                        s.queries.push(record);
-                    }
-                }
                 // Encode the reply into the engine's scratch buffer
                 // (taken out of `self` for the duration so the borrow
                 // checker sees disjoint pieces, returned below with its
                 // allocation intact for the next reply).
                 let mut reply = std::mem::take(&mut self.scratch);
-                let delay_ms = self
+                let handled = self
                     .server
                     .handle_with(&bytes, transport, via_ipv6, &mut reply);
-                if let Some(delay_ms) = delay_ms {
+                // Log the decoded question with attribution (§4.5).
+                // Buffered on the session so a completed session
+                // journals as one self-contained frame; the campaign
+                // merge sorts every frame's queries into canonical
+                // order once.
+                if let Some(q) = handled.question {
+                    s.queries.push(QueryRecord {
+                        time_ms: s.queue.now_ms(),
+                        session: s.record.session_id,
+                        attribution: self.server.authority().attribute(&q.name),
+                        qname: q.name,
+                        qtype: q.rtype,
+                        transport,
+                        via_ipv6,
+                    });
+                }
+                if let Some(delay_ms) = handled.delay_ms {
                     let rtt = self.one_way_auth(s);
                     let base = delay_ms + rtt;
                     // Hostile-peer payload mutation happens at the

@@ -97,28 +97,30 @@ impl NameScheme {
     /// Attribute a query name to (testid, entity, path). Returns `None`
     /// for names outside both apparatus suffixes.
     pub fn parse(&self, name: &Name) -> Option<ParsedName> {
+        // Labels left of the identifying ones, leftmost first.
+        fn path(rest: Option<&str>) -> Vec<String> {
+            rest.map_or_else(Vec::new, |rest| {
+                rest.split('.').map(str::to_string).collect()
+            })
+        }
         if let Some(left) = name.strip_suffix(&self.probe_suffix) {
-            // left = [path..., testid, mtaid]
-            if left.len() < 2 {
-                return None;
-            }
-            let mtaid = left[left.len() - 1].clone();
-            let testid = left[left.len() - 2].clone();
+            // left = path....testid.mtaid
+            let mut labels = left.rsplitn(3, '.');
+            let mtaid = labels.next()?;
+            let testid = labels.next()?;
             if !mtaid.starts_with('m') || !testid.starts_with('t') {
                 return None;
             }
             return Some(ParsedName {
-                testid: Some(testid),
-                entity: mtaid,
-                path: left[..left.len() - 2].to_vec(),
+                testid: Some(testid.to_string()),
+                entity: mtaid.to_string(),
+                path: path(labels.next()),
             });
         }
         if let Some(left) = name.strip_suffix(&self.notify_suffix) {
-            // left = [path..., domainid]
-            if left.is_empty() {
-                return None;
-            }
-            let domainid = left[left.len() - 1].clone();
+            // left = path....domainid
+            let mut labels = left.rsplitn(2, '.');
+            let domainid = labels.next()?;
             if !domainid.starts_with('d') {
                 // _dmarc.<domainid>... parses with domainid in last slot;
                 // names like `_dmarc.d00001.suffix` have the id last.
@@ -126,8 +128,8 @@ impl NameScheme {
             }
             return Some(ParsedName {
                 testid: None,
-                entity: domainid,
-                path: left[..left.len() - 1].to_vec(),
+                entity: domainid.to_string(),
+                path: path(labels.next()),
             });
         }
         None

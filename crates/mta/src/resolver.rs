@@ -96,7 +96,7 @@ impl ResolverActor {
     fn needs_v6(&self, name: &Name) -> bool {
         self.v6_only_marker
             .as_ref()
-            .is_some_and(|marker| name.labels().iter().any(|l| l == marker))
+            .is_some_and(|marker| name.labels().any(|l| l == marker))
     }
 
     /// Start resolving. Returns one or two events (cache answer, or an
