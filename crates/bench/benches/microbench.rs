@@ -1,8 +1,8 @@
 //! Micro-benchmarks over the protocol cores: DNS wire codec, SPF
 //! parsing and evaluation, DKIM sign/verify, policy synthesis, the
-//! simulator event loop and RSA. Built on the in-tree
-//! [`mailval_bench::timing`] harness (no external dependencies;
-//! `harness = false`).
+//! simulator event loop, RSA and the journal/store frame CRC-32. Built
+//! on the in-tree [`mailval_bench::timing`] harness (no external
+//! dependencies; `harness = false`).
 //!
 //! Run with `cargo bench -p mailval-bench --bench microbench [-- FILTER]`:
 //! only rows whose name contains `FILTER` run (cargo's own `--bench`
@@ -10,13 +10,14 @@
 //! per-benchmark budget.
 
 use mailval_bench::timing::bench_fn;
-use mailval_crypto::bigint::SplitMix64;
+use mailval_crypto::bigint::{Rng64, SplitMix64};
 use mailval_crypto::rsa::RsaKeyPair;
 use mailval_crypto::HashAlg;
 use mailval_dns::message::Message;
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::rr::{RData, RecordType};
 use mailval_dns::{Name, Record};
+use mailval_measure::journal::crc32;
 use mailval_measure::names::NameScheme;
 use mailval_measure::policies::{synthesize_probe, SynthAddrs};
 use mailval_simnet::Simulator;
@@ -209,6 +210,18 @@ fn bench_rsa(filter: &Filter) {
     });
 }
 
+fn bench_crc32(filter: &Filter) {
+    if !filter.wants("crc32") {
+        return;
+    }
+    let mut rng = SplitMix64::new(0x0043_5243);
+    let buf: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+    // Over a 1 MiB buffer, then over one mean-sized `probe_battery`
+    // journal frame payload (650 bytes).
+    filter.bench("crc32", || crc32(black_box(&buf)));
+    filter.bench("crc32_frame", || crc32(black_box(&buf[..650])));
+}
+
 fn main() {
     let filter = Filter::from_args();
     bench_dns_wire(&filter);
@@ -217,4 +230,5 @@ fn main() {
     bench_synthesis(&filter);
     bench_simulator(&filter);
     bench_rsa(&filter);
+    bench_crc32(&filter);
 }

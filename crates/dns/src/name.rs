@@ -119,8 +119,9 @@ impl Name {
         text.finish()
     }
 
-    /// The dotted text (`""` for the root).
-    pub(crate) fn as_str(&self) -> &str {
+    /// The dotted text without a trailing dot, e.g. `"mail.example.com"`;
+    /// `""` for the root, which [`Display`](fmt::Display) writes as `"."`.
+    pub fn as_str(&self) -> &str {
         &self.text
     }
 

@@ -85,19 +85,35 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// CRC-32 (IEEE 802.3, reflected, the zlib/`cksum -o3` polynomial) of
-/// `data`, one table lookup per byte.
+/// `data`, sliced by 16: each step folds sixteen input bytes through
+/// sixteen independent table lookups, and the tail goes one byte per
+/// lookup.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
-    for &b in data {
-        crc = CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        let mut block = [0u8; 16];
+        block.copy_from_slice(chunk);
+        let head = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        block[..4].copy_from_slice(&head.to_le_bytes());
+        // Byte i still has 15 - i bytes after it in the block, so it
+        // goes through the table that appends that many zero bytes.
+        crc = 0;
+        for (i, &b) in block.iter().enumerate() {
+            crc ^= CRC32_TABLES[15 - i][usize::from(b)];
+        }
+    }
+    for &b in chunks.remainder() {
+        crc = CRC32_TABLES[0][usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     !crc
 }
 
-/// Entry `i` is eight bitwise CRC-32 steps applied to `i`: the effect
-/// of one input byte on the low byte of the register.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Row 0, entry `i`, is eight bitwise CRC-32 steps applied to `i`: the
+/// effect of one input byte on the register. Row `k` is the effect of
+/// that byte followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -106,10 +122,20 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// A value with a binary encoding.
@@ -295,8 +321,10 @@ impl Codec for &'static str {
 }
 
 impl Codec for Name {
+    /// The `Display` text, written without formatting it: `"."` for
+    /// the root, the dotted text otherwise.
     fn put(&self, enc: &mut Enc) {
-        enc.str(&self.to_string());
+        enc.str(if self.is_root() { "." } else { self.as_str() });
     }
     fn get(dec: &mut Dec<'_>) -> Result<Self, FrameError> {
         Name::parse(dec.str()?).map_err(|_| FrameError::BadName)
@@ -493,8 +521,8 @@ codec_structs! {
 pub(crate) mod tests {
     use super::crc32;
 
-    /// The bitwise CRC-32 the table is derived from: the reference the
-    /// table-driven [`crc32`] is tested against.
+    /// The bitwise CRC-32 the tables are derived from: the reference the
+    /// sliced [`crc32`] is tested against.
     pub(crate) fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut crc = 0xffff_ffffu32;
         for &b in data {
@@ -515,5 +543,37 @@ pub(crate) mod tests {
         for b in 0..=255u8 {
             assert_eq!(crc32(&[b]), crc32_bitwise(&[b]), "byte {b:#04x}");
         }
+    }
+
+    /// `len` bytes of xorshift64 output: a fixed pseudo-random buffer.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_at_every_length_and_alignment() {
+        // Lengths below, at and across the 16-byte step, each started
+        // at every offset within one step.
+        let buf = noise(16 + 300);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_on_a_multi_megabyte_buffer() {
+        let buf = noise(3 << 20 | 7);
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
     }
 }

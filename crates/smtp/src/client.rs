@@ -152,15 +152,20 @@ impl ClientSession {
     }
 
     fn send_line(&self, cmd: &Command) -> ClientAction {
-        ClientAction::Send(format!("{}\r\n", cmd.to_line()).into_bytes())
+        let mut line = cmd.to_line();
+        line.push_str("\r\n");
+        ClientAction::Send(line.into_bytes())
     }
 
-    fn pause_or(&mut self, paused_state: State, immediate: ClientAction) -> ClientAction {
+    /// Enter `paused` (a `PauseBefore*` state) and wait the configured
+    /// pause, or, with no pause configured, send the command it waits
+    /// for at once. Either way the command is built only when sent.
+    fn pause_then(&mut self, paused: State) -> ClientAction {
+        self.state = paused;
         if self.config.pause_before_commands_ms > 0 {
-            self.state = paused_state;
             ClientAction::Pause(self.config.pause_before_commands_ms)
         } else {
-            immediate
+            self.on_pause_elapsed()
         }
     }
 
@@ -211,10 +216,7 @@ impl ClientSession {
             }
             State::AwaitHeloReply { fell_back } => {
                 if reply.is_positive() {
-                    let mail = Command::Mail(self.config.mail_from.clone());
-                    let action = self.send_line(&mail);
-                    self.state = State::AwaitMailReply;
-                    return self.pause_or(State::PauseBeforeMail, action);
+                    return self.pause_then(State::PauseBeforeMail);
                 }
                 if !fell_back && reply.is_permanent_failure() {
                     // EHLO unsupported: fall back to HELO (§4.6).
@@ -230,18 +232,13 @@ impl ClientSession {
                     }
                     return self.fail(Phase::Mail, reply);
                 }
-                let rcpt = Command::Rcpt(self.config.rcpt_candidates[self.rcpt_index].clone());
-                let action = self.send_line(&rcpt);
-                self.state = State::AwaitRcptReply;
-                self.pause_or(State::PauseBeforeRcpt, action)
+                self.pause_then(State::PauseBeforeRcpt)
             }
             State::AwaitRcptReply => {
                 if reply.is_positive() {
                     self.outcome.accepted_rcpt =
                         Some(self.config.rcpt_candidates[self.rcpt_index].clone());
-                    let action = self.send_line(&Command::Data);
-                    self.state = State::AwaitDataReply;
-                    return self.pause_or(State::PauseBeforeData, action);
+                    return self.pause_then(State::PauseBeforeData);
                 }
                 // A transient failure (451 greylisting) is "come back
                 // later", not a verdict on the username: retry the whole
@@ -254,10 +251,7 @@ impl ClientSession {
                 // candidate whenever the server rejects the recipient).
                 if self.rcpt_index + 1 < self.config.rcpt_candidates.len() {
                     self.rcpt_index += 1;
-                    let rcpt = Command::Rcpt(self.config.rcpt_candidates[self.rcpt_index].clone());
-                    let action = self.send_line(&rcpt);
-                    self.state = State::AwaitRcptReply;
-                    return self.pause_or(State::PauseBeforeRcpt, action);
+                    return self.pause_then(State::PauseBeforeRcpt);
                 }
                 self.fail(Phase::Rcpt, reply)
             }
@@ -303,10 +297,7 @@ impl ClientSession {
                 if !reply.is_positive() {
                     return self.fail(Phase::Mail, reply);
                 }
-                let mail = Command::Mail(self.config.mail_from.clone());
-                let action = self.send_line(&mail);
-                self.state = State::AwaitMailReply;
-                self.pause_or(State::PauseBeforeMail, action)
+                self.pause_then(State::PauseBeforeMail)
             }
             State::AwaitQuitReply => self.close(),
             State::Done
@@ -578,6 +569,44 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Every line a probe session sends up to DATA, when the server
+    /// rejects the first recipient and accepts the second.
+    fn sent_lines(pause_before_commands_ms: u64) -> Vec<String> {
+        let mut config = probe_config();
+        config.pause_before_commands_ms = pause_before_commands_ms;
+        let mut c = ClientSession::new(config);
+        let replies = [
+            Reply::greeting("mx"),
+            Reply::ok(),
+            Reply::ok(),
+            Reply::no_such_user("michael"),
+            Reply::ok(),
+        ];
+        let mut sent = Vec::new();
+        for reply in replies {
+            let mut action = c.on_reply(reply);
+            if let ClientAction::Pause(ms) = action {
+                assert_eq!(ms, pause_before_commands_ms);
+                action = c.on_pause_elapsed();
+            }
+            sent.push(expect_send(action));
+        }
+        sent
+    }
+
+    #[test]
+    fn commands_after_a_pause_are_the_exact_unpaused_bytes() {
+        let expected = [
+            "EHLO probe.dns-lab.org\r\n",
+            "MAIL FROM:<spf-test@t01.m9.spf-test.dns-lab.org>\r\n",
+            "RCPT TO:<michael@target.test>\r\n",
+            "RCPT TO:<john.smith@target.test>\r\n",
+            "DATA\r\n",
+        ];
+        assert_eq!(sent_lines(15_000), expected);
+        assert_eq!(sent_lines(0), expected);
     }
 
     #[test]

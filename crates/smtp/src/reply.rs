@@ -1,7 +1,7 @@
 //! SMTP replies (RFC 5321 §4.2): three-digit codes with one or more text
 //! lines.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A complete (possibly multiline) SMTP reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +58,8 @@ impl Reply {
         let mut out = String::new();
         for (i, line) in self.lines.iter().enumerate() {
             let sep = if i + 1 == self.lines.len() { ' ' } else { '-' };
-            out.push_str(&format!("{}{}{}\r\n", self.code, sep, line));
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "{}{sep}{line}\r\n", self.code);
         }
         out
     }

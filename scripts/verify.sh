@@ -11,7 +11,8 @@
 #                                  # (the workspace and benchmark/),
 #                                  # `cargo test -q` (every workspace
 #                                  # test binary, once), then crypto,
-#                                  # fuzz, bench --check io, warm-store
+#                                  # fuzz, bench --check io and the
+#                                  # CRC-32 micro-benches, warm-store
 #                                  # artifacts, perf, trace export
 #   scripts/verify.sh --chaos      # only the chaos determinism stage
 #   scripts/verify.sh --resume     # only the kill-and-resume stage
@@ -19,7 +20,8 @@
 #   scripts/verify.sh --hostile    # only the hostile-payload stage
 #                                  # (tests + fuzz)
 #   scripts/verify.sh --io         # only the storage-fault stage
-#                                  # (tests + bench --check io)
+#                                  # (tests + bench --check io + the
+#                                  # frame CRC-32 micro-benches)
 #   scripts/verify.sh --perf       # only the performance gates
 #                                  # (bench --check perf trace)
 #   scripts/verify.sh --trace      # only the telemetry determinism and
@@ -113,6 +115,10 @@ io() {
 io_bench() {
   echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
+  # Every journal and store frame is checked by this kernel: smoke-run
+  # its micro-benchmarks on a short budget.
+  echo "== io: frame CRC-32 micro-benchmarks (cargo bench --bench microbench -- crc32) =="
+  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- crc32
 }
 
 perf() {
