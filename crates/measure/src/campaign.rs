@@ -1192,59 +1192,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_given_seed() {
-        let pop = tiny_pop(DatasetKind::TwoWeekMx, 17);
-        let profiles = sample_host_profiles(&pop, 17);
-        let mut config = test_config(CampaignKind::TwoWeekMx, vec!["t12"], 17);
-        config.probe_pause_ms = 1_000;
-        let a = run_campaign(&config, &pop, &profiles);
-        let b = run_campaign(&config, &pop, &profiles);
-        assert_eq!(a.log.records.len(), b.log.records.len());
-        assert_eq!(a.events, b.events);
-        for (x, y) in a.log.records.iter().zip(&b.log.records) {
-            assert_eq!(x.qname, y.qname);
-            assert_eq!(x.time_ms, y.time_ms);
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_single_threaded() {
-        // The unit-level determinism check; the cross-crate integration
-        // test (tests/shard_determinism.rs) covers analysis tables too.
-        let pop = tiny_pop(DatasetKind::TwoWeekMx, 23);
-        let profiles = sample_host_profiles(&pop, 23);
-        let mut config = test_config(CampaignKind::TwoWeekMx, vec!["t01", "t12"], 23);
-        config.probe_pause_ms = 1_000;
-        let single = run_campaign(&config, &pop, &profiles);
-        for shards in [2, 3, 8] {
-            config.shards = shards;
-            let sharded = run_campaign(&config, &pop, &profiles);
-            assert_eq!(sharded.events, single.events, "shards={shards}");
-            assert_eq!(
-                sharded.log.records.len(),
-                single.log.records.len(),
-                "shards={shards}"
-            );
-            for (x, y) in sharded.log.records.iter().zip(&single.log.records) {
-                assert_eq!(x.time_ms, y.time_ms);
-                assert_eq!(x.session, y.session);
-                assert_eq!(x.qname, y.qname);
-                assert_eq!(x.qtype, y.qtype);
-            }
-            assert_eq!(sharded.sessions.len(), single.sessions.len());
-            for (x, y) in sharded.sessions.iter().zip(&single.sessions) {
-                assert_eq!(x.session_id, y.session_id);
-                assert_eq!(x.outcome, y.outcome);
-                assert_eq!(x.delivery_time_ms, y.delivery_time_ms);
-                assert_eq!(x.closed_by_server, y.closed_by_server);
-            }
-            let stats_sessions: usize = sharded.shard_stats.iter().map(|s| s.sessions).sum();
-            assert_eq!(stats_sessions, sharded.sessions.len());
-            assert_eq!(sharded.faults, single.faults, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn shard_sessions_round_robin_covers_all() {
         let pop = tiny_pop(DatasetKind::TwoWeekMx, 19);
         let profiles = sample_host_profiles(&pop, 19);

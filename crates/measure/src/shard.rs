@@ -6,7 +6,7 @@
 //! shared authoritative server answers every query statelessly from
 //! the name alone. A campaign therefore runs [`shard_count`] shards,
 //! each a [`crate::engine::SessionEngine`] on its own thread (via
-//! [`mailval_simnet::run_shards`]) over the sessions with
+//! [`mailval_simnet::run_shards_catch`]) over the sessions with
 //! `session_id % shards == k`, and [`merge_frames`] flattens every
 //! shard's frames into
 //!

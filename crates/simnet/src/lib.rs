@@ -37,5 +37,5 @@ pub use fault::{
 };
 pub use net::LatencyModel;
 pub use rng::SimRng;
-pub use shard::{run_shards, run_shards_catch, ShardTiming};
+pub use shard::{run_shards_catch, ShardTiming};
 pub use sim::Simulator;

@@ -24,29 +24,13 @@ pub struct ShardTiming {
 ///
 /// * With zero or one input the closure runs inline on the caller's
 ///   thread — no spawn cost for the `shards = 1` path.
-/// * A panicking worker propagates the panic to the caller.
+/// * A panicking worker is *caught* and surfaced as an `Err` carrying
+///   the panic payload's message instead of taking the caller down.
+///   Supervisors use this to restart individual shards (e.g. from a
+///   journal) while the surviving shards' outputs stand. `ShardTiming`
+///   covers the time up to the panic for failed workers.
 /// * Output order is the input order, never completion order, so a
 ///   deterministic merge downstream sees a deterministic input.
-pub fn run_shards<I, O, F>(inputs: Vec<I>, work: F) -> Vec<(O, ShardTiming)>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, I) -> O + Sync,
-{
-    run_shards_catch(inputs, work)
-        .into_iter()
-        .map(|(result, timing)| match result {
-            Ok(output) => (output, timing),
-            Err(msg) => panic!("shard worker panicked: {msg}"),
-        })
-        .collect()
-}
-
-/// Like [`run_shards`], but a panicking worker is *caught* and surfaced
-/// as an `Err` carrying the panic payload's message instead of taking
-/// the caller down. Supervisors use this to restart individual shards
-/// (e.g. from a journal) while the surviving shards' outputs stand.
-/// `ShardTiming` covers the time up to the panic for failed workers.
 pub fn run_shards_catch<I, O, F>(inputs: Vec<I>, work: F) -> Vec<(Result<O, String>, ShardTiming)>
 where
     I: Send,
@@ -102,11 +86,11 @@ mod tests {
     fn outputs_in_shard_order() {
         // Make later shards finish first; order must still be input order.
         let inputs = vec![30u64, 20, 10, 0];
-        let out = run_shards(inputs, |shard, sleep_ms| {
+        let out = run_shards_catch(inputs, |shard, sleep_ms| {
             std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
             shard * 2
         });
-        let values: Vec<usize> = out.iter().map(|(v, _)| *v).collect();
+        let values: Vec<usize> = out.iter().map(|(v, _)| *v.as_ref().unwrap()).collect();
         assert_eq!(values, vec![0, 2, 4, 6]);
         for (i, (_, t)) in out.iter().enumerate() {
             assert_eq!(t.shard, i);
@@ -117,14 +101,14 @@ mod tests {
     #[test]
     fn single_shard_runs_inline() {
         let id = std::thread::current().id();
-        let out = run_shards(vec![()], |_, ()| std::thread::current().id());
+        let out = run_shards_catch(vec![()], |_, ()| std::thread::current().id());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, id);
+        assert_eq!(out[0].0, Ok(id));
     }
 
     #[test]
     fn empty_input_is_empty_output() {
-        let out: Vec<(u8, ShardTiming)> = run_shards(Vec::<u8>::new(), |_, x| x);
+        let out = run_shards_catch(Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }
 

@@ -11,7 +11,7 @@
 //!   server's `DATA` reply **disconnects without transmitting any message
 //!   data**, so no email can possibly be delivered.
 
-use crate::command::{Command, EmailAddress};
+use crate::command::{mail_line, rcpt_line, Command, EmailAddress};
 use crate::mail::dot_stuff;
 use crate::reply::Reply;
 
@@ -151,8 +151,8 @@ impl ClientSession {
         }
     }
 
-    fn send_line(&self, cmd: &Command) -> ClientAction {
-        let mut line = cmd.to_line();
+    /// Send one command line, CRLF-terminated.
+    fn send_line(mut line: String) -> ClientAction {
         line.push_str("\r\n");
         ClientAction::Send(line.into_bytes())
     }
@@ -193,7 +193,7 @@ impl ClientSession {
             self.outcome.rejection = Some((phase, reply));
         }
         self.state = State::AwaitQuitReply;
-        self.send_line(&Command::Quit)
+        Self::send_line(Command::Quit.to_line())
     }
 
     fn close(&mut self) -> ClientAction {
@@ -212,7 +212,7 @@ impl ClientSession {
                     return self.fail(Phase::Greeting, reply);
                 }
                 self.state = State::AwaitHeloReply { fell_back: false };
-                self.send_line(&Command::Ehlo(self.config.helo_identity.clone()))
+                Self::send_line(Command::Ehlo(self.config.helo_identity.clone()).to_line())
             }
             State::AwaitHeloReply { fell_back } => {
                 if reply.is_positive() {
@@ -221,7 +221,9 @@ impl ClientSession {
                 if !fell_back && reply.is_permanent_failure() {
                     // EHLO unsupported: fall back to HELO (§4.6).
                     self.state = State::AwaitHeloReply { fell_back: true };
-                    return self.send_line(&Command::Helo(self.config.helo_identity.clone()));
+                    return Self::send_line(
+                        Command::Helo(self.config.helo_identity.clone()).to_line(),
+                    );
                 }
                 self.fail(Phase::Helo, reply)
             }
@@ -286,7 +288,7 @@ impl ClientSession {
                 if reply.is_positive() {
                     self.outcome.delivered = true;
                     self.state = State::AwaitQuitReply;
-                    return self.send_line(&Command::Quit);
+                    return Self::send_line(Command::Quit.to_line());
                 }
                 if self.can_retry(&reply) {
                     return self.begin_retry();
@@ -317,23 +319,21 @@ impl ClientSession {
         match self.state {
             State::PauseBeforeMail => {
                 self.state = State::AwaitMailReply;
-                self.send_line(&Command::Mail(self.config.mail_from.clone()))
+                Self::send_line(mail_line(self.config.mail_from.as_ref()))
             }
             State::PauseBeforeRcpt => {
                 self.state = State::AwaitRcptReply;
-                self.send_line(&Command::Rcpt(
-                    self.config.rcpt_candidates[self.rcpt_index].clone(),
-                ))
+                Self::send_line(rcpt_line(&self.config.rcpt_candidates[self.rcpt_index]))
             }
             State::PauseBeforeData => {
                 self.state = State::AwaitDataReply;
-                self.send_line(&Command::Data)
+                Self::send_line(Command::Data.to_line())
             }
             State::PauseBeforeRetry => {
                 // Backoff elapsed: clear the transaction server-side,
                 // then replay from MAIL once the RSET is acknowledged.
                 self.state = State::AwaitRsetReply;
-                self.send_line(&Command::Rset)
+                Self::send_line(Command::Rset.to_line())
             }
             _ => ClientAction::Pause(0),
         }

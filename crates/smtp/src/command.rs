@@ -195,9 +195,8 @@ impl Command {
         match self {
             Command::Ehlo(d) => format!("EHLO {d}"),
             Command::Helo(d) => format!("HELO {d}"),
-            Command::Mail(None) => "MAIL FROM:<>".to_string(),
-            Command::Mail(Some(a)) => format!("MAIL FROM:<{a}>"),
-            Command::Rcpt(a) => format!("RCPT TO:<{a}>"),
+            Command::Mail(from) => mail_line(from.as_ref()),
+            Command::Rcpt(to) => rcpt_line(to),
             Command::Data => "DATA".to_string(),
             Command::Rset => "RSET".to_string(),
             Command::Noop => "NOOP".to_string(),
@@ -205,6 +204,20 @@ impl Command {
             Command::Vrfy(who) => format!("VRFY {who}"),
         }
     }
+}
+
+/// The `MAIL FROM` line (without CRLF) for a borrowed reverse path;
+/// `None` is the null reverse path `<>`.
+pub(crate) fn mail_line(from: Option<&EmailAddress>) -> String {
+    match from {
+        Some(a) => format!("MAIL FROM:<{a}>"),
+        None => "MAIL FROM:<>".to_string(),
+    }
+}
+
+/// The `RCPT TO` line (without CRLF) for a borrowed forward path.
+pub(crate) fn rcpt_line(to: &EmailAddress) -> String {
+    format!("RCPT TO:<{to}>")
 }
 
 /// Case-insensitively strip a leading keyword (e.g. `FROM:`); tolerate

@@ -7,52 +7,41 @@
 # Cargo.toml), and CARGO_NET_OFFLINE pins cargo to what is vendored.
 #
 # Usage:
-#   scripts/verify.sh              # the full gate: fmt, clippy, build
-#                                  # (the workspace and benchmark/),
-#                                  # `cargo test -q` (every workspace
-#                                  # test binary, once), then crypto,
-#                                  # fuzz, bench --check io and the
-#                                  # CRC-32 micro-benches, warm-store
-#                                  # artifacts, perf, trace export
-#   scripts/verify.sh --chaos      # only the chaos determinism stage
-#   scripts/verify.sh --resume     # only the kill-and-resume stage
-#   scripts/verify.sh --artifacts  # only the artifact-store stage
-#   scripts/verify.sh --hostile    # only the hostile-payload stage
-#                                  # (tests + fuzz)
-#   scripts/verify.sh --io         # only the storage-fault stage
-#                                  # (tests + bench --check io + the
-#                                  # frame CRC-32 micro-benches)
-#   scripts/verify.sh --perf       # only the performance gates
-#                                  # (bench --check perf trace)
-#   scripts/verify.sh --trace      # only the telemetry determinism and
-#                                  # export stage
-#   scripts/verify.sh --crypto     # only the crypto stage (crypto + DKIM
-#                                  # tests in release, RSA micro-benches)
+#   scripts/verify.sh               # the full gate: fmt, clippy, build
+#                                   # (the workspace and benchmark/),
+#                                   # `cargo test -q` (every workspace
+#                                   # test binary, once), then crypto,
+#                                   # fuzz, bench --check io and the
+#                                   # CRC-32 micro-benches, warm-store
+#                                   # artifacts, perf, trace export
+#   scripts/verify.sh --determinism # only the determinism stage: the
+#                                   # matrix test binary, fuzz, bench
+#                                   # --check io with the CRC-32
+#                                   # micro-benches, and trace export
+#   scripts/verify.sh --artifacts   # only the artifact-store stage
+#   scripts/verify.sh --perf        # only the performance gates
+#                                   # (bench --check perf trace)
+#   scripts/verify.sh --crypto      # only the crypto stage (crypto + DKIM
+#                                   # tests in release, RSA micro-benches)
 #
-# The per-stage flags run their stage's test binary; the full gate
-# does not repeat them, because `cargo test -q` already ran them.
+# The --determinism stage runs its test binary; the full gate does not
+# repeat it, because `cargo test -q` already ran it. One scenario or axis
+# of the matrix runs with cargo's test-name filter, e.g.
+# `cargo test --test determinism hostile`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-chaos() {
-  # Fault-injection determinism: a campaign under 5% datagram loss,
-  # greylisting/stalling/resetting MTAs and one injected crash must
-  # merge byte-identically for shards = 1/2/4/8, and the crash must be
-  # contained to its own session. Fixed seeds live in the test itself.
-  echo "== tier-1: chaos determinism (cargo test --test chaos_determinism) =="
-  MAILVAL_QUIET=1 cargo test -q --test chaos_determinism
-}
-
-resume() {
-  # Supervision and durability: shards that crash mid-run (deterministic
-  # crash_after_sessions injection) must restart from their journals and
-  # merge byte-identically to an uninterrupted run for shards = 1/2/4/8,
-  # with and without the chaos plan; corrupted journal tails are re-run,
-  # not fatal; and session budgets terminate runaways within bounds.
-  echo "== tier-1: kill-and-resume determinism (cargo test --test resume_determinism) =="
-  MAILVAL_QUIET=1 cargo test -q --test resume_determinism
+determinism() {
+  # The determinism matrix: every scenario row (plain, chaos, hostile,
+  # io, backpressure, NotifyMx and TwoWeekMx probes, and the cross-axis
+  # rows) must reproduce its pinned content digest at shards 1/2/4/8 and
+  # one session per shard, straight, under kill-and-resume and through a
+  # store round-trip, with tracing off and on; plus the named journal,
+  # store, budget, containment and telemetry checks.
+  echo "== tier-1: determinism matrix (cargo test --test determinism) =="
+  MAILVAL_QUIET=1 cargo test -q --test determinism
 }
 
 artifacts() {
@@ -85,34 +74,16 @@ artifacts() {
   echo "artifacts: zero warm simulations, byte-identical renders"
 }
 
-hostile() {
-  # Hostile-peer payload determinism: a campaign whose DNS responses and
-  # SMTP replies are corrupted in flight (including content-level SPF
-  # cycle / CNAME bait) must merge byte-identically for any shard count,
-  # under kill-and-resume and through a store round-trip — and the fuzz
-  # harness drives 100k mutated frames straight into the parsers with
-  # zero panics and every rejection classified.
-  echo "== tier-1: hostile-payload determinism (cargo test --test hostile_determinism) =="
-  MAILVAL_QUIET=1 cargo test -q --test hostile_determinism
-}
-
 fuzz() {
+  # The fuzz harness drives 100k mutated frames straight into the
+  # parsers: zero panics, every rejection classified.
   echo "== fuzz: 100k mutated frames (mailval-artifacts fuzz) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- fuzz 100000
 }
 
-io() {
-  # Storage-fault determinism: campaigns under deterministic ENOSPC,
-  # short writes, fsync/rename failures and read corruption must merge
-  # byte-identically to a clean run for shards = 1/2/4/8, salvage exact
-  # journal prefixes, survive kill-and-resume, and shed over-budget
-  # sessions identically at any shard count — then the io sweep
-  # re-asserts hash equality across fault rates {0, .01, .05, .20}.
-  echo "== tier-1: storage-fault determinism (cargo test --test io_determinism) =="
-  MAILVAL_QUIET=1 cargo test -q --test io_determinism
-}
-
 io_bench() {
+  # The io sweep re-asserts hash equality across storage-fault rates
+  # {0, .01, .05, .20} at 1,000 domains in release.
   echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
   # Every journal and store frame is checked by this kernel: smoke-run
@@ -134,17 +105,10 @@ perf() {
   target/release/mailval-artifacts bench --check perf trace
 }
 
-trace() {
-  # Telemetry gates: the determinism test (byte-identical trace streams
-  # at shards 1/2/4/8 and across kill-and-resume, identical metrics
-  # merges, golden hashes unchanged with tracing on) and a smoke export
-  # of Chrome trace-event JSON from a ~100-session campaign. The tracer
-  # overhead gate runs in the perf stage.
-  echo "== tier-1: telemetry determinism (cargo test --test telemetry_determinism) =="
-  MAILVAL_QUIET=1 cargo test -q --test telemetry_determinism
-}
-
 trace_export() {
+  # A smoke export of Chrome trace-event JSON and metrics from a
+  # ~100-session campaign. The tracer overhead gate runs in the perf
+  # stage.
   echo "== trace: Chrome trace-event export smoke (mailval-artifacts trace) =="
   cargo build --release -p mailval-bench --bin mailval-artifacts
   local bin=target/release/mailval-artifacts
@@ -179,13 +143,9 @@ crypto() {
 
 case "${1:-}" in
   --crypto) crypto ;;
-  --chaos) chaos ;;
-  --resume) resume ;;
+  --determinism) determinism; fuzz; io_bench; trace_export ;;
   --artifacts) artifacts ;;
-  --hostile) hostile; fuzz ;;
-  --io) io; io_bench ;;
   --perf) perf ;;
-  --trace) trace; trace_export ;;
   "") ;;
   *)
     echo "verify: unknown option ${1}" >&2
@@ -212,8 +172,8 @@ echo "== benchmark: cargo build --release (benchmark/Cargo.toml) =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # The root Cargo.toml's default-members cover every crate, so this runs
-# each test binary of the workspace once, the determinism suites
-# (chaos, resume, hostile, io, telemetry) included.
+# each test binary of the workspace once, the determinism matrix
+# included.
 echo "== tier-1: cargo test -q (MAILVAL_QUIET silences progress) =="
 MAILVAL_QUIET=1 cargo test -q
 
