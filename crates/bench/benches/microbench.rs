@@ -1,40 +1,49 @@
 //! Micro-benchmarks over the protocol cores: DNS wire codec, SPF
 //! parsing and evaluation, DKIM sign/verify, policy synthesis, the
-//! simulator event loop, RSA and the journal/store frame CRC-32. Built
-//! on the in-tree [`mailval_bench::timing`] harness (no external
-//! dependencies; `harness = false`).
+//! simulator event loop, RSA, the journal/store frame CRC-32, DNS name
+//! parsing and store entry decoding. Built on the in-tree
+//! [`mailval_bench::timing`] harness (no external dependencies;
+//! `harness = false`).
 //!
-//! Run with `cargo bench -p mailval-bench --bench microbench [-- FILTER]`:
-//! only rows whose name contains `FILTER` run (cargo's own `--bench`
-//! argument is ignored). Set `MAILVAL_BENCH_MS` to shrink or grow the
-//! per-benchmark budget.
+//! Run with `cargo bench -p mailval-bench --bench microbench [-- FILTER...]`:
+//! only rows whose name contains one of the `FILTER`s run (cargo's own
+//! `--bench` argument is ignored). Set `MAILVAL_BENCH_MS` to shrink or
+//! grow the per-benchmark budget.
 
 use mailval_bench::timing::bench_fn;
 use mailval_crypto::bigint::{Rng64, SplitMix64};
 use mailval_crypto::rsa::RsaKeyPair;
 use mailval_crypto::HashAlg;
+use mailval_datasets::{DatasetKind, Population, PopulationConfig};
 use mailval_dns::message::Message;
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::rr::{RData, RecordType};
 use mailval_dns::{Name, Record};
+use mailval_measure::campaign::{run_campaign, sample_host_profiles, CampaignConfig, CampaignKind};
 use mailval_measure::journal::crc32;
 use mailval_measure::names::NameScheme;
 use mailval_measure::policies::{synthesize_probe, SynthAddrs};
+use mailval_measure::store::{decode_entry, encode_entry, CampaignKey};
 use mailval_simnet::Simulator;
 use mailval_spf::{DnsQuestion, EvalParams, EvalStep, SpfBehavior, SpfEvaluator, SpfRecord};
 use std::hint::black_box;
 
-/// The rows to run: those whose name contains the first argument that
-/// is not a flag, or every row without one.
-struct Filter(Option<String>);
+/// The rows to run: those whose name contains one of the arguments
+/// that are not flags, or every row without one.
+struct Filter(Vec<String>);
 
 impl Filter {
     fn from_args() -> Filter {
-        Filter(std::env::args().skip(1).find(|a| !a.starts_with('-')))
+        Filter(
+            std::env::args()
+                .skip(1)
+                .filter(|a| !a.starts_with('-'))
+                .collect(),
+        )
     }
 
     fn wants(&self, name: &str) -> bool {
-        self.0.as_deref().is_none_or(|f| name.contains(f))
+        self.0.is_empty() || self.0.iter().any(|f| name.contains(f.as_str()))
     }
 
     fn wants_any(&self, names: &[&str]) -> bool {
@@ -222,6 +231,43 @@ fn bench_crc32(filter: &Filter) {
     filter.bench("crc32_frame", || crc32(black_box(&buf[..650])));
 }
 
+fn bench_name_parse(filter: &Filter) {
+    // A stored query name: lowercase, so parsing copies it unchanged.
+    filter.bench("name_parse", || {
+        Name::parse(black_box("l2.t01.m00042.spf-test.dns-lab.org")).unwrap()
+    });
+}
+
+fn bench_store_decode(filter: &Filter) {
+    if !filter.wants("store_decode") {
+        return;
+    }
+    // One store entry of a NotifyEmail campaign over 2,000 domains at
+    // seed 2021, decoded and verified whole.
+    let kind = DatasetKind::NotifyEmail;
+    let pop = Population::generate(&PopulationConfig {
+        kind,
+        scale: 2_000.0 / kind.paper_domain_count() as f64,
+        seed: 2021,
+    });
+    let profiles = sample_host_profiles(&pop, 2021);
+    let config = CampaignConfig {
+        kind: CampaignKind::NotifyEmail,
+        seed: 2021,
+        shards: 1,
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(&config, &pop, &profiles);
+    let key = CampaignKey {
+        hash: [0x2b; 32],
+        label: "microbench".into(),
+    };
+    let entry = encode_entry(&key, &result);
+    filter.bench("store_decode", || {
+        decode_entry(black_box(&entry), &key).unwrap()
+    });
+}
+
 fn main() {
     let filter = Filter::from_args();
     bench_dns_wire(&filter);
@@ -231,4 +277,6 @@ fn main() {
     bench_simulator(&filter);
     bench_rsa(&filter);
     bench_crc32(&filter);
+    bench_name_parse(&filter);
+    bench_store_decode(&filter);
 }

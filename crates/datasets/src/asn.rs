@@ -6,7 +6,7 @@
 //! Mimecast, ...) hosting many domains on shared MTA pools — which is
 //! exactly why the datasets have far fewer MTAs than domains.
 
-use mailval_simnet::SimRng;
+use mailval_simnet::{SimRng, WeightTable};
 
 /// One AS and its share of a dataset's domains.
 #[derive(Debug, Clone, Copy)]
@@ -161,7 +161,7 @@ pub const TWO_WEEK_MX_AS_COUNT: usize = 1_795;
 #[derive(Debug, Clone)]
 pub struct AsSampler {
     entries: Vec<(u32, String, bool)>,
-    weights: Vec<f64>,
+    weights: WeightTable,
 }
 
 impl AsSampler {
@@ -186,12 +186,15 @@ impl AsSampler {
             entries.push((64512 + i as u32, format!("AS-tail-{i}"), false));
             weights.push(w);
         }
-        AsSampler { entries, weights }
+        AsSampler {
+            entries,
+            weights: WeightTable::new(weights),
+        }
     }
 
     /// Sample (asn, name, shared_provider).
     pub fn sample(&self, rng: &mut SimRng) -> (u32, &str, bool) {
-        let idx = rng.weighted_choice(&self.weights);
+        let idx = rng.weighted_pick(&self.weights);
         let (asn, name, shared) = &self.entries[idx];
         (*asn, name.as_str(), *shared)
     }
@@ -226,6 +229,18 @@ mod tests {
         let m = microsoft as f64 / n as f64;
         assert!((g - 0.32).abs() < 0.02, "google {g}");
         assert!((m - 0.20).abs() < 0.02, "microsoft {m}");
+    }
+
+    #[test]
+    fn cached_total_is_the_fresh_sum() {
+        for (top, count) in [
+            (NOTIFY_EMAIL_TOP_ASES, NOTIFY_EMAIL_AS_COUNT),
+            (TWO_WEEK_MX_TOP_ASES, TWO_WEEK_MX_AS_COUNT),
+        ] {
+            let weights = AsSampler::new(top, count).weights;
+            let fresh: f64 = weights.weights().iter().sum();
+            assert_eq!(weights.total().to_bits(), fresh.to_bits(), "{count} ASes");
+        }
     }
 
     #[test]

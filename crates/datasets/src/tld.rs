@@ -1,6 +1,6 @@
 //! TLD marginals (Table 1 of the paper) and a sampler reproducing them.
 
-use mailval_simnet::SimRng;
+use mailval_simnet::{SimRng, WeightTable};
 
 /// One TLD with its share of a dataset's domains.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +125,7 @@ const TAIL_TLDS: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct TldSampler {
     tlds: Vec<String>,
-    weights: Vec<f64>,
+    weights: WeightTable,
 }
 
 impl TldSampler {
@@ -159,12 +159,15 @@ impl TldSampler {
             tlds.push(label);
             weights.push(w);
         }
-        TldSampler { tlds, weights }
+        TldSampler {
+            tlds,
+            weights: WeightTable::new(weights),
+        }
     }
 
     /// Sample a TLD.
     pub fn sample(&self, rng: &mut SimRng) -> &str {
-        let idx = rng.weighted_choice(&self.weights);
+        let idx = rng.weighted_pick(&self.weights);
         &self.tlds[idx]
     }
 
@@ -206,6 +209,18 @@ mod tests {
         assert!((top[0].1 - 0.26).abs() < 0.02, "com share {}", top[0].1);
         assert_eq!(top[1].0, "net");
         assert!((top[1].1 - 0.13).abs() < 0.02);
+    }
+
+    #[test]
+    fn cached_total_is_the_fresh_sum() {
+        for (top, count) in [
+            (NOTIFY_EMAIL_TOP_TLDS, NOTIFY_EMAIL_TLD_COUNT),
+            (TWO_WEEK_MX_TOP_TLDS, TWO_WEEK_MX_TLD_COUNT),
+        ] {
+            let weights = TldSampler::new(top, count).weights;
+            let fresh: f64 = weights.weights().iter().sum();
+            assert_eq!(weights.total().to_bits(), fresh.to_bits(), "{count} TLDs");
+        }
     }
 
     #[test]

@@ -79,12 +79,63 @@ impl Name {
 
     /// Parse from presentation format (`mail.example.com`, optional
     /// trailing dot). The empty string and `"."` both give the root.
+    ///
+    /// One pass over the bytes: each label is checked when its `.` (or
+    /// the end) is reached, for emptiness, then length, then its first
+    /// bad byte, and the whole text's length last, so the first label
+    /// at fault decides the error. Text with an uppercase byte is
+    /// lowercased on the stack first, so the name's own allocation is
+    /// the only one.
     pub fn parse(s: &str) -> Result<Self, NameError> {
-        let s = s.strip_suffix('.').unwrap_or(s);
-        if s.is_empty() {
+        let text = s.strip_suffix('.').unwrap_or(s);
+        if text.is_empty() {
             return Ok(Name::root());
         }
-        Self::from_labels(s.split('.'))
+        let mut label_len = 0;
+        let mut bad = None;
+        let mut upper = false;
+        for &b in text.as_bytes() {
+            if b == b'.' {
+                Self::end_label(label_len, bad)?;
+                label_len = 0;
+                continue;
+            }
+            label_len += 1;
+            // Printable ASCII; '.' ended the label above.
+            if !(0x21..=0x7e).contains(&b) {
+                bad = bad.or(Some(b));
+            }
+            upper |= b.is_ascii_uppercase();
+        }
+        Self::end_label(label_len, bad)?;
+        if text.len() > MAX_TEXT_LEN {
+            return Err(NameError::NameTooLong);
+        }
+        if !upper {
+            return Ok(Name::from_canonical(text));
+        }
+        let mut lower = [0; MAX_TEXT_LEN];
+        let lower = &mut lower[..text.len()];
+        lower.copy_from_slice(text.as_bytes());
+        lower.make_ascii_lowercase();
+        let lower = std::str::from_utf8(lower).expect("validated labels are ASCII");
+        Ok(Name::from_canonical(lower))
+    }
+
+    /// Check a label `len` bytes long whose first bad byte, if any, is
+    /// `bad`: emptiness, then length, then the byte, as
+    /// [`Name::from_labels`] checks each label.
+    fn end_label(len: usize, bad: Option<u8>) -> Result<(), NameError> {
+        if len == 0 {
+            return Err(NameError::EmptyLabel);
+        }
+        if len > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong);
+        }
+        match bad {
+            Some(b) => Err(NameError::BadCharacter(b)),
+            None => Ok(()),
+        }
     }
 
     fn check_label(label: &str) -> Result<(), NameError> {
@@ -387,6 +438,114 @@ mod tests {
         assert!(n("a") < n("a.b"));
         assert!(n("a.z") < n("aa"));
         assert!(Name::root() < n("a"));
+    }
+
+    /// The label-by-label parse that the one-pass [`Name::parse`]
+    /// replaced: the reference it must agree with on every input.
+    fn parse_by_labels(s: &str) -> Result<Name, NameError> {
+        let s = s.strip_suffix('.').unwrap_or(s);
+        if s.is_empty() {
+            return Ok(Name::root());
+        }
+        Name::from_labels(s.split('.'))
+    }
+
+    #[test]
+    fn parse_agrees_with_label_by_label_reference_at_the_edges() {
+        let label = |n: usize| "x".repeat(n);
+        // Four labels, 63 + 63 + 63 + `last` bytes plus three dots.
+        let text = |last: usize| [label(63), label(63), label(63), label(last)].join(".");
+        let mut cases: Vec<String> = [
+            "",
+            ".",
+            "..",
+            "...",
+            "a.",
+            "a..",
+            ".a",
+            "a..b",
+            "a.b.",
+            "com",
+            "MAIL.Example.COM.",
+            "Mail.example.com",
+            "A",
+            "a b",
+            "a\x7fb",
+            "a\u{80}b",
+            "\u{e9}.com",
+            "a.b ",
+            " ",
+            "\x21\x7e",
+            "a\tb",
+            "A..B",
+            "a.B..",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        cases.extend([
+            label(63),
+            label(64),
+            format!("{}.com", label(63)),
+            format!("{}.com", label(64)),
+            format!("{}.com.", label(64)),
+            // Length is checked before bytes, and the first label at
+            // fault decides, whatever the later ones.
+            format!("{} ", label(63)),
+            format!("a\x7f{}", label(62)),
+            format!("{}\u{80}", label(62)),
+            format!("{}.a b", label(64)),
+            format!("a b.{}", label(64)),
+            format!("..{}", label(64)),
+            format!("{}..", label(64)),
+            text(61),
+            text(62),
+            format!("{}.", text(61)),
+            format!("{}.", text(62)),
+            text(61).to_uppercase(),
+            text(62).to_uppercase(),
+            // Too long, with a bad byte or an empty label inside.
+            format!("a b.{}", text(62)),
+            format!("{}.\x7f", text(62)),
+            format!("{}..", text(62)),
+        ]);
+        for case in &cases {
+            assert_eq!(Name::parse(case), parse_by_labels(case), "{case:?}");
+        }
+    }
+
+    #[test]
+    fn parse_agrees_with_label_by_label_reference_on_random_text() {
+        // Labels near the 63-byte limit (empty ones too) and texts near
+        // 253 bytes, from an alphabet with uppercase, bad bytes and
+        // multibyte characters.
+        const PIECES: [&str; 10] = [
+            "a", "z", "Q", "0", "-", "_", " ", "\x7f", "\u{80}", "\u{e9}",
+        ];
+        let mut rng = Rng(20);
+        for _ in 0..20_000 {
+            let mut text = String::new();
+            for _ in 0..rng.below(6) {
+                let len = match rng.below(4) {
+                    0 => 62 + rng.below(3),
+                    1 => rng.below(3),
+                    _ => rng.below(70),
+                };
+                let clean = rng.below(4) != 0;
+                for _ in 0..len {
+                    text.push_str(if clean {
+                        PIECES[rng.below(4)]
+                    } else {
+                        PIECES[rng.below(PIECES.len())]
+                    });
+                }
+                text.push('.');
+            }
+            for _ in 0..rng.below(3) {
+                text.pop();
+            }
+            assert_eq!(Name::parse(&text), parse_by_labels(&text), "{text:?}");
+        }
     }
 
     /// A name as a vector of lowercase labels: the reference model that

@@ -189,8 +189,9 @@ impl CampaignConfig {
 /// How the campaign supervisor reacts to shard crashes.
 ///
 /// A crashed shard (a panic that escaped the engine's per-session
-/// containment, or the deterministic `crash_after_sessions` injection)
-/// is restarted from its journal with exponential backoff. A shard that
+/// containment, or the deterministic `crash_after_sessions` injection,
+/// which fires at most once per shard per run) is restarted from its
+/// journal with exponential backoff. A shard that
 /// exhausts its restart budget is *finalized from its journal instead*:
 /// the campaign completes with `partial = true` and whatever that shard
 /// had durably completed, rather than crashing the whole run.
@@ -618,12 +619,16 @@ impl CampaignWorld {
     /// is on, then instantiate and run its remaining sessions one at a
     /// time, in id order (on this shard's thread). A journal that
     /// cannot be opened leaves the shard running non-durable with
-    /// `durability_lost` set — never a crash. Generic over the tracer
-    /// so the untraced path pays nothing for the telemetry seam.
+    /// `durability_lost` set — never a crash. The
+    /// `crash_after_sessions` trigger is armed only on the shard's first
+    /// attempt of a run (`first_attempt`), so a restart whose journal
+    /// lost frames cannot meet it again. Generic over the tracer so the
+    /// untraced path pays nothing for the telemetry seam.
     #[allow(clippy::too_many_arguments)]
     fn run_shard<T: Tracer>(
         &self,
         k: usize,
+        first_attempt: bool,
         nshards: usize,
         exec: &CampaignConfig,
         journal_paths: Option<&Vec<PathBuf>>,
@@ -631,7 +636,11 @@ impl CampaignWorld {
         vfs: &dyn Vfs,
         tracer: T,
     ) -> EngineOutput {
-        let mut engine = SessionEngine::new(&self.server, self.engine.clone(), tracer);
+        let mut config = self.engine.clone();
+        if !first_attempt {
+            config.faults.crash_after_sessions = 0;
+        }
+        let mut engine = SessionEngine::new(&self.server, config, tracer);
         if exec.telemetry.heartbeat_ms > 0 {
             engine.set_heartbeat(k, exec.telemetry.heartbeat_ms);
         }
@@ -740,10 +749,11 @@ impl CampaignWorld {
         // tracer. The tracer choice is an execution knob: both arms
         // call the same generic [`CampaignWorld::run_shard`], and the
         // untraced arm monomorphizes to the zero-cost null tracer.
-        let run_one = |k: usize| -> EngineOutput {
+        let run_one = |k: usize, first_attempt: bool| -> EngineOutput {
             if exec.telemetry.tracing {
                 self.run_shard(
                     k,
+                    first_attempt,
                     nshards,
                     exec,
                     paths_ref.as_ref(),
@@ -754,6 +764,7 @@ impl CampaignWorld {
             } else {
                 self.run_shard(
                     k,
+                    first_attempt,
                     nshards,
                     exec,
                     paths_ref.as_ref(),
@@ -779,7 +790,8 @@ impl CampaignWorld {
         let mut pending: Vec<usize> = (0..nshards).collect();
         let mut round = 0u32;
         while !pending.is_empty() {
-            let results = run_shards_catch(pending.clone(), |_, k| run_one(k));
+            let attempts = pending.iter().map(|&k| (k, restarts[k] == 0)).collect();
+            let results = run_shards_catch(attempts, |_, (k, first)| run_one(k, first));
             let mut next_pending = Vec::new();
             for (i, (result, timing)) in results.into_iter().enumerate() {
                 let k = pending[i];

@@ -7,9 +7,9 @@
 //! bounds-checked, so corruption surfaces as a [`FrameError`], never a
 //! panic. Plain structs are declared as field lists and enums as tag
 //! lists (`codec_structs!`, `codec_enums!`); each encodes its fields in
-//! the listed order. Only the primitives, the test-id lookup and the
-//! fault counters' two layouts (journal/store and the legacy content
-//! hash) are written by hand.
+//! the listed order. Only the primitives, the test-id lookup, the packed
+//! SMTP transcript and the fault counters' two layouts (journal/store
+//! and the legacy content hash) are written by hand.
 //!
 //! ```text
 //! u8 u16 u32 u64  little-endian          bool      u8 (0 | 1)
@@ -33,7 +33,7 @@ use mailval_dns::rr::RecordType;
 use mailval_dns::server::Transport;
 use mailval_dns::Name;
 use mailval_simnet::{FaultStats, MalformedClass, MalformedStats};
-use mailval_smtp::client::{ClientOutcome, Phase};
+use mailval_smtp::client::{ClientOutcome, Phase, Transcript};
 use mailval_smtp::reply::Reply;
 use mailval_smtp::EmailAddress;
 
@@ -484,6 +484,55 @@ pub(crate) fn put_hashed_faults(enc: &mut Enc, faults: &FaultStats) {
 // Records
 // ---------------------------------------------------------------------------
 
+/// Move past `replies` encoded transcript replies, reading only their
+/// line counts and lengths.
+fn skip_replies(dec: &mut Dec<'_>, replies: u32) -> Result<(), FrameError> {
+    for _ in 0..replies {
+        dec.take(3)?; // phase, code
+        for _ in 0..dec.get::<u32>()? {
+            let len = dec.get::<u32>()?;
+            dec.take(len as usize)?;
+        }
+    }
+    Ok(())
+}
+
+/// A transcript encodes as the `Vec<(Phase, Reply)>` it replaced:
+/// `len:u32`, then per reply its phase, code and `Vec<String>` lines.
+impl Codec for Transcript {
+    fn put(&self, enc: &mut Enc) {
+        (self.len() as u32).put(enc);
+        for (phase, code, lines) in self.iter() {
+            phase.put(enc);
+            code.put(enc);
+            (lines.len() as u32).put(enc);
+            for line in lines {
+                enc.str(line);
+            }
+        }
+    }
+
+    /// The packed form is as long as the encoding, so a first walk over
+    /// a copy of the cursor, reading only the counts and lengths, sizes
+    /// the transcript's one allocation. The walk checks nothing else and
+    /// stops where the bytes run out; the second pass makes every check,
+    /// in the `Vec<(Phase, Reply)>` decoder's order.
+    fn get(dec: &mut Dec<'_>) -> Result<Self, FrameError> {
+        let replies = dec.get::<u32>()?;
+        let mut ahead = *dec;
+        // A walk cut short by damaged bytes only reserves less.
+        let _ = skip_replies(&mut ahead, replies);
+        let mut transcript = Transcript::with_capacity(ahead.pos - dec.pos);
+        for _ in 0..replies {
+            let phase = dec.get()?;
+            let code = dec.get()?;
+            let lines = dec.get::<u32>()?;
+            transcript.try_push(phase, code, (0..lines).map(|_| dec.str()))?;
+        }
+        Ok(transcript)
+    }
+}
+
 /// Plain structs as the concatenation of the listed fields, in order.
 /// The decoder builds each struct literally, so a field missing from its
 /// list fails to compile.
@@ -518,8 +567,9 @@ codec_structs! {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 pub(crate) mod tests {
-    use super::crc32;
+    use super::*;
 
     /// The bitwise CRC-32 the tables are derived from: the reference the
     /// sliced [`crc32`] is tested against.
@@ -575,5 +625,163 @@ pub(crate) mod tests {
     fn crc32_matches_bitwise_on_a_multi_megabyte_buffer() {
         let buf = noise(3 << 20 | 7);
         assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+    }
+
+    /// The outcome as it was before transcripts were packed: the
+    /// reference decoder the [`Transcript`] codec must match byte for
+    /// byte and error for error.
+    #[derive(Debug)]
+    struct RefOutcome {
+        phase_reached: Phase,
+        accepted_rcpt: Option<EmailAddress>,
+        delivered: bool,
+        rejection: Option<(Phase, Reply)>,
+        retries: u32,
+        transcript: Vec<(Phase, Reply)>,
+    }
+
+    /// A [`SessionRecord`] whose outcome is a [`RefOutcome`].
+    #[derive(Debug)]
+    struct RefRecord {
+        session_id: usize,
+        host_index: usize,
+        domain_index: usize,
+        testid: Option<&'static str>,
+        start_ms: u64,
+        outcome: Option<RefOutcome>,
+        delivery_time_ms: Option<u64>,
+        closed_by_server: bool,
+        error: Option<String>,
+        termination: SessionOutcome,
+    }
+
+    codec_structs! {
+        RefOutcome { phase_reached, accepted_rcpt, delivered, rejection, retries, transcript }
+        RefRecord {
+            session_id, host_index, domain_index, testid, start_ms, outcome, delivery_time_ms,
+            closed_by_server, error, termination,
+        }
+    }
+
+    fn encode<T: Codec>(v: &T) -> Vec<u8> {
+        let mut enc = Enc::default();
+        enc.put(v);
+        enc.0
+    }
+
+    /// Decode exactly one `T` from `bytes`.
+    fn decode<T: Codec>(bytes: &[u8]) -> Result<T, FrameError> {
+        let mut dec = Dec::new(bytes);
+        let v = dec.get()?;
+        dec.finished()?;
+        Ok(v)
+    }
+
+    /// Transcripts covering a multiline EHLO, an empty line, a reply
+    /// with no lines, non-ASCII text and the empty transcript.
+    fn sample_transcripts() -> Vec<Vec<(Phase, Reply)>> {
+        let ehlo = Reply::multiline(
+            250,
+            vec![
+                "mx.test greets probe.dns-lab.org".into(),
+                "SIZE 10485760".into(),
+                "8BITMIME".into(),
+                String::new(),
+                "SMTPUTF8".into(),
+            ],
+        );
+        vec![
+            vec![],
+            vec![(Phase::Greeting, Reply::greeting("mx.test"))],
+            vec![
+                (Phase::Greeting, Reply::new(220, "")),
+                (Phase::Helo, ehlo),
+                (Phase::Mail, Reply::ok()),
+                (
+                    Phase::Rcpt,
+                    Reply::new(550, "Empf\u{e4}nger unbekannt \u{2014} \u{672a}\u{77e5}"),
+                ),
+                (
+                    Phase::Rcpt,
+                    Reply {
+                        code: 451,
+                        lines: vec![],
+                    },
+                ),
+                (Phase::Data, Reply::start_mail_input()),
+                (Phase::Quit, Reply::closing()),
+            ],
+        ]
+    }
+
+    fn record(transcript: &[(Phase, Reply)]) -> SessionRecord {
+        SessionRecord {
+            session_id: 9,
+            host_index: 4,
+            domain_index: 2,
+            testid: Some(crate::policies::ALL_TESTS[0].id),
+            start_ms: 1_500,
+            outcome: Some(ClientOutcome {
+                phase_reached: Phase::Data,
+                accepted_rcpt: Some(EmailAddress::new(
+                    "john.smith",
+                    Name::parse("target.test").expect("valid name"),
+                )),
+                delivered: false,
+                rejection: transcript.last().cloned(),
+                retries: 1,
+                transcript: transcript.iter().cloned().collect(),
+            }),
+            delivery_time_ms: None,
+            closed_by_server: false,
+            error: None,
+            termination: SessionOutcome::Completed,
+        }
+    }
+
+    #[test]
+    fn transcript_bytes_match_the_reply_vector_reference() {
+        for replies in sample_transcripts() {
+            let transcript: Transcript = replies.iter().cloned().collect();
+            let bytes = encode(&replies);
+            assert_eq!(encode(&transcript), bytes, "{replies:?}");
+            let decoded = decode::<Transcript>(&bytes).expect("decodes");
+            assert_eq!(decoded, transcript);
+            assert_eq!(decoded.len(), replies.len());
+            let unpacked: Vec<(Phase, Reply)> = decoded
+                .iter()
+                .map(|(phase, code, lines)| {
+                    let lines = lines.map(str::to_owned).collect();
+                    (phase, Reply { code, lines })
+                })
+                .collect();
+            assert_eq!(unpacked, replies);
+        }
+    }
+
+    /// `bytes` decodes to the same value or the same error as a
+    /// [`SessionRecord`] and as a [`RefRecord`].
+    fn assert_decodes_alike(bytes: &[u8], what: &str) {
+        let packed = decode::<SessionRecord>(bytes).map(|r| encode(&r));
+        let reference = decode::<RefRecord>(bytes).map(|r| encode(&r));
+        assert_eq!(packed, reference, "{what}");
+    }
+
+    #[test]
+    fn damaged_session_records_fail_like_the_reference_decoder() {
+        for replies in sample_transcripts() {
+            let bytes = encode(&record(&replies));
+            assert_decodes_alike(&bytes, "intact");
+            for len in 0..bytes.len() {
+                assert_decodes_alike(&bytes[..len], &format!("truncated to {len}"));
+            }
+            for at in 0..bytes.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[at] ^= mask;
+                    assert_decodes_alike(&damaged, &format!("byte {at} ^ {mask:#04x}"));
+                }
+            }
+        }
     }
 }

@@ -395,7 +395,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
     /// `crash_after_sessions` injection once the completion count
     /// (replayed + live) reaches the configured N — *after* the N-th
     /// frame is durably journaled, so a resumed run replays exactly N
-    /// sessions and sails past the trigger.
+    /// sessions and sails past the trigger. (A supervised restart runs
+    /// with the trigger disarmed: see `CampaignWorld::run_shard`.)
     fn finish_session(&mut self, mut s: LiveSession) -> JournalFrame {
         if self.tracer.enabled() {
             let termination = match (&s.record.error, &s.record.termination) {

@@ -257,6 +257,7 @@ mod tests {
     use super::*;
     use crate::apparatus::Attribution;
     use crate::engine::SessionOutcome;
+    use crate::vfs::tests::TestDir;
     use mailval_dns::rr::RecordType;
     use mailval_dns::server::Transport;
     use mailval_dns::Name;
@@ -277,10 +278,12 @@ mod tests {
             delivered: false,
             rejection: Some((Phase::Rcpt, reply.clone())),
             retries: 2,
-            transcript: vec![
+            transcript: [
                 (Phase::Greeting, Reply::greeting("mx.test")),
                 (Phase::Rcpt, reply),
-            ],
+            ]
+            .into_iter()
+            .collect(),
         };
         JournalFrame {
             record: SessionRecord {
@@ -339,11 +342,12 @@ mod tests {
         frame
     }
 
-    fn temp_journal(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mailval-journal-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}.jrnl"))
+    /// A journal path in a directory that is removed when the returned
+    /// guard drops.
+    fn temp_journal(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("journal-{name}"));
+        let path = dir.join(format!("{name}.jrnl"));
+        (dir, path)
     }
 
     #[test]
@@ -432,7 +436,7 @@ mod tests {
 
     #[test]
     fn write_then_replay_roundtrips() {
-        let path = temp_journal("roundtrip");
+        let (_dir, path) = temp_journal("roundtrip");
         let mut w = JournalWriter::create(&path).unwrap();
         for id in 0..5 {
             w.append(&sample_frame(id)).unwrap();
@@ -444,12 +448,11 @@ mod tests {
         assert_eq!(replayed.valid_len, std::fs::metadata(&path).unwrap().len());
         assert_eq!(replayed.frames[3], sample_frame(3));
         assert_eq!(replayed.completed_ids(), (0..5).collect::<HashSet<usize>>());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn corrupt_tail_is_dropped_not_fatal() {
-        let path = temp_journal("corrupt-tail");
+        let (_dir, path) = temp_journal("corrupt-tail");
         let mut w = JournalWriter::create(&path).unwrap();
         for id in 0..4 {
             w.append(&sample_frame(id)).unwrap();
@@ -471,7 +474,6 @@ mod tests {
         w.append(&sample_frame(99)).unwrap();
         let ids = replay(&path).completed_ids();
         assert_eq!(ids, HashSet::from([0, 1, 2, 99]));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -481,7 +483,7 @@ mod tests {
         // HostileInput frame) one at a time. Every flip must replay as
         // a clean salvage of some prefix of the original frames; none
         // may panic, and no flipped frame may be served as valid data.
-        let path = temp_journal("flip-sweep");
+        let (_dir, path) = temp_journal("flip-sweep");
         let mut w = JournalWriter::create(&path).unwrap();
         let originals = [sample_frame(0), hostile_frame(1), shed_frame(2)];
         for frame in &originals {
@@ -506,12 +508,11 @@ mod tests {
                 assert_eq!(got, want, "flip at {pos} corrupted a served frame");
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_write_is_dropped() {
-        let path = temp_journal("torn");
+        let (_dir, path) = temp_journal("torn");
         let mut w = JournalWriter::create(&path).unwrap();
         for id in 0..3 {
             w.append(&sample_frame(id)).unwrap();
@@ -524,12 +525,11 @@ mod tests {
         let replayed = replay(&path);
         assert_eq!(replayed.frames.len(), 2);
         assert!(replayed.dropped_bytes > 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn bad_magic_means_empty_journal() {
-        let path = temp_journal("bad-magic");
+        let (_dir, path) = temp_journal("bad-magic");
         std::fs::write(&path, b"NOTAJRNLgarbage").unwrap();
         let replayed = replay(&path);
         assert!(replayed.frames.is_empty());
@@ -537,7 +537,6 @@ mod tests {
         // open_append rewrites a fresh header over it.
         drop(JournalWriter::open_append(&path, 0, 16).unwrap());
         assert_eq!(std::fs::read(&path).unwrap(), MAGIC);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -364,20 +364,45 @@ impl Vfs for SimFs {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mailval_simnet::IoConfig;
+    use std::sync::atomic::AtomicUsize;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mailval-vfs-tests-{}", std::process::id()));
-        let dir = dir.join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A fresh directory under the temp dir, unique to this call and
+    /// removed with its contents on drop, so that no test run, passing
+    /// or failing, leaves it behind.
+    pub(crate) struct TestDir(PathBuf);
+
+    impl TestDir {
+        pub(crate) fn new(name: &str) -> TestDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+            let pid = std::process::id();
+            let dir = std::env::temp_dir().join(format!("mailval-tests-{pid}-{seq}-{name}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn osfs_roundtrips_and_lists() {
-        let dir = temp_dir("osfs");
+        let dir = TestDir::new("osfs");
         let path = dir.join("a.bin");
         let mut f = OsFs.open_write(&path, true).unwrap();
         f.write_all(b"hello").unwrap();
@@ -388,7 +413,6 @@ mod tests {
         assert!(listed.contains(&path));
         OsFs.rename(&path, &dir.join("b.bin")).unwrap();
         OsFs.remove_file(&dir.join("b.bin")).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -418,7 +442,7 @@ mod tests {
             let mut f = fs.open_write(path, true).unwrap();
             (0..64).map(|_| f.sync_data().is_err()).collect()
         };
-        let (a, b) = (temp_dir("streams-a"), temp_dir("streams-b"));
+        let (a, b) = (TestDir::new("streams-a"), TestDir::new("streams-b"));
         let shard0 = fsync_failures(&a.join("shard-0000.jrnl"));
         assert!(shard0.contains(&true) && shard0.contains(&false));
         assert_eq!(
@@ -431,14 +455,12 @@ mod tests {
             fsync_failures(&a.join("shard-0001.jrnl")),
             "different shards must get independent streams"
         );
-        std::fs::remove_dir_all(&a).unwrap();
-        std::fs::remove_dir_all(&b).unwrap();
     }
 
     #[test]
     fn inert_simfs_behaves_like_osfs() {
         let fs = SimFs::new(IoPlan::new(IoConfig::default()));
-        let dir = temp_dir("inert");
+        let dir = TestDir::new("inert");
         let path = dir.join("a.bin");
         let mut f = fs.open_write(&path, true).unwrap();
         f.write_all(b"payload").unwrap();
@@ -446,7 +468,6 @@ mod tests {
         drop(f);
         assert_eq!(fs.read(&path).unwrap(), b"payload");
         assert_eq!(fs.stats().total(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -456,7 +477,7 @@ mod tests {
             seed: 1,
             ..Default::default()
         }));
-        let dir = temp_dir("enospc");
+        let dir = TestDir::new("enospc");
         let path = dir.join("full.bin");
         let mut f = fs.open_write(&path, true).unwrap();
         f.write_all(b"123456").unwrap(); // 6 bytes, fits
@@ -465,7 +486,6 @@ mod tests {
         drop(f);
         assert_eq!(fs.read(&path).unwrap(), b"123456789a");
         assert_eq!(fs.stats().enospc.load(Ordering::Relaxed), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -477,7 +497,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         }));
-        let dir = temp_dir("enospc-reopen");
+        let dir = TestDir::new("enospc-reopen");
         let path = dir.join("cap.bin");
         let mut f = fs.open_write(&path, true).unwrap();
         f.write_all(b"12345678").unwrap();
@@ -491,7 +511,6 @@ mod tests {
         let mut f = fs2.open_write(&path, false).unwrap();
         let err = f.write_all(b"x").unwrap_err();
         assert!(err.to_string().contains("ENOSPC"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -501,7 +520,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         }));
-        let dir = temp_dir("corrupt-read");
+        let dir = TestDir::new("corrupt-read");
         let path = dir.join("data.bin");
         std::fs::write(&path, vec![0u8; 64]).unwrap();
         let got = fs.read(&path).unwrap();
@@ -510,7 +529,6 @@ mod tests {
         assert_eq!(fs.stats().reads_corrupted.load(Ordering::Relaxed), 1);
         // The on-disk bytes are untouched: it's read-side rot.
         assert_eq!(std::fs::read(&path).unwrap(), vec![0u8; 64]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -521,7 +539,7 @@ mod tests {
             seed: 4,
             ..Default::default()
         }));
-        let dir = temp_dir("fail-ops");
+        let dir = TestDir::new("fail-ops");
         let path = dir.join("f.bin");
         let mut f = fs.open_write(&path, true).unwrap();
         f.write_all(b"x").unwrap();
@@ -532,6 +550,5 @@ mod tests {
         assert_eq!(fs.stats().rename_failures.load(Ordering::Relaxed), 1);
         // The failed rename left the source in place.
         assert!(path.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -55,9 +55,12 @@ pub struct FaultConfig {
     /// journaling its N-th completed session. Unlike the per-session
     /// faults above this is not contained by the engine — it kills the
     /// whole shard, which is the point: the campaign supervisor must
-    /// restart the shard from its journal. Replayed sessions count
-    /// toward N, so a resumed shard that has already completed N
-    /// sessions runs to the end instead of crash-looping.
+    /// restart the shard from its journal. It fires at most once per
+    /// shard per campaign run: a supervised restart runs with it
+    /// disarmed, even when the journal lost frames and the restart
+    /// re-runs sessions. Replayed sessions count toward N, so an
+    /// explicitly resumed run whose journals hold N sessions runs to
+    /// the end.
     pub crash_after_sessions: u64,
 }
 

@@ -36,6 +36,6 @@ pub use fault::{
     WriteFault,
 };
 pub use net::LatencyModel;
-pub use rng::SimRng;
+pub use rng::{SimRng, WeightTable};
 pub use shard::{run_shards_catch, ShardTiming};
 pub use sim::Simulator;

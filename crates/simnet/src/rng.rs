@@ -84,6 +84,21 @@ impl SimRng {
     /// Panics if `weights` is empty or sums to zero.
     pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
+        self.choose_by_total(weights, total)
+    }
+
+    /// [`SimRng::weighted_choice`] over `table`'s weights, without
+    /// re-summing them: the same index for the same RNG state.
+    ///
+    /// # Panics
+    /// Panics if the table is empty or sums to zero.
+    pub fn weighted_pick(&mut self, table: &WeightTable) -> usize {
+        self.choose_by_total(&table.weights, table.total)
+    }
+
+    /// The linear scan behind both weighted draws; `total` is
+    /// `weights.iter().sum()`.
+    fn choose_by_total(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(total > 0.0, "weights must sum to > 0");
         let mut roll = self.next_f64() * total;
         for (i, w) in weights.iter().enumerate() {
@@ -108,6 +123,34 @@ impl SimRng {
             let j = self.next_below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// Weights for [`SimRng::weighted_pick`], summed once. The total is
+/// the same `iter().sum()`, in the same order, that
+/// [`SimRng::weighted_choice`] computes per draw, so both draw the same
+/// indices bit for bit.
+#[derive(Debug, Clone)]
+pub struct WeightTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightTable {
+    /// Sum `weights` once.
+    pub fn new(weights: Vec<f64>) -> WeightTable {
+        let total = weights.iter().sum();
+        WeightTable { weights, total }
+    }
+
+    /// The weights, in order.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Their sum.
+    pub fn total(&self) -> f64 {
+        self.total
     }
 }
 
@@ -198,6 +241,17 @@ mod tests {
         assert!((800..1200).contains(&counts[0]), "{counts:?}");
         assert!((2700..3300).contains(&counts[1]), "{counts:?}");
         assert!((5700..6300).contains(&counts[2]), "{counts:?}");
+    }
+
+    #[test]
+    fn weight_table_draws_what_weighted_choice_draws() {
+        let weights: Vec<f64> = (1..=50).map(|i| 1.0 / f64::from(i)).collect();
+        let table = WeightTable::new(weights.clone());
+        assert_eq!(table.total(), weights.iter().sum::<f64>());
+        let (mut a, mut b) = (SimRng::new(29), SimRng::new(29));
+        for _ in 0..10_000 {
+            assert_eq!(a.weighted_pick(&table), b.weighted_choice(&weights));
+        }
     }
 
     #[test]

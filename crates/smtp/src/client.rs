@@ -14,6 +14,8 @@
 use crate::command::{mail_line, rcpt_line, Command, EmailAddress};
 use crate::mail::dot_stuff;
 use crate::reply::Reply;
+use std::convert::Infallible;
+use std::fmt;
 
 /// The dialogue phase a reply belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,6 +34,19 @@ pub enum Phase {
     Message,
     /// QUIT.
     Quit,
+}
+
+impl Phase {
+    /// Every phase, in declaration (and dialogue) order.
+    const ALL: [Phase; 7] = [
+        Phase::Greeting,
+        Phase::Helo,
+        Phase::Mail,
+        Phase::Rcpt,
+        Phase::Data,
+        Phase::Message,
+        Phase::Quit,
+    ];
 }
 
 /// Client configuration for one session.
@@ -84,7 +99,184 @@ pub struct ClientOutcome {
     /// Transaction retries performed after transient (4xx) failures.
     pub retries: u32,
     /// Every reply received, in order, tagged by phase.
-    pub transcript: Vec<(Phase, Reply)>,
+    pub transcript: Transcript,
+}
+
+/// Every reply of a session, in order, tagged by phase, packed into one
+/// byte buffer: a whole dialogue is one allocation, and a clone is one
+/// copy.
+///
+/// Per reply the buffer holds `phase:u8 code:u16le lines:u32le`, then
+/// per line `len:u32le` and the line's UTF-8 text. That is exactly as
+/// many bytes as the measurement codec's encoding of the same reply, so
+/// a decoder that has measured an encoded transcript can
+/// [`Transcript::with_capacity`] the buffer to its final size.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Transcript {
+    bytes: Vec<u8>,
+    replies: usize,
+}
+
+/// Bytes of a reply's header in a [`Transcript`]'s buffer.
+const REPLY_HEADER_LEN: usize = 7;
+
+impl Transcript {
+    /// An empty transcript.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty transcript whose buffer holds `bytes` packed bytes
+    /// before it grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Transcript {
+            bytes: Vec::with_capacity(bytes),
+            replies: 0,
+        }
+    }
+
+    /// Number of replies.
+    pub fn len(&self) -> usize {
+        self.replies
+    }
+
+    /// True when no reply was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.replies == 0
+    }
+
+    /// Append `reply`, received in `phase`.
+    pub fn push(&mut self, phase: Phase, reply: &Reply) {
+        let lines = reply.lines.iter().map(|l| Ok::<_, Infallible>(l.as_str()));
+        let Ok(()) = self.try_push(phase, reply.code, lines);
+    }
+
+    /// Append one reply whose lines come from a fallible source (a
+    /// decoder). On the first error nothing of the reply is kept and the
+    /// error is returned.
+    pub fn try_push<'a, E>(
+        &mut self,
+        phase: Phase,
+        code: u16,
+        lines: impl IntoIterator<Item = Result<&'a str, E>>,
+    ) -> Result<(), E> {
+        let start = self.bytes.len();
+        self.bytes.push(phase as u8);
+        self.bytes.extend_from_slice(&code.to_le_bytes());
+        self.bytes.extend_from_slice(&[0; 4]);
+        let mut count = 0u32;
+        for line in lines {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    self.bytes.truncate(start);
+                    return Err(e);
+                }
+            };
+            let len = u32::try_from(line.len()).expect("a reply line is under 4 GiB");
+            self.bytes.extend_from_slice(&len.to_le_bytes());
+            self.bytes.extend_from_slice(line.as_bytes());
+            count += 1;
+        }
+        self.bytes[start + 3..start + REPLY_HEADER_LEN].copy_from_slice(&count.to_le_bytes());
+        self.replies += 1;
+        Ok(())
+    }
+
+    /// The replies in order, each as its phase, code and lines.
+    pub fn iter(&self) -> Replies<'_> {
+        Replies {
+            rest: &self.bytes,
+            left: self.replies,
+        }
+    }
+}
+
+impl fmt::Debug for Transcript {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(Phase, Reply)> for Transcript {
+    fn from_iter<I: IntoIterator<Item = (Phase, Reply)>>(iter: I) -> Self {
+        let mut transcript = Transcript::new();
+        for (phase, reply) in iter {
+            transcript.push(phase, &reply);
+        }
+        transcript
+    }
+}
+
+/// Splits `len:u32le` and that many following bytes off `bytes`.
+fn split_line(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let (len, rest) = bytes.split_at(4);
+    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+    rest.split_at(len)
+}
+
+/// Iterator over a [`Transcript`]'s replies.
+pub struct Replies<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Replies<'a> {
+    type Item = (Phase, u16, Lines<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (header, mut body) = self.rest.split_at(REPLY_HEADER_LEN);
+        let phase = Phase::ALL[usize::from(header[0])];
+        let code = u16::from_le_bytes([header[1], header[2]]);
+        let count = u32::from_le_bytes([header[3], header[4], header[5], header[6]]);
+        let lines_start = body;
+        for _ in 0..count {
+            body = split_line(body).1;
+        }
+        self.rest = body;
+        let lines = Lines {
+            rest: &lines_start[..lines_start.len() - body.len()],
+            left: count as usize,
+        };
+        Some((phase, code, lines))
+    }
+}
+
+/// Iterator over one transcript reply's lines.
+#[derive(Clone)]
+pub struct Lines<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (line, rest) = split_line(self.rest);
+        self.rest = rest;
+        Some(std::str::from_utf8(line).expect("transcript lines are pushed as text"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Lines<'_> {}
+
+impl fmt::Debug for Lines<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +323,7 @@ impl ClientSession {
                 delivered: false,
                 rejection: None,
                 retries: 0,
-                transcript: Vec::new(),
+                transcript: Transcript::new(),
             },
         }
     }
@@ -204,7 +396,7 @@ impl ClientSession {
     /// Feed a complete server reply.
     pub fn on_reply(&mut self, reply: Reply) -> ClientAction {
         let phase = self.phase_of();
-        self.outcome.transcript.push((phase, reply.clone()));
+        self.outcome.transcript.push(phase, &reply);
         self.outcome.phase_reached = self.outcome.phase_reached.max(phase);
         match self.state {
             State::AwaitGreeting => {
@@ -623,5 +815,52 @@ mod tests {
         let outcome = c.on_disconnect();
         assert_eq!(outcome.phase_reached, Phase::Greeting);
         assert_eq!(outcome.transcript.len(), 1);
+    }
+
+    fn unpacked(t: &Transcript) -> Vec<(Phase, u16, Vec<&str>)> {
+        t.iter()
+            .map(|(phase, code, lines)| (phase, code, lines.collect()))
+            .collect()
+    }
+
+    #[test]
+    fn transcript_records_every_reply_in_order() {
+        let mut c = ClientSession::new(probe_config());
+        expect_send(c.on_reply(Reply::greeting("mx")));
+        let ehlo = Reply::multiline(250, vec!["mx".into(), String::new(), "8BITMIME".into()]);
+        c.on_reply(ehlo);
+        let outcome = c.on_disconnect();
+        assert_eq!(outcome.transcript.len(), 2);
+        assert_eq!(
+            unpacked(&outcome.transcript),
+            [
+                (Phase::Greeting, 220, vec!["mx ESMTP ready"]),
+                (Phase::Helo, 250, vec!["mx", "", "8BITMIME"]),
+            ]
+        );
+        assert_eq!(
+            format!("{:?}", outcome.transcript),
+            r#"[(Greeting, 220, ["mx ESMTP ready"]), (Helo, 250, ["mx", "", "8BITMIME"])]"#
+        );
+    }
+
+    #[test]
+    fn failed_try_push_keeps_nothing_of_the_reply() {
+        let mut t = Transcript::new();
+        t.push(Phase::Greeting, &Reply::greeting("mx"));
+        let before = t.clone();
+        let lines = [Ok("first"), Err("cut"), Ok("never read")];
+        assert_eq!(t.try_push(Phase::Helo, 250, lines), Err("cut"));
+        assert_eq!(t, before);
+        t.try_push::<()>(Phase::Quit, 221, [Ok("Bye"), Ok("\u{e9}t\u{e9}")])
+            .unwrap();
+        assert_eq!(
+            unpacked(&t),
+            [
+                (Phase::Greeting, 220, vec!["mx ESMTP ready"]),
+                (Phase::Quit, 221, vec!["Bye", "\u{e9}t\u{e9}"]),
+            ]
+        );
+        assert!(Transcript::new().is_empty() && Transcript::new().iter().next().is_none());
     }
 }

@@ -12,11 +12,11 @@
 #                                   # `cargo test -q` (every workspace
 #                                   # test binary, once), then crypto,
 #                                   # fuzz, bench --check io and the
-#                                   # CRC-32 micro-benches, warm-store
+#                                   # codec micro-benches, warm-store
 #                                   # artifacts, perf, trace export
 #   scripts/verify.sh --determinism # only the determinism stage: the
 #                                   # matrix test binary, fuzz, bench
-#                                   # --check io with the CRC-32
+#                                   # --check io with the codec
 #                                   # micro-benches, and trace export
 #   scripts/verify.sh --artifacts   # only the artifact-store stage
 #   scripts/verify.sh --perf        # only the performance gates
@@ -86,10 +86,12 @@ io_bench() {
   # {0, .01, .05, .20} at 1,000 domains in release.
   echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
-  # Every journal and store frame is checked by this kernel: smoke-run
-  # its micro-benchmarks on a short budget.
-  echo "== io: frame CRC-32 micro-benchmarks (cargo bench --bench microbench -- crc32) =="
-  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- crc32
+  # Every journal and store frame goes through the CRC-32 kernel and
+  # the decoder: smoke-run their micro-benchmarks (the CRC rows, DNS
+  # name parsing, and decoding one 2k-domain NotifyEmail store entry)
+  # on a short budget.
+  echo "== io: frame codec micro-benchmarks (cargo bench --bench microbench -- crc32 name_parse store_decode) =="
+  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- crc32 name_parse store_decode
 }
 
 perf() {

@@ -664,15 +664,20 @@ impl Reference {
             Exec::Resume => {
                 // Shard k crashed once, right after journaling its first
                 // session (id k), and replayed it on restart, so the
-                // resumed run traces every session but ids 0..n.
+                // resumed run traces every session but ids 0..n. With one
+                // session per shard on the 2 KiB disk, a frame larger
+                // than the disk is lost, and the restart re-simulates and
+                // traces its session too.
                 for st in &r.shard_stats {
                     assert_eq!(st.restarts, 1, "{cell}: shard {} restarts", st.shard);
                 }
                 if let Some(t) = &r.telemetry {
+                    let lossy = s.io && cell.per_session;
+                    let traced: HashSet<usize> = t.events.iter().map(|e| e.session).collect();
                     let simulated: Vec<_> = trace
                         .events
                         .iter()
-                        .filter(|e| e.session >= n)
+                        .filter(|e| e.session >= n || (lossy && traced.contains(&e.session)))
                         .cloned()
                         .collect();
                     assert!(
@@ -776,18 +781,13 @@ matrix! {
     chaos: Row::full(CHAOS);
     hostile: Row::full(HOSTILE);
     // IO faults cost durability, never results: the failing disk must
-    // reproduce the plain digest. One session per shard is left out:
-    // a lone session's frame can outgrow the 2 KiB disk, and then the
-    // crash trigger fires again on every restart.
-    io: Row {
-        shards: &ALL_SHARDS[..4],
-        ..Row::full(Scenario {
-            name: "io",
-            io: true,
-            key: None,
-            ..PLAIN
-        })
-    };
+    // reproduce the plain digest.
+    io: Row::full(Scenario {
+        name: "io",
+        io: true,
+        key: None,
+        ..PLAIN
+    });
     backpressure: Row::full(Scenario {
         name: "backpressure",
         backpressure: true,
@@ -1089,6 +1089,48 @@ fn kill_and_resume_under_io_faults_is_byte_identical() {
             ..IoConfig::default()
         },
     );
+}
+
+#[test]
+fn crash_trigger_fires_once_per_shard_on_a_failing_disk() {
+    // The 2 KiB disk loses journal frames, so a restarted shard re-runs
+    // sessions it had finished and meets the trigger's count again. The
+    // trigger must not fire twice: every shard restarts once and the
+    // campaign completes.
+    let scenario = Scenario {
+        name: "hostile+io",
+        io: true,
+        key: None,
+        ..HOSTILE
+    };
+    let fx = scenario.fixture();
+    let mut crashing = fx.config.clone();
+    crashing.faults.crash_after_sessions = 2;
+    let world = CampaignWorld::build(&crashing, &fx.pop, &fx.profiles);
+    for shards in [1, 2, 4, 8] {
+        let dir = Scratch::new(&format!("crash-once-{shards}"));
+        let config = CampaignConfig {
+            shards,
+            journal_dir: Some(dir.0.clone()),
+            ..fx.config.clone()
+        };
+        let r = world.run(&config);
+        assert!(!r.partial, "shards={shards}: finalized partial");
+        assert_eq!(hex(&r.content_hash()), scenario.digest, "shards={shards}");
+        assert_eq!(r.shard_stats.len(), shards, "shards={shards}");
+        for st in &r.shard_stats {
+            assert!(
+                st.sessions >= 2,
+                "shards={shards}: shard {} never crashes",
+                st.shard
+            );
+            assert_eq!(
+                st.restarts, 1,
+                "shards={shards}: shard {} restarts",
+                st.shard
+            );
+        }
+    }
 }
 
 #[test]
