@@ -1,7 +1,8 @@
 //! Micro-benchmarks over the protocol cores: DNS wire codec, SPF
 //! parsing and evaluation, DKIM sign/verify, policy synthesis, the
-//! simulator event loop, RSA, the journal/store frame CRC-32, DNS name
-//! parsing and store entry decoding. Built on the in-tree
+//! simulator event loop, RSA, a probe campaign's world build, the
+//! journal/store frame CRC-32, DNS name parsing and store entry
+//! decoding. Built on the in-tree
 //! [`mailval_bench::timing`] harness (no external dependencies;
 //! `harness = false`).
 //!
@@ -19,7 +20,9 @@ use mailval_dns::message::Message;
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::rr::{RData, RecordType};
 use mailval_dns::{Name, Record};
-use mailval_measure::campaign::{run_campaign, sample_host_profiles, CampaignConfig, CampaignKind};
+use mailval_measure::campaign::{
+    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignWorld,
+};
 use mailval_measure::journal::crc32;
 use mailval_measure::names::NameScheme;
 use mailval_measure::policies::{synthesize_probe, SynthAddrs};
@@ -219,6 +222,34 @@ fn bench_rsa(filter: &Filter) {
     });
 }
 
+fn bench_world_build(filter: &Filter) {
+    if !filter.wants("world_build") {
+        return;
+    }
+    // The probe battery's world: a TwoWeekMX campaign with tests
+    // t01–t11 over 1,000 domains at seed 2021. A probe world generates
+    // no DKIM key, so this is the layout and the per-host data alone.
+    let kind = DatasetKind::TwoWeekMx;
+    let pop = Population::generate(&PopulationConfig {
+        kind,
+        scale: 1_000.0 / kind.paper_domain_count() as f64,
+        seed: 2021,
+    });
+    let profiles = sample_host_profiles(&pop, 2021);
+    let config = CampaignConfig {
+        kind: CampaignKind::TwoWeekMx,
+        tests: vec![
+            "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11",
+        ],
+        seed: 2021,
+        shards: 1,
+        ..CampaignConfig::default()
+    };
+    filter.bench("world_build", || {
+        CampaignWorld::build(black_box(&config), &pop, &profiles)
+    });
+}
+
 fn bench_crc32(filter: &Filter) {
     if !filter.wants("crc32") {
         return;
@@ -276,6 +307,7 @@ fn main() {
     bench_synthesis(&filter);
     bench_simulator(&filter);
     bench_rsa(&filter);
+    bench_world_build(&filter);
     bench_crc32(&filter);
     bench_name_parse(&filter);
     bench_store_decode(&filter);

@@ -191,6 +191,7 @@ impl Population {
                 ((2.2 * (domain_count as f64).sqrt()).ceil() as usize).clamp(1, 10)
             };
             let mut host_indices = Vec::with_capacity(size);
+            let pool_name = Name::parse(&format!("as{asn}.mail.sim")).expect("valid");
             for slot in 0..size {
                 let idx = hosts.len();
                 let ipv4 = index_to_v4(idx);
@@ -199,7 +200,7 @@ impl Population {
                 } else {
                     None
                 };
-                let name = Name::parse(&format!("mx{slot}.as{asn}.mail.sim")).expect("valid");
+                let name = pool_name.prepend(&format!("mx{slot}")).expect("valid");
                 hosts.push(MtaHost {
                     name,
                     ipv4,
@@ -216,6 +217,8 @@ impl Population {
         let mut demand_ranks: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut demand_ranks);
 
+        // Each TLD's name, parsed the first time a domain draws it.
+        let mut tld_names: HashMap<String, Name> = HashMap::new();
         let mut domains = Vec::with_capacity(n);
         for (i, draft) in drafts.into_iter().enumerate() {
             let count = as_domain_counts[&draft.asn];
@@ -249,7 +252,13 @@ impl Population {
                 }
                 DatasetKind::NotifyEmail => 0,
             };
-            let name = Name::parse(&format!("org{i:05}.{}", draft.tld)).expect("valid");
+            let tld = match tld_names.get(&draft.tld) {
+                Some(tld) => tld,
+                None => tld_names
+                    .entry(draft.tld.clone())
+                    .or_insert(Name::parse(&draft.tld).expect("valid")),
+            };
+            let name = tld.prepend(&format!("org{i:05}")).expect("valid");
             domains.push(DomainSpec {
                 index: i,
                 name,
@@ -464,6 +473,33 @@ mod tests {
         let google = pop.domains.iter().filter(|d| d.asn == 15169).count();
         let share = google as f64 / pop.domains.len() as f64;
         assert!((0.28..0.36).contains(&share), "google share {share}");
+    }
+
+    #[test]
+    fn names_equal_the_formatted_and_parsed_reference() {
+        for kind in [DatasetKind::NotifyEmail, DatasetKind::TwoWeekMx] {
+            for seed in [1, 7, 2021, 0xdead_beef] {
+                let pop = Population::generate(&PopulationConfig {
+                    kind,
+                    scale: 0.05,
+                    seed,
+                });
+                for (i, d) in pop.domains.iter().enumerate() {
+                    let expected = Name::parse(&format!("org{i:05}.{}", d.tld)).unwrap();
+                    assert_eq!(d.name, expected, "{kind:?} seed {seed}");
+                    assert_eq!(d.name.to_string(), expected.to_string());
+                }
+                // Pools are laid out one after another, slot 0 first.
+                let mut slots: HashMap<u32, usize> = HashMap::new();
+                for h in &pop.hosts {
+                    let slot = slots.entry(h.asn).or_default();
+                    let expected = Name::parse(&format!("mx{slot}.as{}.mail.sim", h.asn)).unwrap();
+                    assert_eq!(h.name, expected, "{kind:?} seed {seed}");
+                    assert_eq!(h.name.to_string(), expected.to_string());
+                    *slot += 1;
+                }
+            }
+        }
     }
 
     #[test]

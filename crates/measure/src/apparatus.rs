@@ -9,9 +9,25 @@
 
 use crate::names::{NameScheme, ParsedName};
 use crate::policies::{synthesize_notify, synthesize_probe, SynthAddrs};
+use mailval_crypto::bigint::SplitMix64;
+use mailval_crypto::rsa::RsaKeyPair;
+use mailval_dkim::key::DkimKeyRecord;
 use mailval_dns::rr::RecordType;
 use mailval_dns::server::{Authority, AuthorityAnswer, Transport};
 use mailval_dns::Name;
+use std::sync::OnceLock;
+
+/// The apparatus's DKIM key pair for a campaign seeded `seed`: one
+/// 1024-bit key signs for every From domain, and every synthesized key
+/// record publishes it.
+pub fn apparatus_keypair(seed: u64) -> RsaKeyPair {
+    RsaKeyPair::generate(1024, &mut SplitMix64::new(seed ^ 0x444b_4559))
+}
+
+/// The `sel1._domainkey` TXT record text publishing `keypair`.
+pub fn dkim_key_record(keypair: &RsaKeyPair) -> String {
+    DkimKeyRecord::for_key(&keypair.public).to_record_text()
+}
 
 /// Attribution of one observed query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,15 +107,22 @@ impl QueryLog {
 }
 
 /// The synthesizing authoritative server for both apparatus suffixes.
+///
+/// A campaign that signs hands the authority its key record up front.
+/// Probe campaigns never sign, so their authority fills the record on
+/// the first query under the notify suffix, with the key a signing
+/// campaign at the same seed holds (see [`apparatus_keypair`]); a probe
+/// campaign that sends no such query never generates a key.
 pub struct SynthesizingAuthority {
     scheme: NameScheme,
     addrs: SynthAddrs,
-    dkim_key_record: String,
+    dkim_key_seed: u64,
+    dkim_key_record: OnceLock<String>,
     dmarc_record: String,
 }
 
 impl SynthesizingAuthority {
-    /// Create an authority.
+    /// Create an authority serving `dkim_key_record`.
     pub fn new(
         scheme: NameScheme,
         addrs: SynthAddrs,
@@ -109,9 +132,39 @@ impl SynthesizingAuthority {
         SynthesizingAuthority {
             scheme,
             addrs,
-            dkim_key_record,
+            dkim_key_seed: 0,
+            dkim_key_record: OnceLock::from(dkim_key_record),
             dmarc_record,
         }
+    }
+
+    /// Create an authority whose DKIM key record publishes
+    /// `apparatus_keypair(seed)`, generated on first use.
+    pub fn with_lazy_dkim_key(
+        scheme: NameScheme,
+        addrs: SynthAddrs,
+        seed: u64,
+        dmarc_record: String,
+    ) -> Self {
+        SynthesizingAuthority {
+            scheme,
+            addrs,
+            dkim_key_seed: seed,
+            dkim_key_record: OnceLock::new(),
+            dmarc_record,
+        }
+    }
+
+    /// The DKIM key record, generating the key on the first call.
+    fn dkim_key_record(&self) -> &str {
+        self.dkim_key_record
+            .get_or_init(|| dkim_key_record(&apparatus_keypair(self.dkim_key_seed)))
+    }
+
+    /// Whether the DKIM key record exists yet.
+    #[cfg(test)]
+    pub(crate) fn has_dkim_key_record(&self) -> bool {
+        self.dkim_key_record.get().is_some()
     }
 
     /// The name scheme in use.
@@ -184,7 +237,7 @@ impl Authority for SynthesizingAuthority {
                 &base,
                 qtype,
                 &self.addrs,
-                &self.dkim_key_record,
+                self.dkim_key_record(),
                 &self.dmarc_record,
             ),
         })

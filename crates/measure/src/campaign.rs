@@ -10,19 +10,20 @@
 //! * **TwoWeekMX** — same probing against the high-demand dataset, with
 //!   guessed recipients (§6.3).
 //!
-//! This module lays out the session blueprints (deterministically, from
-//! the config seed alone) and deals them round-robin to independent
-//! shards ([`crate::shard`]). Each shard runs one
+//! This module lays out the campaign's targets (deterministically, from
+//! the config seed alone) and deals the session ids round-robin to
+//! independent shards ([`crate::shard`]); each session is derived from
+//! its id and the targets when it is instantiated. Each shard runs one
 //! [`crate::engine::SessionEngine`] on its own thread against the one
-//! shared [`SynthesizingAuthority`]: it walks its blueprints in id
-//! order, skips the ids its journal already holds, and instantiates
-//! and runs one session at a time. The merge flattens every shard's
+//! shared [`SynthesizingAuthority`]: it walks its session ids in order,
+//! skips the ids its journal already holds, and instantiates and runs
+//! one session at a time. The merge flattens every shard's
 //! journal frames into global session order and sorts the query log by
 //! the stable `(time_ms, session)` key once — so the merged
 //! [`QueryLog`] and session records are byte-identical for every shard
 //! count.
 
-use crate::apparatus::{QueryLog, SynthesizingAuthority};
+use crate::apparatus::{apparatus_keypair, dkim_key_record, QueryLog, SynthesizingAuthority};
 use crate::codec::{self, Enc};
 use crate::engine::{
     EngineConfig, EngineOutput, LiveSession, MemoryBudget, SessionBudget, SessionEngine,
@@ -33,11 +34,9 @@ use crate::policies::SynthAddrs;
 use crate::shard::{merge_frames, shard_count, ShardStats};
 use crate::telemetry::{NullTracer, RecordingTracer, Telemetry, Tracer};
 use crate::vfs::{OsFs, SimFs, Vfs};
-use mailval_crypto::bigint::SplitMix64;
 use mailval_crypto::rsa::RsaKeyPair;
 use mailval_crypto::sha256::sha256;
 use mailval_datasets::Population;
-use mailval_dkim::key::DkimKeyRecord;
 use mailval_dkim::sign::{sign_message, SignConfig};
 use mailval_dmarc::record::DmarcRecord;
 use mailval_dns::server::ServerCore;
@@ -223,8 +222,9 @@ const CLIENT_RETRY_BACKOFF_MS: u64 = 30_000;
 /// Per-phase wall-clock accounting for one campaign run.
 ///
 /// Four phases cover a run end to end: **setup** (world construction —
-/// key generation, the synthesizing authority, session blueprints —
-/// plus journal reset, all before any shard thread exists),
+/// the synthesizing authority, the DKIM key of a campaign that signs,
+/// the campaign's targets — plus journal reset, all before any shard
+/// thread exists),
 /// **simulate** (the shard event loops, including per-shard session
 /// instantiation and DKIM signing: per-session work that parallelizes
 /// with the shard count), **merge** (the canonical re-sort of per-shard
@@ -421,6 +421,7 @@ struct WorldHost {
 /// build-and-sign runs at session instantiation on the shard threads:
 /// signing is per-session work, so it belongs to the parallel simulate
 /// phase, not the shared setup.
+#[derive(Debug, PartialEq)]
 struct MessageSpec {
     recipient_domain: Name,
     signing_domain: Name,
@@ -428,9 +429,12 @@ struct MessageSpec {
 
 /// One session, described instead of instantiated: the prototype
 /// record (carrying the global session id, the merge key, and the start
-/// time staggered by it) plus the client-side parameters. Blueprints
-/// are immutable and shard-count agnostic; every shard — and every
-/// supervised restart — instantiates live actors from the same list.
+/// time staggered by it) plus the client-side parameters. A blueprint
+/// is a pure function of the world and the session id
+/// ([`CampaignWorld::blueprint`]), derived when the session is
+/// instantiated and never stored, so every shard — and every supervised
+/// restart — derives the same one.
+#[derive(Debug, PartialEq)]
 struct SessionBlueprint {
     record: SessionRecord,
     helo_identity: String,
@@ -440,39 +444,62 @@ struct SessionBlueprint {
     pause_before_commands_ms: u64,
 }
 
+/// One campaign target: the MTA host a session connects to and the
+/// recipient domain it is about.
+struct Target {
+    host_index: usize,
+    domain_index: usize,
+    domain: Name,
+    /// Probe campaigns: the host's name under the probe suffix
+    /// ([`NameScheme::probe_host`]), which each test's From-domain
+    /// extends.
+    probe_host: Option<Name>,
+}
+
+/// The apparatus's DKIM signer, built once per world for a campaign
+/// that sends messages: the key pair and a signing configuration whose
+/// `d=` each message sets.
+struct Signer {
+    keypair: RsaKeyPair,
+    config: SignConfig,
+}
+
 /// The immutable world of one campaign, built exactly once and shared
 /// by every shard and every supervised restart (the scoped shard
 /// threads borrow it; wrap it in an [`std::sync::Arc`] to share across
 /// sequential runs, as the perf bench does when sweeping shard counts).
 ///
-/// The world owns everything result-determining and expensive: the
-/// apparatus DKIM key pair, the synthesizing authority behind the one
-/// shared [`ServerCore`], the engine configuration, per-host
-/// instantiation data, behavior profiles and the full session blueprint
-/// list. Per-shard state is reduced to what a shard genuinely owns —
-/// the one live session it is running, and its journal. Nothing here is
-/// cloned per shard, and a restarted shard re-instantiates its sessions
-/// from these blueprints instead of re-deriving the campaign from
-/// scratch.
+/// The world owns everything result-determining: the synthesizing
+/// authority behind the one shared [`ServerCore`], the engine
+/// configuration, per-host instantiation data, behavior profiles, the
+/// DKIM signer of a campaign that sends messages, and the campaign's
+/// targets in campaign order. It holds no per-session state: session
+/// `i` is derived from its id ([`CampaignWorld::blueprint`]) — a
+/// NotifyEmail session is target `i`, a probe session is target
+/// `i / tests` under test `i % tests` — so the world is as large as the
+/// population, not the campaign. Per-shard state is reduced to what a
+/// shard genuinely owns — the one live session it is running, and its
+/// journal.
 pub struct CampaignWorld {
     config: CampaignConfig,
     server: ServerCore<SynthesizingAuthority>,
     engine: EngineConfig,
-    keypair: RsaKeyPair,
+    signer: Option<Signer>,
     hosts: Vec<WorldHost>,
     profiles: Vec<MtaProfile>,
-    blueprints: Vec<SessionBlueprint>,
+    targets: Vec<Target>,
     blacklisted: bool,
     guessed: bool,
     build_s: f64,
 }
 
 impl CampaignWorld {
-    /// Build the world for `(config, pop, profiles)`: generate the DKIM
-    /// key pair, stand up the synthesizing authority, precompute host
-    /// strings and lay out every session blueprint in deterministic
-    /// campaign order. This is the entire setup phase of a campaign;
-    /// everything after it is per-shard and parallel.
+    /// Build the world for `(config, pop, profiles)`: stand up the
+    /// synthesizing authority, generate the DKIM key pair if the
+    /// campaign sends messages, precompute host strings and lay out the
+    /// campaign's targets in deterministic campaign order. This is the
+    /// entire setup phase of a campaign; everything after it is
+    /// per-shard and parallel.
     pub fn build(
         config: &CampaignConfig,
         pop: &Population,
@@ -482,15 +509,38 @@ impl CampaignWorld {
         let start = std::time::Instant::now();
         let scheme = NameScheme::default();
         let addrs = SynthAddrs::default();
+        let targets = campaign_targets(config, pop, &scheme);
 
-        // The apparatus's DKIM key pair (one key for all From domains;
-        // the synthesized key records all carry it).
-        let mut keyrng = SplitMix64::new(config.seed ^ 0x444b_4559);
-        let keypair = RsaKeyPair::generate(1024, &mut keyrng);
-        let dkim_record = DkimKeyRecord::for_key(&keypair.public).to_record_text();
+        // Only NotifyEmail signs, so only it needs the apparatus key
+        // pair now; a probe campaign's authority generates the same key
+        // if a query for its record ever arrives.
         let dmarc_record = DmarcRecord::strict_reject("dmarc-reports@dns-lab.org").to_record_text();
-        let authority =
-            SynthesizingAuthority::new(scheme.clone(), addrs.clone(), dkim_record, dmarc_record);
+        let (authority, signer) = if config.kind == CampaignKind::NotifyEmail {
+            let keypair = apparatus_keypair(config.seed);
+            let sign = SignConfig::new(
+                scheme.notify_suffix.clone(),
+                Name::parse("sel1").expect("valid"),
+            );
+            let authority = SynthesizingAuthority::new(
+                scheme,
+                addrs.clone(),
+                dkim_key_record(&keypair),
+                dmarc_record,
+            );
+            let signer = Signer {
+                keypair,
+                config: sign,
+            };
+            (authority, Some(signer))
+        } else {
+            let authority = SynthesizingAuthority::with_lazy_dkim_key(
+                scheme,
+                addrs.clone(),
+                config.seed,
+                dmarc_record,
+            );
+            (authority, None)
+        };
         let server = ServerCore::new(authority);
 
         let client_ip: IpAddr = IpAddr::V4(addrs.sender_v4);
@@ -514,7 +564,6 @@ impl CampaignWorld {
                 ipv4: h.ipv4,
             })
             .collect();
-        let blueprints = build_blueprints(config, pop, &scheme);
 
         CampaignWorld {
             blacklisted: config.kind == CampaignKind::NotifyMx,
@@ -522,17 +571,25 @@ impl CampaignWorld {
             config: config.clone(),
             server,
             engine,
-            keypair,
+            signer,
             hosts,
             profiles: profiles.to_vec(),
-            blueprints,
+            targets,
             build_s: start.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// Sessions per target: one delivery, or one probe per test.
+    fn sessions_per_target(&self) -> usize {
+        match self.config.kind {
+            CampaignKind::NotifyEmail => 1,
+            CampaignKind::NotifyMx | CampaignKind::TwoWeekMx => self.config.tests.len(),
         }
     }
 
     /// Sessions this campaign will run.
     pub fn session_count(&self) -> usize {
-        self.blueprints.len()
+        self.targets.len() * self.sessions_per_target()
     }
 
     /// Wall seconds spent in [`CampaignWorld::build`].
@@ -550,41 +607,113 @@ impl CampaignWorld {
     /// one at a time, through the same path; this batch form exists to
     /// time instantiation on its own.
     pub fn shard_sessions(&self, k: usize, nshards: usize) -> Vec<LiveSession> {
-        self.shard_blueprints(k, nshards)
-            .map(|b| self.instantiate(b))
-            .collect()
+        self.instantiate_all(self.shard_ids(k, nshards)).collect()
     }
 
-    /// Shard `k` of `nshards`'s blueprints in id order: the round-robin
-    /// assignment `session_id % nshards == k` (blueprint `i` has id
-    /// `i`), a pure function of `(world, k, nshards)`, so a first
-    /// attempt and a supervised restart walk the identical list.
-    fn shard_blueprints(
-        &self,
-        k: usize,
-        nshards: usize,
-    ) -> impl Iterator<Item = &SessionBlueprint> {
-        self.blueprints.iter().skip(k).step_by(nshards)
+    /// Shard `k` of `nshards`'s session ids in order: the round-robin
+    /// assignment `session_id % nshards == k`, a pure function of
+    /// `(world, k, nshards)`, so a first attempt and a supervised
+    /// restart walk the identical list.
+    fn shard_ids(&self, k: usize, nshards: usize) -> impl Iterator<Item = usize> {
+        (k..self.session_count()).step_by(nshards)
     }
 
-    /// Build a blueprint's live actors. Runs on the shard's own thread;
-    /// NotifyEmail message signing happens here, in parallel.
-    fn instantiate(&self, bp: &SessionBlueprint) -> LiveSession {
+    /// Derive session `id`'s blueprint from the targets. A probe's
+    /// From-domain is built once and serves both the HELO identity and
+    /// MAIL FROM.
+    fn blueprint(&self, id: usize) -> SessionBlueprint {
+        let per_target = self.sessions_per_target();
+        let target = &self.targets[id / per_target];
+        let record = |testid| SessionRecord {
+            session_id: id,
+            host_index: target.host_index,
+            domain_index: target.domain_index,
+            testid,
+            start_ms: stagger_ms(id),
+            outcome: None,
+            delivery_time_ms: None,
+            closed_by_server: false,
+            error: None,
+            termination: crate::engine::SessionOutcome::Completed,
+        };
+        let operator = || vec![EmailAddress::new("operator", target.domain.clone())];
+        match self.config.kind {
+            CampaignKind::NotifyEmail => {
+                let scheme = self.server.authority().scheme();
+                let from_domain = scheme.notify_domain(target.domain_index);
+                SessionBlueprint {
+                    record: record(None),
+                    helo_identity: "notify.dns-lab.org".into(),
+                    mail_from: NameScheme::sender_at(from_domain.clone()),
+                    rcpt_candidates: operator(),
+                    message: Some(MessageSpec {
+                        recipient_domain: target.domain.clone(),
+                        signing_domain: from_domain,
+                    }),
+                    pause_before_commands_ms: 0,
+                }
+            }
+            CampaignKind::NotifyMx | CampaignKind::TwoWeekMx => {
+                let testid = self.config.tests[id % per_target];
+                let probe_host = target
+                    .probe_host
+                    .as_ref()
+                    .expect("probe targets name their host");
+                let probe_domain = NameScheme::probe_domain_under(probe_host, testid);
+                // TwoWeekMX must guess usernames (§4.4, §6.3); NotifyMX
+                // reuses the known-valid notification recipients.
+                let rcpt_candidates = if self.guessed {
+                    probe_usernames()
+                        .iter()
+                        .map(|u| EmailAddress::new(u, target.domain.clone()))
+                        .collect()
+                } else {
+                    operator()
+                };
+                SessionBlueprint {
+                    record: record(Some(testid)),
+                    helo_identity: NameScheme::helo_under(&probe_domain),
+                    mail_from: NameScheme::sender_at(probe_domain),
+                    rcpt_candidates,
+                    message: None,
+                    pause_before_commands_ms: self.config.probe_pause_ms,
+                }
+            }
+        }
+    }
+
+    /// Instantiate the sessions `ids`, in order. The world's signing
+    /// configuration is copied once for the whole walk.
+    fn instantiate_all<'a>(
+        &'a self,
+        ids: impl Iterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = LiveSession> + 'a {
+        let mut sign = self.signer.as_ref().map(|s| s.config.clone());
+        ids.map(move |id| self.instantiate(id, sign.as_mut()))
+    }
+
+    /// Build session `id`'s live actors. Runs on the shard's own
+    /// thread; NotifyEmail message signing happens here, in parallel,
+    /// with `sign` (a copy of the world's signing configuration)
+    /// re-pointed at each message's domain.
+    fn instantiate(&self, id: usize, sign: Option<&mut SignConfig>) -> LiveSession {
+        let bp = self.blueprint(id);
         let host = &self.hosts[bp.record.host_index];
         let profile = self.profiles[bp.record.host_index].clone();
         let hostile_dns = profile.hostile_dns;
-        let message = bp.message.as_ref().map(|spec| {
-            build_notification(
-                &bp.mail_from,
-                &spec.recipient_domain,
-                &self.keypair,
-                &spec.signing_domain,
-            )
+        let message = bp.message.map(|spec| {
+            let (signer, sign) = self
+                .signer
+                .as_ref()
+                .zip(sign)
+                .expect("only a signing world's sessions carry a message");
+            sign.domain = spec.signing_domain;
+            build_notification(&bp.mail_from, &spec.recipient_domain, &signer.keypair, sign)
         });
         let client = ClientSession::new(ClientConfig {
-            helo_identity: bp.helo_identity.clone(),
-            mail_from: Some(bp.mail_from.clone()),
-            rcpt_candidates: bp.rcpt_candidates.clone(),
+            helo_identity: bp.helo_identity,
+            mail_from: Some(bp.mail_from),
+            rcpt_candidates: bp.rcpt_candidates,
             message,
             pause_before_commands_ms: bp.pause_before_commands_ms,
             max_session_retries: CLIENT_RETRY_BUDGET,
@@ -604,13 +733,7 @@ impl CampaignWorld {
                 recipients_guessed: self.guessed,
             },
         );
-        let mut session = LiveSession::new(
-            bp.record.clone(),
-            client,
-            mta,
-            resolver,
-            IpAddr::V4(host.ipv4),
-        );
+        let mut session = LiveSession::new(bp.record, client, mta, resolver, IpAddr::V4(host.ipv4));
         session.set_hostile_dns(hostile_dns);
         session
     }
@@ -668,10 +791,10 @@ impl CampaignWorld {
             None => {}
         }
         let journaled = replay.completed_ids();
-        let sessions = self
-            .shard_blueprints(k, nshards)
-            .filter(|b| !journaled.contains(&b.record.session_id))
-            .map(|b| self.instantiate(b));
+        let pending = self
+            .shard_ids(k, nshards)
+            .filter(move |id| !journaled.contains(id));
+        let sessions = self.instantiate_all(pending);
         let mut output = engine.run(replay.frames, sessions);
         output.stats.durability_lost |= durability_lost;
         output
@@ -685,7 +808,7 @@ impl CampaignWorld {
     /// for every value, which the golden determinism test pins).
     pub fn run(&self, exec: &CampaignConfig) -> CampaignResult {
         let run_start = std::time::Instant::now();
-        let nshards = shard_count(self.blueprints.len(), exec.shards);
+        let nshards = shard_count(self.session_count(), exec.shards);
 
         // The storage layer every journal touch goes through: the
         // passthrough unless an IO fault plan is active.
@@ -825,7 +948,7 @@ impl CampaignWorld {
         let simulate_s = sim_start.elapsed().as_secs_f64();
 
         let merge_start = std::time::Instant::now();
-        let mut frames = Vec::with_capacity(self.blueprints.len());
+        let mut frames = Vec::with_capacity(self.session_count());
         let mut shard_stats = Vec::with_capacity(nshards);
         let mut telemetries = Vec::new();
         let mut events = 0;
@@ -975,10 +1098,50 @@ pub fn run_campaign_stored(
     (result, status)
 }
 
-/// Lay out the full session list in deterministic campaign order and
-/// assign global session ids (`0..n`, the merge key) and start times.
-/// Blueprints carry everything a shard needs to instantiate a session;
-/// nothing here touches profiles, actors or signing.
+/// Lay out the campaign's targets in deterministic campaign order.
+/// NotifyEmail delivers to each domain's first MX host, in domain order
+/// (domains without one are skipped). The probe campaigns probe each
+/// unique used host once per test (§5.2: each MTA is analyzed once even
+/// when several domains designate it), naming the first domain that
+/// lists it, in a seeded shuffle of `(host, domain)` order; NotifyMX
+/// leaves out domains whose MX re-resolution failed.
+fn campaign_targets(config: &CampaignConfig, pop: &Population, scheme: &NameScheme) -> Vec<Target> {
+    let target = |host_index, domain_index: usize| Target {
+        host_index,
+        domain_index,
+        domain: pop.domains[domain_index].name.clone(),
+        probe_host: (config.kind != CampaignKind::NotifyEmail)
+            .then(|| scheme.probe_host(host_index)),
+    };
+    match config.kind {
+        CampaignKind::NotifyEmail => pop
+            .domains
+            .iter()
+            .filter_map(|d| Some(target(*d.host_indices.first()?, d.index)))
+            .collect(),
+        CampaignKind::NotifyMx | CampaignKind::TwoWeekMx => {
+            let mut host_domain: HashMap<usize, usize> = HashMap::new();
+            for d in &pop.domains {
+                if config.kind == CampaignKind::NotifyMx && d.mx_reresolution_failed {
+                    continue;
+                }
+                for &h in &d.host_indices {
+                    host_domain.entry(h).or_insert(d.index);
+                }
+            }
+            let mut hosts: Vec<(usize, usize)> = host_domain.into_iter().collect();
+            hosts.sort_unstable();
+            // §5.2: shuffle the probing order.
+            SimRng::new(config.seed).shuffle(&mut hosts);
+            hosts.into_iter().map(|(h, d)| target(h, d)).collect()
+        }
+    }
+}
+
+/// The full session list as the world stored it before sessions were
+/// derived from their ids: the reference every derived blueprint must
+/// equal.
+#[cfg(test)]
 fn build_blueprints(
     config: &CampaignConfig,
     pop: &Population,
@@ -1085,7 +1248,7 @@ fn build_notification(
     from: &EmailAddress,
     recipient_domain: &Name,
     keypair: &RsaKeyPair,
-    signing_domain: &Name,
+    sign: &SignConfig,
 ) -> Vec<u8> {
     let mut m = MailMessage::new();
     m.add_header("From", &format!("Network Notifier <{from}>"));
@@ -1109,8 +1272,7 @@ fn build_notification(
          \n\
          To opt out of future notifications, reply to this message.\n",
     );
-    let config = SignConfig::new(signing_domain.clone(), Name::parse("sel1").expect("valid"));
-    let value = sign_message(&m, &config, &keypair.private).expect("signable");
+    let value = sign_message(&m, sign, &keypair.private).expect("signable");
     m.prepend_header("DKIM-Signature", &value);
     m.to_bytes()
 }
@@ -1223,6 +1385,143 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, (0..world.session_count()).collect::<Vec<_>>());
+    }
+
+    /// The three campaign kinds over populations that exercise every
+    /// layout branch: NotifyMX's population has domains whose MX
+    /// re-resolution failed.
+    fn layout_fixtures() -> Vec<(CampaignConfig, Population)> {
+        let notify = Population::generate(&PopulationConfig {
+            kind: DatasetKind::NotifyEmail,
+            scale: 0.02,
+            seed: 41,
+        });
+        assert!(notify.domains.iter().any(|d| d.mx_reresolution_failed));
+        vec![
+            (
+                test_config(CampaignKind::NotifyEmail, vec![], 41),
+                notify.clone(),
+            ),
+            (
+                test_config(CampaignKind::NotifyMx, vec!["t01", "t07"], 41),
+                notify,
+            ),
+            (
+                test_config(CampaignKind::TwoWeekMx, vec!["t01", "t05", "t12"], 43),
+                tiny_pop(DatasetKind::TwoWeekMx, 43),
+            ),
+        ]
+    }
+
+    #[test]
+    fn derived_sessions_equal_the_stored_blueprints() {
+        for (mut config, pop) in layout_fixtures() {
+            config.probe_pause_ms = 15_000;
+            let profiles = sample_host_profiles(&pop, 7);
+            let world = CampaignWorld::build(&config, &pop, &profiles);
+            let reference = build_blueprints(&config, &pop, &NameScheme::default());
+            let n = world.session_count();
+            assert_eq!(n, reference.len(), "{:?}", config.kind);
+            for nshards in [1, 2, 3, 8, n] {
+                let mut seen = Vec::with_capacity(n);
+                for k in 0..nshards {
+                    for id in world.shard_ids(k, nshards) {
+                        assert_eq!(
+                            world.blueprint(id),
+                            reference[id],
+                            "{:?} session {id} at {nshards} shards",
+                            config.kind
+                        );
+                        seen.push(id);
+                    }
+                }
+                seen.sort_unstable();
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{nshards} shards");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_sign_config_signs_like_a_fresh_one() {
+        let (config, pop) = layout_fixtures().remove(0);
+        let profiles = sample_host_profiles(&pop, 7);
+        let world = CampaignWorld::build(&config, &pop, &profiles);
+        let signer = world.signer.as_ref().expect("NotifyEmail signs");
+        let mut sign = signer.config.clone();
+        for id in 0..3 {
+            let bp = world.blueprint(id);
+            let spec = bp.message.expect("a delivery carries a message");
+            let fresh = SignConfig::new(
+                spec.signing_domain.clone(),
+                Name::parse("sel1").expect("valid"),
+            );
+            sign.domain = spec.signing_domain;
+            assert_eq!(
+                build_notification(
+                    &bp.mail_from,
+                    &spec.recipient_domain,
+                    &signer.keypair,
+                    &sign
+                ),
+                build_notification(
+                    &bp.mail_from,
+                    &spec.recipient_domain,
+                    &signer.keypair,
+                    &fresh
+                ),
+            );
+        }
+    }
+
+    #[test]
+    fn probe_worlds_never_generate_the_key() {
+        for (config, pop) in layout_fixtures() {
+            let profiles = sample_host_profiles(&pop, 7);
+            let world = CampaignWorld::build(&config, &pop, &profiles);
+            let signs = config.kind == CampaignKind::NotifyEmail;
+            assert_eq!(world.signer.is_some(), signs, "{:?}", config.kind);
+            let result = world.run(&config);
+            assert!(!result.sessions.is_empty());
+            assert_eq!(
+                world.server.authority().has_dkim_key_record(),
+                signs,
+                "{:?}",
+                config.kind
+            );
+        }
+    }
+
+    #[test]
+    fn lazily_served_dkim_key_equals_the_signing_worlds() {
+        use mailval_dns::message::Message;
+        use mailval_dns::rr::RecordType;
+        use mailval_dns::server::Transport;
+
+        let seed = 2021;
+        let pop = tiny_pop(DatasetKind::NotifyEmail, 5);
+        let profiles = sample_host_profiles(&pop, 5);
+        let qname = Name::parse("sel1._domainkey.d00001.dsav-mail.dns-lab.org").expect("valid");
+        let query = Message::query(9, qname, RecordType::Txt).to_bytes();
+        let answer = |kind, tests| {
+            let config = test_config(kind, tests, seed);
+            let world = CampaignWorld::build(&config, &pop, &profiles);
+            let reply = world
+                .server
+                .handle(&query, Transport::Udp, false)
+                .expect("the notify suffix is in bailiwick");
+            assert!(world.server.authority().has_dkim_key_record());
+            reply.bytes
+        };
+        let signing = answer(CampaignKind::NotifyEmail, vec![]);
+        let text = Message::from_bytes(&signing)
+            .expect("a valid reply")
+            .answers[0]
+            .rdata
+            .txt_joined()
+            .expect("a TXT answer");
+        assert!(text.starts_with("v=DKIM1"), "{text}");
+        assert_eq!(answer(CampaignKind::TwoWeekMx, vec!["t01"]), signing);
+        assert_eq!(answer(CampaignKind::NotifyMx, vec!["t01"]), signing);
     }
 
     #[test]

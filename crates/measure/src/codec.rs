@@ -156,8 +156,13 @@ impl Enc {
     }
 
     pub(crate) fn str(&mut self, s: &str) {
-        (s.len() as u32).put(self);
-        self.0.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// Length-prefixed bytes, as a `&str` of the same bytes encodes.
+    pub(crate) fn bytes(&mut self, b: &[u8]) {
+        (b.len() as u32).put(self);
+        self.0.extend_from_slice(b);
     }
 
     /// A length-prefixed sequence, as a `Vec<T>` encodes.
@@ -506,8 +511,9 @@ impl Codec for Transcript {
             phase.put(enc);
             code.put(enc);
             (lines.len() as u32).put(enc);
-            for line in lines {
-                enc.str(line);
+            // The lines were checked as text when they were pushed.
+            for line in lines.raw() {
+                enc.bytes(line);
             }
         }
     }

@@ -31,6 +31,9 @@ impl Default for NameScheme {
     }
 }
 
+/// The label a probe's HELO identity adds to its From-domain.
+const HELO_LABEL: &str = "h";
+
 /// Parsed identity of a query name under one of the apparatus suffixes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedName {
@@ -54,18 +57,35 @@ impl NameScheme {
         format!("d{domain_index:05}")
     }
 
+    /// The name under the probe suffix that identifies `host_index`,
+    /// `{mtaid}.{probe_suffix}`; every probe of the host extends it.
+    pub fn probe_host(&self, host_index: usize) -> Name {
+        self.probe_suffix
+            .prepend(&self.mtaid(host_index))
+            .expect("labels fit")
+    }
+
     /// Base (L0) From-domain for a probe against `host_index` under test
     /// `testid`.
     pub fn probe_domain(&self, testid: &str, host_index: usize) -> Name {
-        self.probe_suffix
-            .prepend(&self.mtaid(host_index))
-            .and_then(|n| n.prepend(testid))
-            .expect("labels fit")
+        Self::probe_domain_under(&self.probe_host(host_index), testid)
+    }
+
+    /// Base (L0) From-domain for a probe under test `testid` against the
+    /// host named by `probe_host` ([`NameScheme::probe_host`]).
+    pub fn probe_domain_under(probe_host: &Name, testid: &str) -> Name {
+        probe_host.prepend(testid).expect("labels fit")
     }
 
     /// Probe From address (§4.4).
     pub fn probe_from(&self, testid: &str, host_index: usize) -> EmailAddress {
-        EmailAddress::new("spf-test", self.probe_domain(testid, host_index))
+        Self::sender_at(self.probe_domain(testid, host_index))
+    }
+
+    /// The apparatus's sender address at a From-domain:
+    /// `spf-test@{domain}`.
+    pub fn sender_at(domain: Name) -> EmailAddress {
+        EmailAddress::new("spf-test", domain)
     }
 
     /// Base From-domain for the notification email to domain
@@ -78,15 +98,25 @@ impl NameScheme {
 
     /// Notification From address.
     pub fn notify_from(&self, domain_index: usize) -> EmailAddress {
-        EmailAddress::new("spf-test", self.notify_domain(domain_index))
+        Self::sender_at(self.notify_domain(domain_index))
     }
 
     /// HELO identity used by the probe client for `testid`/`host_index`
     /// (the HELO-check test policy publishes a policy at this name).
     pub fn probe_helo(&self, testid: &str, host_index: usize) -> Name {
-        self.probe_domain(testid, host_index)
-            .prepend("h")
-            .expect("labels fit")
+        Self::follow_up(&self.probe_domain(testid, host_index), HELO_LABEL)
+    }
+
+    /// The text of the HELO identity under a probe From-domain,
+    /// `h.{probe_domain}`: [`NameScheme::probe_helo`] as the client
+    /// sends it.
+    pub fn helo_under(probe_domain: &Name) -> String {
+        let domain = probe_domain.as_str();
+        let mut helo = String::with_capacity(HELO_LABEL.len() + 1 + domain.len());
+        helo.push_str(HELO_LABEL);
+        helo.push('.');
+        helo.push_str(domain);
+        helo
     }
 
     /// A follow-up name under a base domain: `{label}.{base}`.
@@ -229,6 +259,9 @@ mod tests {
         let s = scheme();
         let helo = s.probe_helo("t03", 9);
         assert_eq!(helo.to_string(), "h.t03.m00009.spf-test.dns-lab.org");
+        let domain = NameScheme::probe_domain_under(&s.probe_host(9), "t03");
+        assert_eq!(domain, s.probe_domain("t03", 9));
+        assert_eq!(NameScheme::helo_under(&domain), helo.to_string());
         let parsed = s.parse(&helo).unwrap();
         assert_eq!(parsed.path, vec!["h"]);
     }

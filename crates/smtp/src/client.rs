@@ -238,32 +238,60 @@ impl<'a> Iterator for Replies<'a> {
             body = split_line(body).1;
         }
         self.rest = body;
-        let lines = Lines {
+        let lines = Lines(RawLines {
             rest: &lines_start[..lines_start.len() - body.len()],
             left: count as usize,
-        };
+        });
         Some((phase, code, lines))
     }
 }
 
 /// Iterator over one transcript reply's lines.
 #[derive(Clone)]
-pub struct Lines<'a> {
-    rest: &'a [u8],
-    left: usize,
+pub struct Lines<'a>(RawLines<'a>);
+
+impl<'a> Lines<'a> {
+    /// The same lines as the bytes they were pushed as, without
+    /// re-checking that they are UTF-8 (every line was pushed as a
+    /// `&str`), for callers that only copy them.
+    pub fn raw(self) -> RawLines<'a> {
+        self.0
+    }
 }
 
 impl<'a> Iterator for Lines<'a> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
+        let line = self.0.next()?;
+        Some(std::str::from_utf8(line).expect("transcript lines are pushed as text"))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Lines<'_> {}
+
+/// Iterator over one transcript reply's lines as their UTF-8 bytes.
+#[derive(Clone)]
+pub struct RawLines<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> Iterator for RawLines<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
         if self.left == 0 {
             return None;
         }
         self.left -= 1;
         let (line, rest) = split_line(self.rest);
         self.rest = rest;
-        Some(std::str::from_utf8(line).expect("transcript lines are pushed as text"))
+        Some(line)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -271,7 +299,7 @@ impl<'a> Iterator for Lines<'a> {
     }
 }
 
-impl ExactSizeIterator for Lines<'_> {}
+impl ExactSizeIterator for RawLines<'_> {}
 
 impl fmt::Debug for Lines<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -862,5 +890,23 @@ mod tests {
             ]
         );
         assert!(Transcript::new().is_empty() && Transcript::new().iter().next().is_none());
+    }
+
+    #[test]
+    fn raw_lines_are_the_text_lines_bytes() {
+        let mut t = Transcript::new();
+        t.push(Phase::Greeting, &Reply::greeting("mx"));
+        let ehlo = Reply::multiline(
+            250,
+            vec!["mx".into(), String::new(), "\u{e9}t\u{e9}".into()],
+        );
+        t.push(Phase::Helo, &ehlo);
+        t.try_push::<()>(Phase::Quit, 221, []).unwrap();
+        for (_, _, lines) in t.iter() {
+            let raw = lines.clone().raw();
+            assert_eq!(raw.len(), lines.len());
+            let text: Vec<&[u8]> = lines.map(str::as_bytes).collect();
+            assert_eq!(raw.collect::<Vec<_>>(), text);
+        }
     }
 }
