@@ -170,13 +170,13 @@ fn bench_synthesis(filter: &Filter) {
     let addrs = SynthAddrs::default();
     let base = scheme.probe_domain("t02", 42);
     let qname = n("c.a.s3.t02.m00042.spf-test.dns-lab.org");
-    let path: Vec<String> = vec!["c".into(), "a".into(), "s3".into()];
+    let path = ["c", "a", "s3"];
     filter.bench("policy_synthesis", || {
         synthesize_probe(
             black_box("t02"),
             black_box(&path),
             &qname,
-            &base,
+            base.as_str(),
             RecordType::Txt,
             &addrs,
         )

@@ -719,11 +719,7 @@ impl CampaignWorld {
             max_session_retries: CLIENT_RETRY_BUDGET,
             retry_backoff_ms: CLIENT_RETRY_BACKOFF_MS,
         });
-        let resolver = ResolverActor::new(
-            profile.resolver.clone(),
-            profile.ipv6_capable,
-            Some("v6only".to_string()),
-        );
+        let resolver = ResolverActor::new(profile.resolver.clone(), profile.ipv6_capable);
         let mta = MtaActor::new(
             &host.name,
             profile,
@@ -1328,7 +1324,7 @@ mod tests {
             .records
             .iter()
             .filter_map(|r| {
-                let attr = r.attribution.as_ref()?;
+                let attr = r.attribution()?;
                 attr.path.is_empty().then_some(attr.domain_index?)
             })
             .collect();
@@ -1356,13 +1352,13 @@ mod tests {
         }
         // Queries attribute to the configured tests only.
         for r in &result.log.records {
-            if let Some(attr) = &r.attribution {
-                let t = attr.testid.as_deref().unwrap();
+            if let Some(attr) = r.attribution() {
+                let t = attr.testid.unwrap();
                 assert!(t == "t01" || t == "t12", "unexpected test {t}");
             }
         }
         // Some MTAs validated (the population validates at a floor rate).
-        assert!(result.log.records.iter().any(|r| r.attribution.is_some()));
+        assert!(result.log.attributed().next().is_some());
     }
 
     #[test]

@@ -599,8 +599,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 let handled = self
                     .server
                     .handle_with(&bytes, transport, via_ipv6, &mut reply);
-                // Log the decoded question with attribution (§4.5).
-                // Buffered on the session so a completed session
+                // Log the decoded question; its name attributes it
+                // (§4.5). Buffered on the session so a completed session
                 // journals as one self-contained frame; the campaign
                 // merge sorts every frame's queries into canonical
                 // order once.
@@ -608,7 +608,6 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     s.queries.push(QueryRecord {
                         time_ms: s.queue.now_ms(),
                         session: s.record.session_id,
-                        attribution: self.server.authority().attribute(&q.name),
                         qname: q.name,
                         qtype: q.rtype,
                         transport,

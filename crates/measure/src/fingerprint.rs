@@ -12,7 +12,7 @@ use mailval_dns::server::Transport;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The behavior feature vector of one MTA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BehaviorVector {
     /// §7.1: parallel lookups (t01).
     pub parallel: Option<bool>,
@@ -47,22 +47,6 @@ pub struct FingerprintClass {
 
 /// Extract behavior vectors from a probe campaign's log.
 pub fn behavior_vectors(log: &QueryLog) -> HashMap<usize, BehaviorVector> {
-    let mut vectors: HashMap<usize, BehaviorVector> = HashMap::new();
-    let ensure = |h: usize, vectors: &mut HashMap<usize, BehaviorVector>| {
-        vectors.entry(h).or_insert(BehaviorVector {
-            parallel: None,
-            limit_bucket: None,
-            helo_check: None,
-            syntax_lenient: None,
-            child_lenient: None,
-            void_bucket: None,
-            mx_fallback: None,
-            multi_follow: None,
-            tcp: None,
-            ipv6: None,
-        });
-    };
-
     // Collect per-test intermediate state.
     #[derive(Default)]
     struct Scratch {
@@ -89,13 +73,12 @@ pub fn behavior_vectors(log: &QueryLog) -> HashMap<usize, BehaviorVector> {
     }
     let mut scratch: HashMap<usize, Scratch> = HashMap::new();
 
-    for r in &log.records {
-        let Some(attr) = &r.attribution else { continue };
-        let (Some(testid), Some(h)) = (attr.testid.as_deref(), attr.host_index) else {
+    for (r, attr) in log.attributed() {
+        let (Some(testid), Some(h)) = (attr.testid, attr.host_index) else {
             continue;
         };
         let s = scratch.entry(h).or_default();
-        let p0 = attr.path.first().map(|x| x.as_str());
+        let p0 = attr.path.first();
         let base = attr.path.is_empty() && r.qtype == RecordType::Txt;
         match testid {
             "t01" => match p0 {
@@ -110,7 +93,7 @@ pub fn behavior_vectors(log: &QueryLog) -> HashMap<usize, BehaviorVector> {
             "t02" => {
                 if base {
                     s.t02_seen = true;
-                } else if !(attr.path.len() == 1 && attr.path[0] == "h") {
+                } else if attr.path.as_str() != "h" {
                     s.t02_count += 1;
                 }
             }
@@ -181,9 +164,9 @@ pub fn behavior_vectors(log: &QueryLog) -> HashMap<usize, BehaviorVector> {
         }
     }
 
+    let mut vectors: HashMap<usize, BehaviorVector> = HashMap::new();
     for (h, s) in scratch {
-        ensure(h, &mut vectors);
-        let v = vectors.get_mut(&h).expect("just inserted");
+        let v = vectors.entry(h).or_default();
         if let (Some(foo_ms), Some(l3)) = (s.t01_foo, s.t01_l3) {
             v.parallel = Some(foo_ms < l3);
         }

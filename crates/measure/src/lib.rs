@@ -79,7 +79,7 @@ pub mod store;
 pub mod telemetry;
 pub mod vfs;
 
-pub use apparatus::{Attribution, QueryLog, QueryRecord, SynthesizingAuthority};
+pub use apparatus::{QueryLog, QueryRecord, SynthesizingAuthority};
 pub use campaign::{
     drift_profiles, run_campaign, run_campaign_stored, sample_host_profiles, CampaignConfig,
     CampaignKind, CampaignResult, SupervisorConfig,

@@ -11,6 +11,7 @@
 use mailval_dns::rr::{RData, RecordType};
 use mailval_dns::server::AuthorityAnswer;
 use mailval_dns::{Name, Record};
+use mailval_mta::V6_ONLY_LABEL;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Identifiers and descriptions of all 39 test policies.
@@ -278,23 +279,22 @@ fn aaaa_record(name: &Name, addr: Ipv6Addr) -> AuthorityAnswer {
 /// * `path` — labels left of `tNN.mNNNNN`, leftmost first (empty for
 ///   the base L0 name).
 /// * `qname` — the full queried name (used as the owner of records).
-/// * `base` — the L0 name `tNN.mNNNNN.<suffix>` (targets of follow-up
+/// * `base` — the L0 name's text, `tNN.mNNNNN.<suffix>` (targets of follow-up
 ///   mechanisms are spelled relative to it).
 pub fn synthesize_probe(
     testid: &str,
-    path: &[String],
+    path: &[&str],
     qname: &Name,
-    base: &Name,
+    base: &str,
     qtype: RecordType,
     addrs: &SynthAddrs,
 ) -> AuthorityAnswer {
     let is_base = path.is_empty();
     let want_txt = qtype == RecordType::Txt;
-    let path_strs: Vec<&str> = path.iter().map(|s| s.as_str()).collect();
 
     // The HELO identity `h.<base>` only has a policy for t03; everywhere
     // else it does not exist.
-    if path_strs == ["h"] {
+    if path == ["h"] {
         return if testid == "t03" && want_txt {
             txt(qname, "v=spf1 -all")
         } else {
@@ -304,7 +304,7 @@ pub fn synthesize_probe(
 
     match testid {
         // --- Fig. 3: serial vs parallel -------------------------------
-        "t01" => match (path_strs.as_slice(), qtype) {
+        "t01" => match (path, qtype) {
             ([], RecordType::Txt) => txt(
                 qname,
                 &format!("v=spf1 include:l1.{base} a:foo.{base} -all"),
@@ -336,13 +336,12 @@ pub fn synthesize_probe(
                 );
             }
             let delayed = |answer: AuthorityAnswer| answer.with_delay_ms(800);
-            if let (Some("x46"), RecordType::A | RecordType::Aaaa) =
-                (path_strs.first().copied(), qtype)
+            if let (Some("x46"), RecordType::A | RecordType::Aaaa) = (path.first().copied(), qtype)
             {
                 return delayed(a_record(qname, addrs.unrelated));
             }
             // Subtree nodes: path is [node, ..., subtree-root].
-            let node = path_strs.first().copied().unwrap_or("");
+            let node = path.first().copied().unwrap_or("");
             match (node, qtype) {
                 (s, RecordType::Txt) if s.starts_with('s') && path.len() == 1 => delayed(txt(
                     qname,
@@ -373,14 +372,14 @@ pub fn synthesize_probe(
                 AuthorityAnswer::nxdomain()
             }
         }
-        "t04" => match (path_strs.as_slice(), qtype) {
+        "t04" => match (path, qtype) {
             ([], RecordType::Txt) => {
                 txt(qname, &format!("v=spf1 ipv4:192.0.2.1 a:after.{base} -all"))
             }
             (["after"], RecordType::A | RecordType::Aaaa) => a_record(qname, addrs.unrelated),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t05" => match (path_strs.as_slice(), qtype) {
+        "t05" => match (path, qtype) {
             ([], RecordType::Txt) => txt(
                 qname,
                 &format!("v=spf1 include:child.{base} a:after.{base} -all"),
@@ -424,7 +423,7 @@ pub fn synthesize_probe(
                     ),
                 ])
             } else {
-                match (path_strs.as_slice(), qtype) {
+                match (path, qtype) {
                     (["one"] | ["two"], RecordType::A | RecordType::Aaaa) => {
                         a_record(qname, addrs.unrelated)
                     }
@@ -441,9 +440,12 @@ pub fn synthesize_probe(
                 AuthorityAnswer::nxdomain()
             }
         }
-        "t10" => match (path_strs.as_slice(), qtype) {
-            ([], RecordType::Txt) => txt(qname, &format!("v=spf1 include:p.v6only.{base} ?all")),
-            (["p", "v6only"], RecordType::Txt) => {
+        "t10" => match (path, qtype) {
+            ([], RecordType::Txt) => txt(
+                qname,
+                &format!("v=spf1 include:p.{V6_ONLY_LABEL}.{base} ?all"),
+            ),
+            (["p", V6_ONLY_LABEL], RecordType::Txt) => {
                 let mut answer = txt(qname, "v=spf1 ?all");
                 answer.v6_only = true;
                 answer
@@ -454,7 +456,7 @@ pub fn synthesize_probe(
             if is_base && want_txt {
                 return txt(qname, &format!("v=spf1 mx:many.{base} ?all"));
             }
-            match (path_strs.as_slice(), qtype) {
+            match (path, qtype) {
                 (["many"], RecordType::Mx) => {
                     let records = (1..=20)
                         .map(|i| {
@@ -484,12 +486,12 @@ pub fn synthesize_probe(
         "t14" => simple_policy(is_base, want_txt, qname, "v=spf1 ?all"),
         "t15" => simple_policy(is_base, want_txt, qname, "v=spf1 +all"),
         "t16" => simple_policy(is_base, want_txt, qname, "v=spf1 ip4:192.0.2.0/24 -all"),
-        "t17" => match (path_strs.as_slice(), qtype) {
+        "t17" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 a:host.{base} -all")),
             (["host"], RecordType::A | RecordType::Aaaa) => a_record(qname, addrs.unrelated),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t18" => match (path_strs.as_slice(), qtype) {
+        "t18" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 mx:m.{base} -all")),
             (["m"], RecordType::Mx) => AuthorityAnswer::positive(vec![
                 Record::new(
@@ -514,12 +516,12 @@ pub fn synthesize_probe(
             }
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t19" => match (path_strs.as_slice(), qtype) {
+        "t19" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 redirect=rd.{base}")),
             (["rd"], RecordType::Txt) => txt(qname, "v=spf1 ?all"),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t20" => match (path_strs.as_slice(), qtype) {
+        "t20" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 redirect=rl.{base}")),
             (["rl"], RecordType::Txt) => txt(qname, &format!("v=spf1 redirect=rl.{base}")),
             _ => AuthorityAnswer::nxdomain(),
@@ -534,7 +536,7 @@ pub fn synthesize_probe(
             }
         }
         "t22" => simple_policy(is_base, want_txt, qname, "v=spf1 ptr ?all"),
-        "t23" => match (path_strs.as_slice(), qtype) {
+        "t23" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 include:ok.{base} -all")),
             (["ok"], RecordType::Txt) => txt(qname, "v=spf1 +all"),
             _ => AuthorityAnswer::nxdomain(),
@@ -544,7 +546,7 @@ pub fn synthesize_probe(
                 return txt(qname, &format!("v=spf1 include:c1.{base} ?all"));
             }
             if want_txt && path.len() == 1 {
-                if let Some(k) = path_strs[0]
+                if let Some(k) = path[0]
                     .strip_prefix('c')
                     .and_then(|n| n.parse::<u32>().ok())
                 {
@@ -567,13 +569,13 @@ pub fn synthesize_probe(
                 policy.push_str(&format!(" a:end.{base} -all"));
                 txt(qname, &policy)
             } else {
-                match (path_strs.as_slice(), qtype) {
+                match (path, qtype) {
                     (["end"], RecordType::A | RecordType::Aaaa) => a_record(qname, addrs.unrelated),
                     _ => AuthorityAnswer::nxdomain(),
                 }
             }
         }
-        "t26" => match (path_strs.as_slice(), qtype) {
+        "t26" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 include:cn.{base} ?all")),
             (["cn"], RecordType::Txt) => {
                 // CNAME chain answered in one response, as a real
@@ -587,7 +589,7 @@ pub fn synthesize_probe(
             (["real"], RecordType::Txt) => txt(qname, "v=spf1 ?all"),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t27" => match (path_strs.as_slice(), qtype) {
+        "t27" => match (path, qtype) {
             ([], RecordType::Txt) => {
                 txt(qname, &format!("V=SPF1 A:CASED.{base} -ALL").to_uppercase())
             }
@@ -602,14 +604,14 @@ pub fn synthesize_probe(
             }
         }
         "t29" => simple_policy(is_base, want_txt, qname, "v=spf1"),
-        "t30" => match (path_strs.as_slice(), qtype) {
+        "t30" => match (path, qtype) {
             ([], RecordType::Txt) => {
                 txt(qname, &format!("v=spf1 mailval-unknown=x a:um.{base} -all"))
             }
             (["um"], RecordType::A | RecordType::Aaaa) => a_record(qname, addrs.unrelated),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t31" => match (path_strs.as_slice(), qtype) {
+        "t31" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 -all exp=why.{base}")),
             (["why"], RecordType::Txt) => txt(qname, "You are not authorized to send as %{d}"),
             _ => AuthorityAnswer::nxdomain(),
@@ -621,7 +623,7 @@ pub fn synthesize_probe(
                 AuthorityAnswer::nxdomain()
             }
         }
-        "t33" => match (path_strs.as_slice(), qtype) {
+        "t33" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 include:sf.{base} ?all")),
             (["sf"], _) => AuthorityAnswer {
                 rcode: mailval_dns::wire::Rcode::ServFail,
@@ -629,12 +631,12 @@ pub fn synthesize_probe(
             },
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t34" => match (path_strs.as_slice(), qtype) {
+        "t34" => match (path, qtype) {
             ([], RecordType::Txt) => txt(qname, &format!("v=spf1 a:c24.{base}/24 -all")),
             (["c24"], RecordType::A | RecordType::Aaaa) => a_record(qname, addrs.unrelated),
             _ => AuthorityAnswer::nxdomain(),
         },
-        "t35" => match (path_strs.as_slice(), qtype) {
+        "t35" => match (path, qtype) {
             ([], RecordType::Txt) => txt(
                 qname,
                 &format!("v=spf1 a:c6.{base}//64 ip6:2001:db8:ffff::/48 -all"),
@@ -658,7 +660,7 @@ pub fn synthesize_probe(
             } else {
                 match qtype {
                     RecordType::A | RecordType::Aaaa
-                        if path_strs.len() == 1 && path_strs[0].starts_with('k') =>
+                        if path.len() == 1 && path[0].starts_with('k') =>
                     {
                         a_record(qname, addrs.unrelated)
                     }
@@ -690,7 +692,7 @@ pub fn synthesize_probe(
                     RData::Txt(vec![part1.into_bytes(), part2.into_bytes()]),
                 )])
             } else {
-                match (path_strs.as_slice(), qtype) {
+                match (path, qtype) {
                     (["split"], RecordType::A | RecordType::Aaaa) => {
                         a_record(qname, addrs.unrelated)
                     }
@@ -718,16 +720,15 @@ fn simple_policy(is_base: bool, want_txt: bool, qname: &Name, policy: &str) -> A
 /// serial-vs-parallel include chain; DKIM key and DMARC policy names are
 /// served too.
 pub fn synthesize_notify(
-    path: &[String],
+    path: &[&str],
     qname: &Name,
-    base: &Name,
+    base: &str,
     qtype: RecordType,
     addrs: &SynthAddrs,
     dkim_key_record: &str,
     dmarc_record: &str,
 ) -> AuthorityAnswer {
-    let path_strs: Vec<&str> = path.iter().map(|s| s.as_str()).collect();
-    match (path_strs.as_slice(), qtype) {
+    match (path, qtype) {
         ([], RecordType::Txt) => txt(
             qname,
             &format!("v=spf1 include:l1.{base} a:sender.{base} -all"),
@@ -767,8 +768,7 @@ mod tests {
         for label in path.iter().rev() {
             qname = qname.prepend(label).unwrap();
         }
-        let path: Vec<String> = path.iter().map(|s| s.to_string()).collect();
-        synthesize_probe(testid, &path, &qname, &b, qtype, &addrs())
+        synthesize_probe(testid, path, &qname, b.as_str(), qtype, &addrs())
     }
 
     fn policy_text(answer: &AuthorityAnswer) -> String {
@@ -810,7 +810,7 @@ mod tests {
         let b = Name::parse("t02.m00001.spf-test.dns-lab.org").unwrap();
         let mut count = 0usize;
         let mut stack: Vec<(Name, RecordType)> = Vec::new();
-        let l0 = synthesize_probe("t02", &[], &b, &b, RecordType::Txt, &addrs);
+        let l0 = synthesize_probe("t02", &[], &b, b.as_str(), RecordType::Txt, &addrs);
         let mut policies = vec![policy_text(&l0)];
         let scheme = crate::names::NameScheme::default();
         while let Some(policy) = policies.pop() {
@@ -837,8 +837,8 @@ mod tests {
             // Process next lookup.
             while let Some((name, rtype)) = stack.pop() {
                 count += 1;
-                let parsed = scheme.parse(&name).unwrap();
-                let answer = synthesize_probe("t02", &parsed.path, &name, &b, rtype, &addrs);
+                let path: Vec<&str> = scheme.parse(&name).unwrap().path.labels().collect();
+                let answer = synthesize_probe("t02", &path, &name, b.as_str(), rtype, &addrs);
                 assert_eq!(answer.delay_ms, 800, "{name} should be delayed");
                 if rtype == RecordType::Txt {
                     policies.push(policy_text(&answer));
@@ -919,7 +919,7 @@ mod tests {
         let l0 = synthesize_notify(
             &[],
             &b,
-            &b,
+            b.as_str(),
             RecordType::Txt,
             &addrs,
             "v=DKIM1; p=x",
@@ -927,9 +927,9 @@ mod tests {
         );
         assert!(policy_text(&l0).contains("a:sender."));
         let sender = synthesize_notify(
-            &["sender".into()],
+            &["sender"],
             &b.prepend("sender").unwrap(),
-            &b,
+            b.as_str(),
             RecordType::A,
             &addrs,
             "",
@@ -937,9 +937,9 @@ mod tests {
         );
         assert!(matches!(sender.answers[0].rdata, RData::A(a) if a == addrs.sender_v4));
         let dmarc = synthesize_notify(
-            &["_dmarc".into()],
+            &["_dmarc"],
             &b.prepend("_dmarc").unwrap(),
-            &b,
+            b.as_str(),
             RecordType::Txt,
             &addrs,
             "",

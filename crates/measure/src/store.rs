@@ -924,7 +924,6 @@ mod tests {
             qtype: mailval_dns::rr::RecordType::A,
             transport: mailval_dns::server::Transport::Udp,
             via_ipv6: false,
-            attribution: None,
         };
         let len = |put: &dyn Fn(&mut Enc)| {
             let mut enc = Enc::default();
@@ -938,7 +937,7 @@ mod tests {
     #[test]
     fn probe_entry_bytes_match_known_answer() {
         let (key, mut result) = probe_result();
-        assert!(result.log.records.iter().any(|r| r.attribution.is_some()));
+        assert!(result.log.attributed().next().is_some());
         assert_eq!(
             entry_digest(&key, &mut result),
             "86c13393527087474c94c2f37636401039389e421d573294c24175949a75821c"
@@ -974,11 +973,62 @@ mod tests {
     #[test]
     fn probe_campaign_roundtrips_with_attributions() {
         let (key, result) = probe_result();
-        assert!(result.log.records.iter().any(|r| r.attribution.is_some()));
+        assert!(result.log.attributed().next().is_some());
         let store = temp_store("probe");
         store.save(&key, &result).unwrap();
         let loaded = store.load(&key).unwrap();
         assert_results_equal(&loaded, &result);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// An entry whose first query chunk stores an attribution its query
+    /// name does not derive, every frame's CRC intact, is a clean miss.
+    #[test]
+    fn misattributed_entry_is_a_clean_miss() {
+        use crate::codec::tests::{misattributions, RefQuery};
+        let (key, result) = probe_result();
+        let store = temp_store("misattributed");
+        let path = store.save(&key, &result).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        // The entry re-framed, with `edit` applied to the first query
+        // chunk in its stored layout.
+        let rewrite = |edit: &dyn Fn(&mut [RefQuery])| {
+            let mut walker = Dec::new(&clean[MAGIC.len()..]);
+            let mut out = Enc(MAGIC.to_vec());
+            let mut edited = false;
+            while let Some(payload) = walker.frame() {
+                let mut dec = Dec::new(payload);
+                if dec.get::<u8>().unwrap() == TAG_QUERIES && !edited {
+                    let mut queries: Vec<RefQuery> = dec.get().unwrap();
+                    edit(&mut queries);
+                    edited = true;
+                    out.push_frame(|enc| {
+                        enc.put(&TAG_QUERIES);
+                        enc.seq(&queries);
+                    });
+                } else {
+                    out.push_frame(|enc| enc.0.extend_from_slice(payload));
+                }
+            }
+            out.0
+        };
+        assert_eq!(rewrite(&|_| {}), clean);
+        let at = result
+            .log
+            .records
+            .iter()
+            .position(|r| r.attribution().is_some_and(|a| !a.path.is_empty()))
+            .unwrap();
+        for wrong in misattributions(&RefQuery::of(&result.log.records[at]).attribution) {
+            std::fs::write(&path, rewrite(&|q| q[at].attribution = wrong.clone())).unwrap();
+            let err = store.load(&key).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Frame(FrameError::Misattributed)),
+                "{err}"
+            );
+        }
+        std::fs::write(&path, &clean).unwrap();
+        assert_results_equal(&store.load(&key).unwrap(), &result);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

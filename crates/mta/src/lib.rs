@@ -25,4 +25,4 @@ pub mod resolver;
 
 pub use actor::{ConnContext, MtaActor, MtaInput, MtaOutput};
 pub use profile::{MtaProfile, SpfTrigger};
-pub use resolver::ResolverActor;
+pub use resolver::{ResolverActor, V6_ONLY_LABEL};

@@ -11,6 +11,11 @@ use mailval_dns::server::Transport;
 use mailval_dns::Name;
 use std::collections::HashMap;
 
+/// The label marking names served only on the apparatus's IPv6 endpoint
+/// (the paper's IPv6-only test zone): a resolver without IPv6 cannot
+/// reach them, one with IPv6 sends them over it.
+pub const V6_ONLY_LABEL: &str = "v6only";
+
 /// A resolver-to-authoritative transmission the driver must deliver.
 #[derive(Debug, Clone)]
 pub struct UpstreamSend {
@@ -46,10 +51,6 @@ pub enum ResolverEvent {
 pub struct ResolverActor {
     core: ResolverCore,
     ipv6_capable: bool,
-    /// Label marking names served only on the IPv6 apparatus endpoint
-    /// (the paper's IPv6-only test zone); `None` disables the
-    /// special-casing.
-    v6_only_marker: Option<String>,
     /// Maps in-flight resolver-core ids to caller qids.
     inflight: HashMap<u16, u64>,
     /// Lookups started through [`ResolverActor::resolve`].
@@ -60,11 +61,10 @@ pub struct ResolverActor {
 
 impl ResolverActor {
     /// Create an actor.
-    pub fn new(config: ResolverConfig, ipv6_capable: bool, v6_only_marker: Option<String>) -> Self {
+    pub fn new(config: ResolverConfig, ipv6_capable: bool) -> Self {
         ResolverActor {
             core: ResolverCore::new(config),
             ipv6_capable,
-            v6_only_marker,
             inflight: HashMap::new(),
             lookups: 0,
             cache_hits: 0,
@@ -93,10 +93,8 @@ impl ResolverActor {
         self.core.take_wire_errors()
     }
 
-    fn needs_v6(&self, name: &Name) -> bool {
-        self.v6_only_marker
-            .as_ref()
-            .is_some_and(|marker| name.labels().any(|l| l == marker))
+    fn needs_v6(name: &Name) -> bool {
+        name.labels().any(|l| l == V6_ONLY_LABEL)
     }
 
     /// Start resolving. Returns one or two events (cache answer, or an
@@ -111,7 +109,8 @@ impl ResolverActor {
         now_ms: u64,
     ) -> ResolverEvent {
         self.lookups += 1;
-        if self.needs_v6(&name) && !self.ipv6_capable {
+        let needs_v6 = Self::needs_v6(&name);
+        if needs_v6 && !self.ipv6_capable {
             // No AAAA-reachable server and no IPv6 route: the lookup can
             // never be sent. Resolvers surface this as a failure after
             // their timeout; we return it immediately (the embedding MTA
@@ -121,7 +120,7 @@ impl ResolverActor {
                 outcome: ResolveOutcome::Timeout,
             };
         }
-        let via_ipv6 = self.needs_v6(&name) && self.ipv6_capable;
+        let via_ipv6 = needs_v6 && self.ipv6_capable;
         match self.core.begin(name, rtype, now_ms) {
             Begin::Cached(outcome) => {
                 self.cache_hits += 1;
@@ -210,7 +209,7 @@ mod tests {
 
     #[test]
     fn resolve_roundtrip() {
-        let mut actor = ResolverActor::new(ResolverConfig::default(), true, None);
+        let mut actor = ResolverActor::new(ResolverConfig::default(), true);
         let ResolverEvent::Send(send) = actor.resolve(99, n("a.test"), RecordType::A, 0) else {
             panic!()
         };
@@ -227,8 +226,7 @@ mod tests {
 
     #[test]
     fn v6_only_zone_unreachable_for_v4_resolver() {
-        let mut actor =
-            ResolverActor::new(ResolverConfig::default(), false, Some("v6only".to_string()));
+        let mut actor = ResolverActor::new(ResolverConfig::default(), false);
         match actor.resolve(1, n("l1.v6only.t10.m1.spf.test"), RecordType::Txt, 0) {
             ResolverEvent::Finished { outcome, .. } => {
                 assert_eq!(outcome, ResolveOutcome::Timeout);
@@ -244,8 +242,7 @@ mod tests {
 
     #[test]
     fn v6_capable_resolver_routes_via_v6() {
-        let mut actor =
-            ResolverActor::new(ResolverConfig::default(), true, Some("v6only".to_string()));
+        let mut actor = ResolverActor::new(ResolverConfig::default(), true);
         match actor.resolve(1, n("l1.v6only.t10.m1.spf.test"), RecordType::Txt, 0) {
             ResolverEvent::Send(send) => assert!(send.via_ipv6),
             other => panic!("{other:?}"),
@@ -254,7 +251,7 @@ mod tests {
 
     #[test]
     fn timeout_retry_then_finish() {
-        let mut actor = ResolverActor::new(ResolverConfig::default(), true, None);
+        let mut actor = ResolverActor::new(ResolverConfig::default(), true);
         let ResolverEvent::Send(send) = actor.resolve(5, n("slow.test"), RecordType::A, 0) else {
             panic!()
         };
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn stale_inputs_ignored() {
-        let mut actor = ResolverActor::new(ResolverConfig::default(), true, None);
+        let mut actor = ResolverActor::new(ResolverConfig::default(), true);
         assert!(matches!(
             actor.on_upstream_response(42, &[0, 0], false, 0),
             ResolverEvent::Idle

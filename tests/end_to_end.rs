@@ -67,7 +67,7 @@ fn full_pipeline_regenerates_headline_numbers() {
         .log
         .records
         .iter()
-        .filter_map(|r| r.attribution.as_ref()?.host_index)
+        .filter_map(|r| r.attribution()?.host_index)
         .collect();
     let probed: std::collections::HashSet<usize> =
         mx.sessions.iter().map(|s| s.host_index).collect();
@@ -159,12 +159,11 @@ fn unique_from_domains_attribute_concurrent_validators() {
         run.sessions.iter().map(|s| s.host_index).collect();
     for r in &run.log.records {
         let attr = r
-            .attribution
-            .as_ref()
+            .attribution()
             .unwrap_or_else(|| panic!("unattributable query {}", r.qname));
         let h = attr.host_index.expect("probe queries carry an mtaid");
         assert!(probed.contains(&h), "query from unprobed host {h}");
-        let t = attr.testid.as_deref().unwrap();
+        let t = attr.testid.unwrap();
         assert!(t == "t01" || t == "t12");
     }
 }
@@ -188,9 +187,8 @@ fn dkim_signatures_survive_the_smtp_path() {
         .records
         .iter()
         .filter(|r| {
-            r.attribution
-                .as_ref()
-                .is_some_and(|a| a.path.iter().any(|l| l == "_domainkey"))
+            r.attribution()
+                .is_some_and(|a| a.path.labels().any(|l| l == "_domainkey"))
         })
         .collect();
     assert!(!key_queries.is_empty(), "no DKIM key queries observed");
