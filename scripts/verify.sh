@@ -18,7 +18,10 @@
 #                                   # matrix test binary, fuzz, bench
 #                                   # --check io with the codec
 #                                   # micro-benches, and trace export
-#   scripts/verify.sh --artifacts   # only the artifact-store stage
+#   scripts/verify.sh --artifacts   # only the artifact stage: warm-store
+#                                   # render-twice, then every artifact
+#                                   # at default settings against its
+#                                   # committed results/*.txt
 #   scripts/verify.sh --perf        # only the performance gates
 #                                   # (bench --check perf trace)
 #   scripts/verify.sh --crypto      # only the crypto stage (crypto + DKIM
@@ -73,6 +76,25 @@ artifacts() {
     }
   done
   echo "artifacts: zero warm simulations, byte-identical renders"
+
+  # Committed artifacts: each one rendered at default settings (scale 1,
+  # seed 2021) into a fresh store must equal its results/<name>_*.txt
+  # byte for byte, so a stale committed file fails the gate. The
+  # campaigns run once; later artifacts reload them from the store.
+  echo "== artifacts: default-settings renders vs results/*.txt =="
+  local name file
+  for name in $("$bin" --list | awk '{print $1}'); do
+    file=$(echo results/"$name"_*.txt)
+    env -u MAILVAL_SCALE -u MAILVAL_SEED -u MAILVAL_SHARDS \
+      "$bin" --store "$dir/default" "$name" \
+      >"$dir/$name.txt" 2>>"$dir/default.err"
+    cmp "$file" "$dir/$name.txt" || {
+      echo "artifacts: $file differs from a fresh render;" \
+        "regenerate it with mailval-artifacts $name" >&2
+      return 1
+    }
+  done
+  echo "artifacts: every results/*.txt matches a default-settings render"
 }
 
 fuzz() {
