@@ -5,7 +5,8 @@
 use crate::{CampaignRequest, Runner, TABLE5_PROBES};
 use mailval_datasets::DatasetKind;
 use mailval_measure::analysis::{
-    consistency, decile_counts, notify_validating_counts, probe_validating_counts,
+    consistency, decile_counts, notify_email_flags, notify_validating_counts,
+    probe_validating_counts, validating_hosts,
 };
 use mailval_measure::report::{count_pct, pct, render_table};
 use std::fmt::Write;
@@ -32,9 +33,13 @@ pub fn render(runner: &mut Runner) -> String {
     let notify = runner.prepared(DatasetKind::NotifyEmail);
     let twoweek = runner.prepared(DatasetKind::TwoWeekMx);
 
-    let ne = notify_validating_counts(&email_run, &notify.pop);
-    let nm = probe_validating_counts(&mx_run, &notify.pop);
-    let tw = probe_validating_counts(&tw_run, &twoweek.pop);
+    // Each log is read once; every row below derives from these.
+    let flags = notify_email_flags(&email_run, notify.pop.domains.len());
+    let mx_hosts = validating_hosts(&mx_run.log);
+    let tw_hosts = validating_hosts(&tw_run.log);
+    let ne = notify_validating_counts(&email_run, &flags, &notify.pop);
+    let nm = probe_validating_counts(&mx_run, &mx_hosts, &notify.pop);
+    let tw = probe_validating_counts(&tw_run, &tw_hosts, &twoweek.pop);
 
     let mut rows = vec![
         vec![
@@ -67,7 +72,7 @@ pub fn render(runner: &mut Runner) -> String {
     ];
 
     // Deciles (paper: 13% ± 1.7% domains, 17% ± 1.8% MTAs).
-    let deciles = decile_counts(&tw_run, &twoweek.pop);
+    let deciles = decile_counts(&tw_run, &tw_hosts, &twoweek.pop);
     for (i, d) in deciles.iter().enumerate() {
         rows.push(vec![
             format!("TwoWeekMX decile {}", i + 1),
@@ -103,7 +108,7 @@ pub fn render(runner: &mut Runner) -> String {
     .unwrap();
 
     // §6.2 consistency.
-    let stats = consistency(&email_run, &mx_run, &notify.pop);
+    let stats = consistency(&flags, &mx_run, &mx_hosts, &notify.pop);
     writeln!(
         out,
         "{}",

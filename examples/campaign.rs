@@ -7,7 +7,7 @@
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::analysis::{
     behavior_battery, consistency, notify_email_flags, notify_validating_counts,
-    probe_validating_counts, serial_vs_parallel, spf_timing, table4,
+    probe_validating_counts, serial_vs_parallel, spf_timing, table4, validating_hosts,
 };
 use mailval::measure::campaign::{
     run_campaign, sample_host_profiles, CampaignConfig, CampaignKind,
@@ -56,7 +56,7 @@ fn main() {
         &notify_profiles,
     );
     let flags = notify_email_flags(&email_run, notify.domains.len());
-    let counts = notify_validating_counts(&email_run, &notify);
+    let counts = notify_validating_counts(&email_run, &flags, &notify);
     println!(
         "SPF-validating: {}/{} domains ({:.0}%)",
         counts.validating_domains,
@@ -83,14 +83,15 @@ fn main() {
 
     println!("\n-- NotifyMX: probing every MX host --");
     let mx_run = run_campaign(&config(CampaignKind::NotifyMx), &notify, &notify_profiles);
-    let mx_counts = probe_validating_counts(&mx_run, &notify);
+    let mx_hosts = validating_hosts(&mx_run.log);
+    let mx_counts = probe_validating_counts(&mx_run, &mx_hosts, &notify);
     println!(
         "SPF-validating: {}/{} MTAs ({:.0}%)",
         mx_counts.validating_mtas,
         mx_counts.total_mtas,
         mx_counts.mta_rate() * 100.0
     );
-    let cons = consistency(&email_run, &mx_run, &notify);
+    let cons = consistency(&flags, &mx_run, &mx_hosts, &notify);
     println!(
         "inconsistent with NotifyEmail: {}/{} domains, {:.0}% of them Email-only",
         cons.inconsistent,
@@ -104,7 +105,7 @@ fn main() {
         &twoweek,
         &twoweek_profiles,
     );
-    let tw_counts = probe_validating_counts(&tw_run, &twoweek);
+    let tw_counts = probe_validating_counts(&tw_run, &validating_hosts(&tw_run.log), &twoweek);
     println!(
         "SPF-validating: {}/{} MTAs ({:.0}%)",
         tw_counts.validating_mtas,

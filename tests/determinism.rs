@@ -30,7 +30,8 @@
 
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::analysis::{
-    notify_email_flags, probe_validating_counts, table4, ComboRow, DomainFlags, ValidatingCounts,
+    notify_email_flags, probe_validating_counts, table4, validating_hosts, ComboRow, DomainFlags,
+    ValidatingCounts,
 };
 use mailval::measure::campaign::{
     run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignResult,
@@ -479,7 +480,11 @@ impl Tables {
             let rows = table4(&flags);
             Tables::Notify(flags, rows)
         } else {
-            Tables::Probe(probe_validating_counts(r, &fx.pop))
+            Tables::Probe(probe_validating_counts(
+                r,
+                &validating_hosts(&r.log),
+                &fx.pop,
+            ))
         }
     }
 }
