@@ -42,7 +42,7 @@ fn header_session_count_does_not_size_a_reservation() {
         label: "x".to_string(),
     };
     let empty = CampaignResult {
-        log: QueryLog::new(),
+        log: QueryLog::default(),
         sessions: Vec::new(),
         events: 0,
         faults: FaultStats::default(),
