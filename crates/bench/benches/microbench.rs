@@ -1,5 +1,5 @@
-//! Micro-benchmarks over the protocol cores: DNS wire codec, SPF
-//! parsing and evaluation, DKIM sign/verify, policy synthesis, the
+//! Micro-benchmarks over the protocol cores: DNS wire codec, SMTP
+//! framing, SPF parsing and evaluation, DKIM sign/verify, policy synthesis, the
 //! simulator event loop, RSA, a probe campaign's world build, the
 //! journal/store frame CRC-32, DNS name parsing and store entry
 //! decoding. Built on the in-tree
@@ -28,6 +28,9 @@ use mailval_measure::names::NameScheme;
 use mailval_measure::policies::{synthesize_probe, SynthAddrs};
 use mailval_measure::store::{decode_entry, encode_entry, CampaignKey};
 use mailval_simnet::Simulator;
+use mailval_smtp::command::{Command, EmailAddress};
+use mailval_smtp::line::crlf_lines;
+use mailval_smtp::reply::{Reply, ReplyParser};
 use mailval_spf::{DnsQuestion, EvalParams, EvalStep, SpfBehavior, SpfEvaluator, SpfRecord};
 use std::hint::black_box;
 
@@ -82,6 +85,57 @@ fn bench_dns_wire(filter: &Filter) {
     filter.bench("dns_encode", || black_box(&msg).to_bytes());
     filter.bench("dns_decode", || {
         Message::from_bytes(black_box(&bytes)).unwrap()
+    });
+}
+
+fn bench_smtp_wire(filter: &Filter) {
+    // One probe session's dialogue up to the DATA reply: every reply
+    // serialized, framed into lines and parsed back, every command
+    // formatted, framed and parsed.
+    let replies = [
+        Reply::greeting("mx1.as64500.mail.sim"),
+        Reply::multiline(
+            250,
+            vec![
+                "mx1.as64500.mail.sim".into(),
+                "PIPELINING".into(),
+                "SIZE 10240000".into(),
+                "8BITMIME".into(),
+            ],
+        ),
+        Reply::ok(),
+        Reply::new(550, "No such user: michael@org00042.com"),
+        Reply::ok(),
+        Reply::start_mail_input(),
+    ];
+    let domain = n("t01.m00042.spf-test.dns-lab.org");
+    let rcpt = |local| Command::Rcpt(EmailAddress::new(local, n("org00042.com")));
+    let commands = [
+        Command::Ehlo("probe.dns-lab.org".into()),
+        Command::Mail(Some(EmailAddress::new("spf-test", domain))),
+        rcpt("michael"),
+        rcpt("john.smith"),
+        Command::Data,
+    ];
+    filter.bench("smtp_wire", || {
+        let mut parser = ReplyParser::new();
+        let mut parsed = 0;
+        for reply in black_box(&replies) {
+            let wire = reply.to_wire();
+            for line in crlf_lines(&wire) {
+                let line = line.trim_end_matches(['\r', '\n']);
+                parsed += parser.push_line(line).unwrap().is_some() as usize;
+            }
+        }
+        for command in black_box(&commands) {
+            let mut wire = command.to_line();
+            wire.push_str("\r\n");
+            for line in crlf_lines(&wire) {
+                let line = line.trim_end_matches(['\r', '\n']);
+                parsed += Command::parse(line).is_ok() as usize;
+            }
+        }
+        parsed
     });
 }
 
@@ -302,6 +356,7 @@ fn bench_store_decode(filter: &Filter) {
 fn main() {
     let filter = Filter::from_args();
     bench_dns_wire(&filter);
+    bench_smtp_wire(&filter);
     bench_spf(&filter);
     bench_dkim(&filter);
     bench_synthesis(&filter);

@@ -2,16 +2,13 @@
 //! name compression and decompression.
 //!
 //! The encoder performs standard suffix compression (every encoded name
-//! suffix at an offset < 0x4000 is remembered and reused as a pointer).
+//! suffix at an offset < 0x3fff is remembered and reused as a pointer).
 //! The decoder follows compression pointers with strict loop protection:
 //! pointers must point strictly backwards, bounding the walk.
 
 use crate::message::{Message, Question};
 use crate::name::{Name, MAX_LABEL_LEN, MAX_NAME_LEN};
 use crate::rr::{RData, Record, RecordClass, RecordType, SoaData};
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Response codes (RFC 1035 §4.1.1, names per RFC 2136 usage).
@@ -103,61 +100,32 @@ impl std::error::Error for WireError {}
 // ---------------------------------------------------------------------------
 
 /// Streaming encoder with name compression.
-pub struct Encoder {
+///
+/// The compression table is a list of (suffix text, offset) pairs in the
+/// order they were first written, borrowed from the names being encoded.
+/// The apparatus's messages record few suffixes, because the names an
+/// answer carries share their tails with the question: at most 6 over
+/// the determinism fixtures, and 38 for an IPv6 reverse name under a
+/// probe domain. Scanning that few short strings beats hashing each
+/// probe.
+pub struct Encoder<'a> {
     buf: Vec<u8>,
-    /// Map from each encoded name suffix (as dotted text) to the offset
-    /// of its first occurrence, for compression pointers.
-    name_offsets: HashMap<Tail, usize>,
+    /// Each encoded name suffix (as dotted text) and the offset of its
+    /// first occurrence, for compression pointers; a suffix appears at
+    /// most once.
+    suffixes: Vec<(&'a str, usize)>,
 }
 
-/// A suffix of an encoded name: the text of `name` from byte `start`.
-/// It hashes and compares as that `str`, so probing the offsets map
-/// with a `&str` tail allocates nothing and an insert only shares the
-/// name.
-struct Tail {
-    name: Name,
-    start: usize,
-}
-
-impl Tail {
-    fn text(&self) -> &str {
-        &self.name.as_str()[self.start..]
-    }
-}
-
-impl Borrow<str> for Tail {
-    fn borrow(&self) -> &str {
-        self.text()
-    }
-}
-
-impl PartialEq for Tail {
-    fn eq(&self, other: &Self) -> bool {
-        self.text() == other.text()
-    }
-}
-
-impl Eq for Tail {}
-
-impl Hash for Tail {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.text().hash(state);
-    }
-}
-
-impl Default for Encoder {
+impl Default for Encoder<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Encoder {
+impl<'a> Encoder<'a> {
     /// Create an empty encoder.
     pub fn new() -> Self {
-        Encoder {
-            buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
-        }
+        Self::with_buf(Vec::with_capacity(512))
     }
 
     /// Create an encoder that reuses `buf`'s allocation (cleared). Lets
@@ -166,7 +134,7 @@ impl Encoder {
         buf.clear();
         Encoder {
             buf,
-            name_offsets: HashMap::new(),
+            suffixes: Vec::new(),
         }
     }
 
@@ -205,20 +173,18 @@ impl Encoder {
     /// oversized label cannot be represented — truncating it (what an
     /// unchecked `as u8` cast would do) would silently corrupt the
     /// message.
-    pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
+    pub fn put_name(&mut self, name: &'a Name) -> Result<(), WireError> {
+        let text = name.as_str();
         let mut start = 0;
         for label in name.labels() {
-            if let Some(&off) = self.name_offsets.get(&name.as_str()[start..]) {
+            let tail = &text[start..];
+            if let Some(&(_, off)) = self.suffixes.iter().find(|(s, _)| *s == tail) {
                 // Emit a pointer to the previously-encoded suffix.
                 self.put_u16(0xc000 | off as u16);
                 return Ok(());
             }
             if self.buf.len() < 0x3fff {
-                let tail = Tail {
-                    name: name.clone(),
-                    start,
-                };
-                self.name_offsets.insert(tail, self.buf.len());
+                self.suffixes.push((tail, self.buf.len()));
             }
             if label.len() > MAX_LABEL_LEN {
                 return Err(WireError::BadLabel);
@@ -247,14 +213,14 @@ impl Encoder {
         Ok(())
     }
 
-    fn put_question(&mut self, q: &Question) -> Result<(), WireError> {
+    fn put_question(&mut self, q: &'a Question) -> Result<(), WireError> {
         self.put_name(&q.name)?;
         self.put_u16(q.rtype.code());
         self.put_u16(q.class.code());
         Ok(())
     }
 
-    fn put_record(&mut self, r: &Record) -> Result<(), WireError> {
+    fn put_record(&mut self, r: &'a Record) -> Result<(), WireError> {
         self.put_name(&r.name)?;
         self.put_u16(r.rtype().code());
         self.put_u16(r.class.code());
@@ -924,8 +890,192 @@ mod tests {
         let long = "a".repeat(MAX_LABEL_LEN + 1);
         let name = Name::from_labels(vec![long]);
         assert!(name.is_err(), "Name constructors reject oversized labels");
+        let ok = n("ok.example");
         let mut enc = Encoder::new();
-        assert_eq!(enc.put_name(&n("ok.example")), Ok(()));
-        assert_eq!(enc.put_name_uncompressed(&n("ok.example")), Ok(()));
+        assert_eq!(enc.put_name(&ok), Ok(()));
+        assert_eq!(enc.put_name_uncompressed(&ok), Ok(()));
+    }
+
+    /// The hash-map encoder the suffix list replaced, kept as the
+    /// reference its bytes are compared against: every suffix of every
+    /// compressed name, keyed by its dotted text, maps to the offset it
+    /// was first written at (below 0x3fff).
+    fn reference_encode(msg: &Message) -> Vec<u8> {
+        use std::collections::HashMap;
+        fn name(buf: &mut Vec<u8>, map: &mut HashMap<String, usize>, name: &Name) {
+            let mut start = 0;
+            for label in name.labels() {
+                let tail = &name.as_str()[start..];
+                if let Some(&off) = map.get(tail) {
+                    buf.extend_from_slice(&(0xc000 | off as u16).to_be_bytes());
+                    return;
+                }
+                if buf.len() < 0x3fff {
+                    map.insert(tail.to_string(), buf.len());
+                }
+                buf.push(label.len() as u8);
+                buf.extend_from_slice(label.as_bytes());
+                start += label.len() + 1;
+            }
+            buf.push(0);
+        }
+        // The header is compression-free: take it from the encoder.
+        let mut buf = encode_message(msg).unwrap()[..12].to_vec();
+        let mut map = HashMap::new();
+        for q in &msg.questions {
+            name(&mut buf, &mut map, &q.name);
+            buf.extend_from_slice(&q.rtype.code().to_be_bytes());
+            buf.extend_from_slice(&q.class.code().to_be_bytes());
+        }
+        let records = msg.answers.iter().chain(&msg.authorities);
+        for r in records.chain(&msg.additionals) {
+            name(&mut buf, &mut map, &r.name);
+            buf.extend_from_slice(&r.rtype().code().to_be_bytes());
+            buf.extend_from_slice(&r.class.code().to_be_bytes());
+            buf.extend_from_slice(&r.ttl.to_be_bytes());
+            let len_pos = buf.len();
+            buf.extend_from_slice(&[0, 0]);
+            match &r.rdata {
+                RData::A(ip) => buf.extend_from_slice(&ip.octets()),
+                RData::Aaaa(ip) => buf.extend_from_slice(&ip.octets()),
+                RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => name(&mut buf, &mut map, n),
+                RData::Mx {
+                    preference,
+                    exchange,
+                } => {
+                    buf.extend_from_slice(&preference.to_be_bytes());
+                    name(&mut buf, &mut map, exchange);
+                }
+                RData::Txt(strings) => {
+                    for s in strings {
+                        buf.push(s.len() as u8);
+                        buf.extend_from_slice(s);
+                    }
+                }
+                RData::Soa(soa) => {
+                    name(&mut buf, &mut map, &soa.mname);
+                    name(&mut buf, &mut map, &soa.rname);
+                    for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
+                        buf.extend_from_slice(&v.to_be_bytes());
+                    }
+                }
+                RData::Opt(bytes) | RData::Other(bytes) => buf.extend_from_slice(bytes),
+            }
+            let rdlen = (buf.len() - len_pos - 2) as u16;
+            buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+        }
+        buf
+    }
+
+    /// SplitMix64, for the seeded sweeps.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random name over a small label alphabet, so names share
+    /// suffixes often; one in eight is the root.
+    fn random_name(rng: &mut Rng) -> Name {
+        const LABELS: [&str; 6] = ["example", "com", "mail", "mx1", "spf-test", "a"];
+        let labels: Vec<&str> = (0..rng.below(8) % 5)
+            .map(|_| LABELS[rng.below(LABELS.len())])
+            .collect();
+        Name::from_labels(labels).unwrap()
+    }
+
+    fn random_rdata(rng: &mut Rng) -> RData {
+        match rng.below(6) {
+            0 => RData::A(Ipv4Addr::new(192, 0, 2, rng.below(256) as u8)),
+            1 => RData::Cname(random_name(rng)),
+            2 => RData::Ns(random_name(rng)),
+            3 => RData::Mx {
+                preference: rng.below(50) as u16,
+                exchange: random_name(rng),
+            },
+            4 => RData::Soa(SoaData {
+                mname: random_name(rng),
+                rname: random_name(rng),
+                serial: rng.next() as u32,
+                refresh: 7200,
+                retry: 3600,
+                expire: 1209600,
+                minimum: 300,
+            }),
+            _ => RData::txt_from_str(&"t".repeat(rng.below(300))),
+        }
+    }
+
+    fn random_records(rng: &mut Rng) -> Vec<Record> {
+        (0..rng.below(6))
+            .map(|_| Record::new(random_name(rng), 60, random_rdata(rng)))
+            .collect()
+    }
+
+    #[test]
+    fn suffix_list_matches_the_hash_map_encoder_on_a_seeded_sweep() {
+        let mut rng = Rng(0x5eed_0d15);
+        for i in 0..2_000 {
+            let mut msg = Message::query(i, random_name(&mut rng), RecordType::Mx);
+            msg.questions.extend((0..rng.below(3)).map(|_| Question {
+                name: random_name(&mut rng),
+                rtype: RecordType::A,
+                class: RecordClass::In,
+            }));
+            msg.answers = random_records(&mut rng);
+            msg.authorities = random_records(&mut rng);
+            msg.additionals = random_records(&mut rng);
+            let bytes = encode_message(&msg).unwrap();
+            assert_eq!(bytes, reference_encode(&msg), "message {i}");
+            assert_eq!(decode_message(&bytes).unwrap(), msg, "message {i}");
+        }
+        // The known answer's message, through the reference.
+        let root = Name::root();
+        let mut msg = Message::query(7, root.clone(), RecordType::Ns);
+        msg.answers = vec![Record::new(root.clone(), 60, RData::Ns(root))];
+        assert_eq!(encode_message(&msg).unwrap(), reference_encode(&msg));
+    }
+
+    #[test]
+    fn suffix_list_matches_the_hash_map_encoder_around_offset_0x3fff() {
+        // A padding TXT record ends at every offset from 80 bytes below
+        // 0x3fff, the last offset a suffix may be recorded at, to past
+        // it, so the names after it start on either side.
+        let mut rng = Rng(0x3fff);
+        let mut ends = Vec::new();
+        for pad in 0x3fff - 200..0x3fff - 80 {
+            let mut msg = Message::query(1, n("q.example.com"), RecordType::Txt);
+            let text = "p".repeat(pad);
+            msg.answers = vec![Record::new(
+                n("q.example.com"),
+                60,
+                RData::txt_from_str(&text),
+            )];
+            ends.push(encode_message(&msg).unwrap().len());
+            msg.answers.extend(
+                [
+                    "a.mail.example.com",
+                    "mx1.mail.example.com",
+                    "b.a.mail.example.com",
+                ]
+                .iter()
+                .map(|name| Record::new(n(name), 60, RData::Cname(n("mail.example.com")))),
+            );
+            msg.additionals = random_records(&mut rng);
+            let bytes = encode_message(&msg).unwrap();
+            assert_eq!(bytes, reference_encode(&msg), "pad {pad}");
+            assert_eq!(decode_message(&bytes).unwrap(), msg, "pad {pad}");
+        }
+        assert!(ends[0] < 0x3fff - 80 && *ends.last().unwrap() > 0x3fff);
     }
 }

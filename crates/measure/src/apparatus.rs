@@ -193,9 +193,13 @@ impl Authority for SynthesizingAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::ALL_TESTS;
     use mailval_dns::message::Message;
+    use mailval_dns::resolver::ResolveOutcome;
     use mailval_dns::server::ServerCore;
     use mailval_dns::wire::Rcode;
+    use mailval_spf::{DnsQuestion, EvalParams, EvalStep};
+    use std::net::IpAddr;
 
     fn authority() -> SynthesizingAuthority {
         SynthesizingAuthority::new(
@@ -379,5 +383,97 @@ mod tests {
             }
             assert!(attributed > 100, "{kind:?}: {attributed} attributed");
         }
+    }
+
+    /// Resolve `q` against `server` as a TCP-capable stub would.
+    fn resolve(
+        server: &ServerCore<SynthesizingAuthority>,
+        q: &DnsQuestion,
+        v6: bool,
+    ) -> ResolveOutcome {
+        let query = Message::query(1, q.name.clone(), q.rtype).to_bytes();
+        let Some(mut reply) = server.handle(&query, Transport::Udp, v6) else {
+            return ResolveOutcome::Timeout;
+        };
+        let mut resp = Message::from_bytes(&reply.bytes).unwrap();
+        if resp.truncated {
+            reply = server.handle(&query, Transport::Tcp, v6).unwrap();
+            resp = Message::from_bytes(&reply.bytes).unwrap();
+        }
+        match resp.rcode {
+            Rcode::NxDomain => ResolveOutcome::NxDomain,
+            Rcode::NoError if resp.answers.is_empty() => ResolveOutcome::NoData,
+            Rcode::NoError => ResolveOutcome::Records(resp.answers),
+            _ => ResolveOutcome::ServFail,
+        }
+    }
+
+    /// Every matched term of an evaluation of every test policy, from
+    /// the sender's addresses and an unrelated one, names one of the
+    /// mechanisms the evaluation fetched, as its `Debug` text (or
+    /// `all`): the text is formatted lazily but reads as before.
+    #[test]
+    fn matched_terms_name_the_fetched_mechanisms() {
+        use mailval_spf::{SpfBehavior, SpfEvaluator, SpfRecord, Term};
+        let server = ServerCore::new(authority());
+        let addrs = SynthAddrs::default();
+        let ips: [IpAddr; 3] = [
+            addrs.sender_v4.into(),
+            addrs.sender_v6.into(),
+            addrs.unrelated.into(),
+        ];
+        let mut matched = 0;
+        for test in ALL_TESTS {
+            for ip in ips {
+                let domain = NameScheme::default().probe_domain(test.id, 7);
+                let params = EvalParams {
+                    ip,
+                    domain: domain.clone(),
+                    sender_local: "spf-test".into(),
+                    sender_domain: domain,
+                    helo: "probe.dns-lab.org".into(),
+                };
+                let mut eval = SpfEvaluator::new(params, SpfBehavior::default());
+                let mut terms = vec!["all".to_string()];
+                let mut step = eval.start();
+                let done = loop {
+                    match step {
+                        EvalStep::Done(done) => break done,
+                        EvalStep::NeedLookups(questions) => {
+                            let answers = questions
+                                .into_iter()
+                                .map(|q| {
+                                    let outcome = resolve(&server, &q, ip.is_ipv6());
+                                    if let ResolveOutcome::Records(records) = &outcome {
+                                        let texts =
+                                            records.iter().filter_map(|r| r.rdata.txt_joined());
+                                        for record in
+                                            texts.filter_map(|t| SpfRecord::parse(&t).ok())
+                                        {
+                                            terms.extend(record.terms.iter().filter_map(
+                                                |t| match t {
+                                                    Term::Mechanism(_, m) => Some(format!("{m:?}")),
+                                                    Term::Modifier(_) => None,
+                                                },
+                                            ));
+                                        }
+                                    }
+                                    (q, outcome)
+                                })
+                                .collect();
+                            step = eval.resume(answers);
+                        }
+                    }
+                };
+                if let Some(term) = &done.matched_term {
+                    matched += 1;
+                    assert!(terms.contains(term), "{} from {ip}: {term}", test.id);
+                }
+            }
+        }
+        assert!(
+            matched >= ALL_TESTS.len(),
+            "{matched} evaluations matched a term"
+        );
     }
 }

@@ -25,6 +25,7 @@ use mailval_simnet::{
     MalformedClass, PayloadConfig, PayloadPlan,
 };
 use mailval_smtp::client::ClientAction;
+use mailval_smtp::line::crlf_lines;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -530,15 +531,15 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     self.trace(s, TraceKind::SmtpCommand { verb });
                 }
                 let mut outputs = Vec::new();
-                for line in text.split_inclusive("\r\n") {
+                for line in crlf_lines(&text) {
                     let line = line.trim_end_matches(['\r', '\n']);
-                    outputs.extend(s.mta.handle(MtaInput::Line(line.to_string())));
+                    outputs.extend(s.mta.handle(MtaInput::Line(line)));
                 }
                 self.handle_mta_outputs(s, outputs);
             }
             Ev::ToClient(text) => {
                 let mut actions = Vec::new();
-                for line in text.split_inclusive("\r\n") {
+                for line in crlf_lines(&text) {
                     let line = line.trim_end_matches(['\r', '\n']);
                     if line.is_empty() {
                         continue;

@@ -39,11 +39,12 @@ pub struct ConnContext {
 
 /// Inputs to the actor.
 #[derive(Debug, Clone)]
-pub enum MtaInput {
+pub enum MtaInput<'a> {
     /// TCP established: emit the greeting.
     Connected,
-    /// One SMTP line from the client (CRLF stripped).
-    Line(String),
+    /// One SMTP line from the client (CRLF stripped), borrowed from the
+    /// segment that carried it: the actor only reads it.
+    Line(&'a str),
     /// A resolution requested via [`MtaOutput::Resolve`] completed.
     DnsFinished {
         /// The request id.
@@ -225,7 +226,7 @@ impl MtaActor {
     /// A closed connection stops SMTP traffic, but DNS completions and
     /// timers keep flowing: post-delivery validation (§6.2) is offline
     /// processing that outlives the TCP session.
-    pub fn handle(&mut self, input: MtaInput) -> Vec<MtaOutput> {
+    pub fn handle(&mut self, input: MtaInput<'_>) -> Vec<MtaOutput> {
         if self.closed && matches!(input, MtaInput::Connected | MtaInput::Line(_)) {
             return Vec::new();
         }
@@ -235,7 +236,7 @@ impl MtaActor {
                 out.push(MtaOutput::Smtp(self.session.greeting().to_wire()));
             }
             MtaInput::Line(line) => {
-                let action = self.session.on_line(&line);
+                let action = self.session.on_line(line);
                 self.apply_action(action, &mut out);
             }
             MtaInput::DnsFinished { qid, outcome } => {
@@ -769,7 +770,7 @@ mod tests {
     }
 
     fn drive_line(actor: &mut MtaActor, line: &str) -> Vec<MtaOutput> {
-        actor.handle(MtaInput::Line(line.to_string()))
+        actor.handle(MtaInput::Line(line))
     }
 
     fn first_smtp(outputs: &[MtaOutput]) -> Option<&str> {

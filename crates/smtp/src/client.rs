@@ -18,9 +18,10 @@ use std::convert::Infallible;
 use std::fmt;
 
 /// The dialogue phase a reply belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// Server greeting.
+    #[default]
     Greeting,
     /// EHLO/HELO exchange.
     Helo,
@@ -85,8 +86,9 @@ pub enum ClientAction {
     Close(Box<ClientOutcome>),
 }
 
-/// Result of a finished session.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a finished session; the default is the outcome of a
+/// session that has seen nothing yet.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientOutcome {
     /// The furthest phase for which a server reply was processed.
     pub phase_reached: Phase,
@@ -181,6 +183,11 @@ impl Transcript {
         self.bytes[start + 3..start + REPLY_HEADER_LEN].copy_from_slice(&count.to_le_bytes());
         self.replies += 1;
         Ok(())
+    }
+
+    /// Give back the buffer's growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
     }
 
     /// The replies in order, each as its phase, code and lines.
@@ -345,14 +352,7 @@ impl ClientSession {
             config,
             state: State::AwaitGreeting,
             rcpt_index: 0,
-            outcome: ClientOutcome {
-                phase_reached: Phase::Greeting,
-                accepted_rcpt: None,
-                delivered: false,
-                rejection: None,
-                retries: 0,
-                transcript: Transcript::new(),
-            },
+            outcome: ClientOutcome::default(),
         }
     }
 
@@ -417,8 +417,18 @@ impl ClientSession {
     }
 
     fn close(&mut self) -> ClientAction {
+        ClientAction::Close(Box::new(self.finish()))
+    }
+
+    /// End the session and hand its outcome over: the session keeps
+    /// nothing. A finished outcome is kept until the campaign's results
+    /// merge, so its transcript gives back the growth slack a clone
+    /// would not have had.
+    fn finish(&mut self) -> ClientOutcome {
         self.state = State::Done;
-        ClientAction::Close(Box::new(self.outcome.clone()))
+        let mut outcome = std::mem::take(&mut self.outcome);
+        outcome.transcript.shrink_to_fit();
+        outcome
     }
 
     /// Feed a complete server reply.
@@ -560,9 +570,12 @@ impl ClientSession {
     }
 
     /// The connection dropped (timeout, reset). Finish with what we have.
+    ///
+    /// The outcome is handed over, not copied: the session keeps
+    /// nothing, so a second call, or one after [`ClientAction::Close`],
+    /// returns an empty outcome. Call it at most once per session.
     pub fn on_disconnect(&mut self) -> ClientOutcome {
-        self.state = State::Done;
-        self.outcome.clone()
+        self.finish()
     }
 }
 
@@ -843,6 +856,8 @@ mod tests {
         let outcome = c.on_disconnect();
         assert_eq!(outcome.phase_reached, Phase::Greeting);
         assert_eq!(outcome.transcript.len(), 1);
+        // The outcome was handed over: the session kept nothing.
+        assert_eq!(c.on_disconnect(), ClientOutcome::default());
     }
 
     fn unpacked(t: &Transcript) -> Vec<(Phase, u16, Vec<&str>)> {

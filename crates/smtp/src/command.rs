@@ -153,26 +153,32 @@ impl Command {
             Some(pos) => (&line[..pos], line[pos + 1..].trim()),
             None => (line, ""),
         };
-        match verb.to_ascii_uppercase().as_str() {
-            "EHLO" => {
+        // Every verb is four ASCII letters: uppercase a copy on the stack.
+        let mut key = [0u8; 4];
+        if verb.len() == key.len() {
+            key.copy_from_slice(verb.as_bytes());
+            key.make_ascii_uppercase();
+        }
+        match &key {
+            b"EHLO" => {
                 if args.is_empty() {
                     return Err(CommandError::BadArguments("EHLO requires a domain"));
                 }
                 Ok(Command::Ehlo(args.to_string()))
             }
-            "HELO" => {
+            b"HELO" => {
                 if args.is_empty() {
                     return Err(CommandError::BadArguments("HELO requires a domain"));
                 }
                 Ok(Command::Helo(args.to_string()))
             }
-            "MAIL" => {
+            b"MAIL" => {
                 let rest = strip_keyword(args, "FROM:")
                     .ok_or(CommandError::BadArguments("expected FROM:"))?;
                 let (path, _params) = split_params(rest);
                 Ok(Command::Mail(parse_path(path)?))
             }
-            "RCPT" => {
+            b"RCPT" => {
                 let rest =
                     strip_keyword(args, "TO:").ok_or(CommandError::BadArguments("expected TO:"))?;
                 let (path, _params) = split_params(rest);
@@ -181,43 +187,71 @@ impl Command {
                     None => Err(CommandError::BadArguments("RCPT path cannot be null")),
                 }
             }
-            "DATA" => Ok(Command::Data),
-            "RSET" => Ok(Command::Rset),
-            "NOOP" => Ok(Command::Noop),
-            "QUIT" => Ok(Command::Quit),
-            "VRFY" => Ok(Command::Vrfy(args.to_string())),
-            other => Err(CommandError::UnknownCommand(other.to_string())),
+            b"DATA" => Ok(Command::Data),
+            b"RSET" => Ok(Command::Rset),
+            b"NOOP" => Ok(Command::Noop),
+            b"QUIT" => Ok(Command::Quit),
+            b"VRFY" => Ok(Command::Vrfy(args.to_string())),
+            _ => Err(CommandError::UnknownCommand(verb.to_ascii_uppercase())),
         }
     }
 
     /// Serialize to a wire line (without CRLF).
     pub fn to_line(&self) -> String {
         match self {
-            Command::Ehlo(d) => format!("EHLO {d}"),
-            Command::Helo(d) => format!("HELO {d}"),
+            Command::Ehlo(d) => verb_line("EHLO ", d),
+            Command::Helo(d) => verb_line("HELO ", d),
             Command::Mail(from) => mail_line(from.as_ref()),
             Command::Rcpt(to) => rcpt_line(to),
-            Command::Data => "DATA".to_string(),
-            Command::Rset => "RSET".to_string(),
-            Command::Noop => "NOOP".to_string(),
-            Command::Quit => "QUIT".to_string(),
-            Command::Vrfy(who) => format!("VRFY {who}"),
+            Command::Data => verb_line("DATA", ""),
+            Command::Rset => verb_line("RSET", ""),
+            Command::Noop => verb_line("NOOP", ""),
+            Command::Quit => verb_line("QUIT", ""),
+            Command::Vrfy(who) => verb_line("VRFY ", who),
         }
     }
+}
+
+/// `verb` then `arg`, with room for the CRLF a sender appends.
+fn verb_line(verb: &str, arg: &str) -> String {
+    let mut line = String::with_capacity(verb.len() + arg.len() + 2);
+    line.push_str(verb);
+    line.push_str(arg);
+    line
+}
+
+/// `prefix`, then `<local@domain>` as [`EmailAddress`]'s `Display`
+/// writes it, with room for the CRLF a sender appends.
+fn path_line(prefix: &str, addr: &EmailAddress) -> String {
+    // The root domain displays as ".".
+    let domain = if addr.domain.is_root() {
+        "."
+    } else {
+        addr.domain.as_str()
+    };
+    let len = prefix.len() + addr.local.len() + domain.len() + 5;
+    let mut line = String::with_capacity(len);
+    line.push_str(prefix);
+    line.push('<');
+    line.push_str(&addr.local);
+    line.push('@');
+    line.push_str(domain);
+    line.push('>');
+    line
 }
 
 /// The `MAIL FROM` line (without CRLF) for a borrowed reverse path;
 /// `None` is the null reverse path `<>`.
 pub(crate) fn mail_line(from: Option<&EmailAddress>) -> String {
     match from {
-        Some(a) => format!("MAIL FROM:<{a}>"),
-        None => "MAIL FROM:<>".to_string(),
+        Some(a) => path_line("MAIL FROM:", a),
+        None => verb_line("MAIL FROM:<>", ""),
     }
 }
 
 /// The `RCPT TO` line (without CRLF) for a borrowed forward path.
 pub(crate) fn rcpt_line(to: &EmailAddress) -> String {
-    format!("RCPT TO:<{to}>")
+    path_line("RCPT TO:", to)
 }
 
 /// Case-insensitively strip a leading keyword (e.g. `FROM:`); tolerate
@@ -328,6 +362,49 @@ mod tests {
         ));
         assert!(Command::parse("EHLO").is_err());
         assert!(Command::parse("MAIL FROM:a@b.test").is_err()); // no brackets
+    }
+
+    #[test]
+    fn lines_match_the_formatted_form() {
+        let root = EmailAddress {
+            local: "postmaster".into(),
+            domain: Name::root(),
+        };
+        let plain = addr("john.smith+tag@t01.m00042.spf-test.dns-lab.org");
+        for a in [&root, &plain] {
+            assert_eq!(mail_line(Some(a)), format!("MAIL FROM:<{a}>"));
+            assert_eq!(rcpt_line(a), format!("RCPT TO:<{a}>"));
+            assert_eq!(Command::Rcpt(a.clone()).to_line(), format!("RCPT TO:<{a}>"));
+        }
+        assert_eq!(rcpt_line(&root), "RCPT TO:<postmaster@.>");
+        assert_eq!(mail_line(None), "MAIL FROM:<>");
+        assert_eq!(Command::Mail(None).to_line(), "MAIL FROM:<>");
+        for id in ["probe.dns-lab.org", "[192.0.2.1]", ""] {
+            assert_eq!(Command::Ehlo(id.into()).to_line(), format!("EHLO {id}"));
+            assert_eq!(Command::Helo(id.into()).to_line(), format!("HELO {id}"));
+            assert_eq!(Command::Vrfy(id.into()).to_line(), format!("VRFY {id}"));
+        }
+    }
+
+    #[test]
+    fn verbs_match_case_insensitively_and_unknown_ones_are_uppercased() {
+        for line in ["eHlO x.test", "Quit", "dAtA", "rset", "NoOp"] {
+            assert!(Command::parse(line).is_ok(), "{line}");
+        }
+        for (line, verb) in [
+            ("frob x", "FROB"),
+            ("quits", "QUITS"),
+            ("qui", "QUI"),
+            ("", ""),
+            ("h\u{e9}lo x", "H\u{e9}LO"),
+            ("\u{e9}hlo", "\u{e9}HLO"),
+        ] {
+            assert_eq!(
+                Command::parse(line),
+                Err(CommandError::UnknownCommand(verb.into())),
+                "{line:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! * [`command`] — command grammar (EHLO/HELO, MAIL, RCPT, DATA, RSET,
 //!   NOOP, QUIT, VRFY) and mailbox/path parsing.
 //! * [`reply`] — reply codes and multiline reply parsing/serialization.
+//! * [`line`] — CRLF line framing of the text either side sends.
 //! * [`mail`] — the Internet Message Format model (RFC 5322): ordered
 //!   headers, body, folding/unfolding, dot-stuffing for DATA.
 //! * [`server`] — a sans-IO receiving-MTA session state machine with
@@ -23,6 +24,7 @@
 
 pub mod client;
 pub mod command;
+pub mod line;
 pub mod mail;
 pub mod reply;
 pub mod server;

@@ -1,7 +1,7 @@
 //! SMTP replies (RFC 5321 §4.2): three-digit codes with one or more text
 //! lines.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// A complete (possibly multiline) SMTP reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,13 +53,23 @@ impl Reply {
         self.lines.join(" ")
     }
 
-    /// Serialize to wire lines including CRLFs.
+    /// Serialize to wire lines including CRLFs: per line the code's
+    /// decimal digits, `-` (a continuation) or ` ` (the last line), the
+    /// text and CRLF, in one buffer sized up front.
     pub fn to_wire(&self) -> String {
-        let mut out = String::new();
+        let mut digits = [0u8; 5];
+        let code = decimal(self.code, &mut digits);
+        let len = self
+            .lines
+            .iter()
+            .map(|line| code.len() + line.len() + 3)
+            .sum();
+        let mut out = String::with_capacity(len);
         for (i, line) in self.lines.iter().enumerate() {
-            let sep = if i + 1 == self.lines.len() { ' ' } else { '-' };
-            // Writing into a `String` cannot fail.
-            let _ = write!(out, "{}{sep}{line}\r\n", self.code);
+            out.push_str(code);
+            out.push(if i + 1 == self.lines.len() { ' ' } else { '-' });
+            out.push_str(line);
+            out.push_str("\r\n");
         }
         out
     }
@@ -106,6 +116,21 @@ impl Reply {
     pub fn no_such_user(who: &str) -> Reply {
         Reply::new(550, &format!("No such user: {who}"))
     }
+}
+
+/// `n` in decimal without leading zeros (`"0"` for zero), written to
+/// the end of `buf`.
+fn decimal(mut n: u16, buf: &mut [u8; 5]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII")
 }
 
 impl fmt::Display for Reply {
@@ -273,6 +298,42 @@ mod tests {
             result = p.push_line(line).unwrap();
         }
         assert_eq!(result, Some(r));
+    }
+
+    /// The `write!` form `to_wire` replaced.
+    fn reference_wire(r: &Reply) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (i, line) in r.lines.iter().enumerate() {
+            let sep = if i + 1 == r.lines.len() { ' ' } else { '-' };
+            write!(out, "{}{sep}{line}\r\n", r.code).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn to_wire_matches_the_formatted_form() {
+        let texts = [
+            "OK",
+            "",
+            "h\u{e9}llo w\u{f6}rld \u{1f4e7}",
+            "spaced  out ",
+            "-",
+        ];
+        for code in 0..=u16::MAX {
+            let text = texts[code as usize % texts.len()];
+            let one = Reply::new(code, text);
+            let wire = one.to_wire();
+            assert_eq!(wire, reference_wire(&one), "code {code}");
+            assert_eq!(wire.len(), wire.capacity(), "code {code} sized exactly");
+        }
+        for code in [0, 7, 42, 250, 554, 9999, 10000, u16::MAX] {
+            let lines: Vec<String> = texts.iter().map(|t| t.to_string()).collect();
+            let many = Reply::multiline(code, lines);
+            assert_eq!(many.to_wire(), reference_wire(&many), "code {code}");
+            let empty = Reply::multiline(code, vec![String::new(); 3]);
+            assert_eq!(empty.to_wire(), reference_wire(&empty), "code {code}");
+        }
     }
 
     #[test]

@@ -560,9 +560,12 @@ impl SpfEvaluator {
         }
     }
 
+    /// Evaluate one mechanism. Its text (what `matched_term` reports)
+    /// is formatted only where it is used: at a match, or when a lookup
+    /// whose answer may match is queued.
     fn process_mechanism(&mut self, qualifier: Qualifier, mech: Mechanism) -> ProcessOutcome {
-        let term_text = format!("{mech:?}");
-        match mech {
+        let term_text = || format!("{mech:?}");
+        match &mech {
             Mechanism::All => match self.mechanism_matched(qualifier, "all".into()) {
                 Some(step) => ProcessOutcome::Finished(step),
                 None => ProcessOutcome::Continue,
@@ -570,7 +573,7 @@ impl SpfEvaluator {
             Mechanism::Ip4(net) => {
                 if let IpAddr::V4(ip) = self.params.ip {
                     if net.contains(ip) {
-                        return match self.mechanism_matched(qualifier, term_text) {
+                        return match self.mechanism_matched(qualifier, term_text()) {
                             Some(step) => ProcessOutcome::Finished(step),
                             None => ProcessOutcome::Continue,
                         };
@@ -581,7 +584,7 @@ impl SpfEvaluator {
             Mechanism::Ip6(net) => {
                 if let IpAddr::V6(ip) = self.params.ip {
                     if net.contains(ip) {
-                        return match self.mechanism_matched(qualifier, term_text) {
+                        return match self.mechanism_matched(qualifier, term_text()) {
                             Some(step) => ProcessOutcome::Finished(step),
                             None => ProcessOutcome::Continue,
                         };
@@ -594,7 +597,7 @@ impl SpfEvaluator {
                     return ProcessOutcome::Finished(step);
                 }
                 let target = match domain_spec {
-                    Some(spec) => match self.expand_spec(&spec) {
+                    Some(spec) => match self.expand_spec(spec) {
                         Ok(t) => t,
                         Err(e) => return self.perm(format!("bad a target: {e}")),
                     },
@@ -608,8 +611,8 @@ impl SpfEvaluator {
                     },
                     Waiting::MechAddr {
                         qualifier,
-                        cidr,
-                        term: term_text,
+                        cidr: *cidr,
+                        term: term_text(),
                     },
                 ));
                 ProcessOutcome::Await
@@ -619,7 +622,7 @@ impl SpfEvaluator {
                     return ProcessOutcome::Finished(step);
                 }
                 let target = match domain_spec {
-                    Some(spec) => match self.expand_spec(&spec) {
+                    Some(spec) => match self.expand_spec(spec) {
                         Ok(t) => t,
                         Err(e) => return self.perm(format!("bad mx target: {e}")),
                     },
@@ -632,8 +635,8 @@ impl SpfEvaluator {
                     },
                     Waiting::MxList {
                         qualifier,
-                        cidr,
-                        term: term_text,
+                        cidr: *cidr,
+                        term: term_text(),
                         mx_domain: target,
                     },
                 ));
@@ -644,7 +647,7 @@ impl SpfEvaluator {
                     return ProcessOutcome::Finished(step);
                 }
                 let target = match domain_spec {
-                    Some(spec) => match self.expand_spec(&spec) {
+                    Some(spec) => match self.expand_spec(spec) {
                         Ok(t) => t,
                         Err(e) => return self.perm(format!("bad ptr target: {e}")),
                     },
@@ -659,7 +662,7 @@ impl SpfEvaluator {
                     Waiting::PtrList {
                         qualifier,
                         target,
-                        term: term_text,
+                        term: term_text(),
                     },
                 ));
                 ProcessOutcome::Await
@@ -668,7 +671,7 @@ impl SpfEvaluator {
                 if let Some(step) = self.count_dns_term() {
                     return ProcessOutcome::Finished(step);
                 }
-                let target = match self.expand_spec(&domain_spec) {
+                let target = match self.expand_spec(domain_spec) {
                     Ok(t) => t,
                     Err(e) => return self.perm(format!("bad exists target: {e}")),
                 };
@@ -680,7 +683,7 @@ impl SpfEvaluator {
                     },
                     Waiting::Exists {
                         qualifier,
-                        term: term_text,
+                        term: term_text(),
                     },
                 ));
                 ProcessOutcome::Await
@@ -692,7 +695,7 @@ impl SpfEvaluator {
                 if self.frames.len() as u32 >= self.behavior.max_include_depth {
                     return self.perm("include recursion too deep".into());
                 }
-                let target = match self.expand_spec(&domain_spec) {
+                let target = match self.expand_spec(domain_spec) {
                     Ok(t) => t,
                     Err(e) => return self.perm(format!("bad include target: {e}")),
                 };

@@ -266,7 +266,7 @@ fn serve_mta(stream: TcpStream, peer: SocketAddr, dns_addr: SocketAddr) {
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
             return;
         }
-        pending = actor.handle(MtaInput::Line(line.trim_end().to_string()));
+        pending = actor.handle(MtaInput::Line(line.trim_end()));
     }
 }
 

@@ -110,11 +110,14 @@ io_bench() {
   echo "== bench: storage-fault sweep (mailval-artifacts bench --check io) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- bench --check io
   # Every journal and store frame goes through the CRC-32 kernel and
-  # the decoder: smoke-run their micro-benchmarks (the CRC rows, DNS
-  # name parsing, and decoding one 2k-domain NotifyEmail store entry)
-  # on a short budget.
-  echo "== io: frame codec micro-benchmarks (cargo bench --bench microbench -- crc32 name_parse store_decode) =="
-  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- crc32 name_parse store_decode
+  # the decoder, and every simulated datagram and SMTP segment through
+  # the wire codecs: smoke-run their micro-benchmarks (the CRC rows, DNS
+  # name parsing, decoding one 2k-domain NotifyEmail store entry, DNS
+  # message encode/decode and one probe session's SMTP framing) on a
+  # short budget.
+  echo "== io: codec micro-benchmarks (cargo bench --bench microbench -- crc32 name_parse store_decode dns_encode dns_decode smtp_wire) =="
+  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- \
+    crc32 name_parse store_decode dns_encode dns_decode smtp_wire
 }
 
 perf() {
