@@ -323,21 +323,22 @@ fn bench_name_parse(filter: &Filter) {
     });
 }
 
-fn bench_store_decode(filter: &Filter) {
-    if !filter.wants("store_decode") {
-        return;
-    }
-    // One store entry of a NotifyEmail campaign over 2,000 domains at
-    // seed 2021, decoded and verified whole.
-    let kind = DatasetKind::NotifyEmail;
+/// The store entry of a campaign of `kind` over 2,000 domains of
+/// `dataset` at seed 2021, with its key.
+fn store_entry(
+    dataset: DatasetKind,
+    kind: CampaignKind,
+    tests: Vec<&'static str>,
+) -> (Vec<u8>, CampaignKey) {
     let pop = Population::generate(&PopulationConfig {
-        kind,
-        scale: 2_000.0 / kind.paper_domain_count() as f64,
+        kind: dataset,
+        scale: 2_000.0 / dataset.paper_domain_count() as f64,
         seed: 2021,
     });
     let profiles = sample_host_profiles(&pop, 2021);
     let config = CampaignConfig {
-        kind: CampaignKind::NotifyEmail,
+        kind,
+        tests,
         seed: 2021,
         shards: 1,
         ..CampaignConfig::default()
@@ -347,10 +348,32 @@ fn bench_store_decode(filter: &Filter) {
         hash: [0x2b; 32],
         label: "microbench".into(),
     };
-    let entry = encode_entry(&key, &result);
-    filter.bench("store_decode", || {
-        decode_entry(black_box(&entry), &key).unwrap()
-    });
+    (encode_entry(&key, &result), key)
+}
+
+fn bench_store_decode(filter: &Filter) {
+    // Each entry decoded and verified whole: a NotifyEmail campaign's,
+    // then a TwoWeekMX t03–t11 probe campaign's, whose records carry
+    // more transcripts and test ids.
+    if filter.wants("store_decode") {
+        let (entry, key) = store_entry(
+            DatasetKind::NotifyEmail,
+            CampaignKind::NotifyEmail,
+            Vec::new(),
+        );
+        filter.bench("store_decode", || {
+            decode_entry(black_box(&entry), &key).unwrap()
+        });
+    }
+    if filter.wants("store_decode_probe") {
+        let tests = vec![
+            "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11",
+        ];
+        let (entry, key) = store_entry(DatasetKind::TwoWeekMx, CampaignKind::TwoWeekMx, tests);
+        filter.bench("store_decode_probe", || {
+            decode_entry(black_box(&entry), &key).unwrap()
+        });
+    }
 }
 
 fn main() {

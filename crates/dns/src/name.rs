@@ -80,21 +80,37 @@ impl Name {
     /// Parse from presentation format (`mail.example.com`, optional
     /// trailing dot). The empty string and `"."` both give the root.
     ///
-    /// One pass over the bytes: each label is checked when its `.` (or
-    /// the end) is reached, for emptiness, then length, then its first
-    /// bad byte, and the whole text's length last, so the first label
-    /// at fault decides the error. Text with an uppercase byte is
-    /// lowercased on the stack first, so the name's own allocation is
-    /// the only one.
+    /// Text that is already canonical (what every stored or generated
+    /// name is) is wrapped as it stands. Any other text takes one pass
+    /// over the bytes: each label is checked when its `.` (or the end)
+    /// is reached, for emptiness, then length, then its first bad byte,
+    /// and the whole text's length last, so the first label at fault
+    /// decides the error. Text with an uppercase byte is lowercased on
+    /// the stack first, so the name's own allocation is the only one.
     pub fn parse(s: &str) -> Result<Self, NameError> {
         let text = s.strip_suffix('.').unwrap_or(s);
         if text.is_empty() {
             return Ok(Name::root());
         }
+        if Self::is_canonical(text.as_bytes()) || !Self::check_text(text.as_bytes())? {
+            return Ok(Name::from_canonical(text));
+        }
+        let mut lower = [0; MAX_TEXT_LEN];
+        let lower = &mut lower[..text.len()];
+        lower.copy_from_slice(text.as_bytes());
+        lower.make_ascii_lowercase();
+        let lower = std::str::from_utf8(lower).expect("validated labels are ASCII");
+        Ok(Name::from_canonical(lower))
+    }
+
+    /// The ordered walk behind [`Name::parse`]: the first fault of
+    /// `text` (a name without its trailing dot), or whether it has an
+    /// uppercase byte.
+    fn check_text(text: &[u8]) -> Result<bool, NameError> {
         let mut label_len = 0;
         let mut bad = None;
         let mut upper = false;
-        for &b in text.as_bytes() {
+        for &b in text {
             if b == b'.' {
                 Self::end_label(label_len, bad)?;
                 label_len = 0;
@@ -111,15 +127,37 @@ impl Name {
         if text.len() > MAX_TEXT_LEN {
             return Err(NameError::NameTooLong);
         }
-        if !upper {
-            return Ok(Name::from_canonical(text));
+        Ok(upper)
+    }
+
+    /// True when `text` satisfies the field's invariant as it stands: at
+    /// most [`MAX_TEXT_LEN`] bytes, each printable ASCII and not
+    /// uppercase, in labels of 1–63 bytes. It says only whether;
+    /// [`Name::check_text`] says why not.
+    fn is_canonical(text: &[u8]) -> bool {
+        let (Some(&first), Some(&last)) = (text.first(), text.last()) else {
+            return false;
+        };
+        if text.len() > MAX_TEXT_LEN {
+            return false;
         }
-        let mut lower = [0; MAX_TEXT_LEN];
-        let lower = &mut lower[..text.len()];
-        lower.copy_from_slice(text.as_bytes());
-        lower.make_ascii_lowercase();
-        let lower = std::str::from_utf8(lower).expect("validated labels are ASCII");
-        Ok(Name::from_canonical(lower))
+        // Branch-free folds over the bytes: a disallowed byte, and an
+        // empty label (a dot at either end or two in a row).
+        let bad = text.iter().fold(false, |bad, &b| {
+            bad | !(0x21..=0x7e).contains(&b) | b.is_ascii_uppercase()
+        });
+        let empty = text
+            .iter()
+            .zip(&text[1..])
+            .fold((first == b'.') | (last == b'.'), |empty, (&a, &b)| {
+                empty | ((a == b'.') & (b == b'.'))
+            });
+        // Only a text longer than one label can hold a label too long.
+        !(bad | empty)
+            && (text.len() <= MAX_LABEL_LEN
+                || text
+                    .split(|&b| b == b'.')
+                    .all(|label| label.len() <= MAX_LABEL_LEN))
     }
 
     /// Check a label `len` bytes long whose first bad byte, if any, is
@@ -511,6 +549,45 @@ mod tests {
         ]);
         for case in &cases {
             assert_eq!(Name::parse(case), parse_by_labels(case), "{case:?}");
+            assert_canonical_check_agrees(case.as_bytes());
+        }
+    }
+
+    /// The canonical check accepts `text` exactly when the ordered walk
+    /// finds it valid and without an uppercase byte.
+    fn assert_canonical_check_agrees(text: &[u8]) {
+        let text = text.strip_suffix(b".").unwrap_or(text);
+        if !text.is_empty() {
+            assert_eq!(
+                Name::is_canonical(text),
+                Name::check_text(text) == Ok(false),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn canonical_check_agrees_with_the_ordered_walk_on_short_texts() {
+        // Every text of up to 6 bytes over this alphabet; 0xc3 alone is
+        // not UTF-8, so `Name::parse` sees it as the two bytes of `é`.
+        const ALPHABET: [u8; 7] = [b'a', b'A', b'.', b'-', 0x20, 0x7f, 0xc3];
+        let mut texts: Vec<Vec<u8>> = vec![vec![]];
+        let mut last = texts.clone();
+        for _ in 0..6 {
+            last = last
+                .iter()
+                .flat_map(|t| ALPHABET.map(|b| [t.as_slice(), &[b]].concat()))
+                .collect();
+            texts.extend(last.iter().cloned());
+        }
+        assert_eq!(texts.len(), 137_257);
+        for bytes in &texts {
+            assert_canonical_check_agrees(bytes);
+            let text: String = bytes
+                .iter()
+                .map(|&b| if b == 0xc3 { '\u{e9}' } else { char::from(b) })
+                .collect();
+            assert_eq!(Name::parse(&text), parse_by_labels(&text), "{text:?}");
         }
     }
 
@@ -545,6 +622,7 @@ mod tests {
                 text.pop();
             }
             assert_eq!(Name::parse(&text), parse_by_labels(&text), "{text:?}");
+            assert_canonical_check_agrees(text.as_bytes());
         }
     }
 

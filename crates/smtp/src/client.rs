@@ -14,7 +14,6 @@
 use crate::command::{mail_line, rcpt_line, Command, EmailAddress};
 use crate::mail::dot_stuff;
 use crate::reply::Reply;
-use std::convert::Infallible;
 use std::fmt;
 
 /// The dialogue phase a reply belongs to.
@@ -109,10 +108,10 @@ pub struct ClientOutcome {
 /// copy.
 ///
 /// Per reply the buffer holds `phase:u8 code:u16le lines:u32le`, then
-/// per line `len:u32le` and the line's UTF-8 text. That is exactly as
-/// many bytes as the measurement codec's encoding of the same reply, so
-/// a decoder that has measured an encoded transcript can
-/// [`Transcript::with_capacity`] the buffer to its final size.
+/// per line `len:u32le` and the line's UTF-8 text. That is exactly the
+/// measurement codec's encoding of the same replies, so a decoder hands
+/// the encoded span to [`Transcript::decode_packed`], which checks it
+/// and copies it once.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Transcript {
     bytes: Vec<u8>,
@@ -122,19 +121,63 @@ pub struct Transcript {
 /// Bytes of a reply's header in a [`Transcript`]'s buffer.
 const REPLY_HEADER_LEN: usize = 7;
 
+/// Why bytes handed to [`Transcript::decode_packed`] are not a packed
+/// transcript.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedError {
+    /// The bytes ended inside a reply.
+    Truncated,
+    /// A phase byte names no [`Phase`].
+    BadPhase,
+    /// A line is not UTF-8.
+    BadText,
+}
+
 impl Transcript {
     /// An empty transcript.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty transcript whose buffer holds `bytes` packed bytes
-    /// before it grows.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Transcript {
-            bytes: Vec::with_capacity(bytes),
-            replies: 0,
+    /// Read `replies` packed replies from the front of `bytes` and return
+    /// them with the number of bytes they span.
+    ///
+    /// One walk checks, per reply, that the phase byte is present and
+    /// names a phase, that the code and line count are whole, and per
+    /// line that its length is whole, that its bytes are present and
+    /// that they are UTF-8; the first failing check, in that order,
+    /// decides the error. The walked span is then copied in one piece.
+    pub fn decode_packed(bytes: &[u8], replies: u32) -> Result<(Transcript, usize), PackedError> {
+        let mut rest = bytes;
+        for _ in 0..replies {
+            let (&phase, after_phase) = rest.split_first().ok_or(PackedError::Truncated)?;
+            if usize::from(phase) >= Phase::ALL.len() {
+                return Err(PackedError::BadPhase);
+            }
+            let (header, body) = after_phase
+                .split_first_chunk::<{ REPLY_HEADER_LEN - 1 }>()
+                .ok_or(PackedError::Truncated)?;
+            rest = body;
+            let count = u32::from_le_bytes([header[2], header[3], header[4], header[5]]);
+            for _ in 0..count {
+                let (len, body) = rest
+                    .split_first_chunk::<4>()
+                    .ok_or(PackedError::Truncated)?;
+                let len = u32::from_le_bytes(*len) as usize;
+                let line = body.get(..len).ok_or(PackedError::Truncated)?;
+                // Reply text is mostly ASCII, which needs no decoder call.
+                if !line.is_ascii() {
+                    std::str::from_utf8(line).map_err(|_| PackedError::BadText)?;
+                }
+                rest = &body[len..];
+            }
         }
+        let used = bytes.len() - rest.len();
+        let transcript = Transcript {
+            bytes: bytes[..used].to_vec(),
+            replies: replies as usize,
+        };
+        Ok((transcript, used))
     }
 
     /// Number of replies.
@@ -149,40 +192,16 @@ impl Transcript {
 
     /// Append `reply`, received in `phase`.
     pub fn push(&mut self, phase: Phase, reply: &Reply) {
-        let lines = reply.lines.iter().map(|l| Ok::<_, Infallible>(l.as_str()));
-        let Ok(()) = self.try_push(phase, reply.code, lines);
-    }
-
-    /// Append one reply whose lines come from a fallible source (a
-    /// decoder). On the first error nothing of the reply is kept and the
-    /// error is returned.
-    pub fn try_push<'a, E>(
-        &mut self,
-        phase: Phase,
-        code: u16,
-        lines: impl IntoIterator<Item = Result<&'a str, E>>,
-    ) -> Result<(), E> {
-        let start = self.bytes.len();
+        let count = u32::try_from(reply.lines.len()).expect("a reply has under 4 Gi lines");
         self.bytes.push(phase as u8);
-        self.bytes.extend_from_slice(&code.to_le_bytes());
-        self.bytes.extend_from_slice(&[0; 4]);
-        let mut count = 0u32;
-        for line in lines {
-            let line = match line {
-                Ok(line) => line,
-                Err(e) => {
-                    self.bytes.truncate(start);
-                    return Err(e);
-                }
-            };
+        self.bytes.extend_from_slice(&reply.code.to_le_bytes());
+        self.bytes.extend_from_slice(&count.to_le_bytes());
+        for line in &reply.lines {
             let len = u32::try_from(line.len()).expect("a reply line is under 4 GiB");
             self.bytes.extend_from_slice(&len.to_le_bytes());
             self.bytes.extend_from_slice(line.as_bytes());
-            count += 1;
         }
-        self.bytes[start + 3..start + REPLY_HEADER_LEN].copy_from_slice(&count.to_le_bytes());
         self.replies += 1;
-        Ok(())
     }
 
     /// Give back the buffer's growth slack.
@@ -888,21 +907,48 @@ mod tests {
     }
 
     #[test]
-    fn failed_try_push_keeps_nothing_of_the_reply() {
+    fn decode_packed_takes_back_what_push_packed() {
         let mut t = Transcript::new();
         t.push(Phase::Greeting, &Reply::greeting("mx"));
-        let before = t.clone();
-        let lines = [Ok("first"), Err("cut"), Ok("never read")];
-        assert_eq!(t.try_push(Phase::Helo, 250, lines), Err("cut"));
-        assert_eq!(t, before);
-        t.try_push::<()>(Phase::Quit, 221, [Ok("Bye"), Ok("\u{e9}t\u{e9}")])
-            .unwrap();
+        t.push(
+            Phase::Quit,
+            &Reply::multiline(221, vec!["Bye".into(), "\u{e9}t\u{e9}".into()]),
+        );
+        t.push(
+            Phase::Rcpt,
+            &Reply {
+                code: 451,
+                lines: vec![],
+            },
+        );
+        let mut bytes = t.bytes.clone();
+        bytes.extend_from_slice(b"after");
+        let (decoded, used) = Transcript::decode_packed(&bytes, 3).unwrap();
+        assert_eq!((decoded, used), (t.clone(), t.bytes.len()));
         assert_eq!(
-            unpacked(&t),
-            [
-                (Phase::Greeting, 220, vec!["mx ESMTP ready"]),
-                (Phase::Quit, 221, vec!["Bye", "\u{e9}t\u{e9}"]),
-            ]
+            Transcript::decode_packed(&bytes, 0).unwrap(),
+            (Transcript::new(), 0)
+        );
+        // Every cut inside the replies is a truncation.
+        for len in 0..t.bytes.len() {
+            assert_eq!(
+                Transcript::decode_packed(&bytes[..len], 3),
+                Err(PackedError::Truncated),
+                "cut at {len}"
+            );
+        }
+        let mut bad = t.bytes.clone();
+        bad[0] = 7;
+        assert_eq!(
+            Transcript::decode_packed(&bad, 3),
+            Err(PackedError::BadPhase)
+        );
+        // The greeting's line starts at byte 11; 0xff is never UTF-8.
+        let mut bad = t.bytes.clone();
+        bad[11] = 0xff;
+        assert_eq!(
+            Transcript::decode_packed(&bad, 3),
+            Err(PackedError::BadText)
         );
         assert!(Transcript::new().is_empty() && Transcript::new().iter().next().is_none());
     }
@@ -916,7 +962,13 @@ mod tests {
             vec!["mx".into(), String::new(), "\u{e9}t\u{e9}".into()],
         );
         t.push(Phase::Helo, &ehlo);
-        t.try_push::<()>(Phase::Quit, 221, []).unwrap();
+        t.push(
+            Phase::Quit,
+            &Reply {
+                code: 221,
+                lines: vec![],
+            },
+        );
         for (_, _, lines) in t.iter() {
             let raw = lines.clone().raw();
             assert_eq!(raw.len(), lines.len());

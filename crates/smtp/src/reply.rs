@@ -78,7 +78,7 @@ impl Reply {
 
     /// 220 service ready greeting.
     pub fn greeting(host: &str) -> Reply {
-        Reply::new(220, &format!("{host} ESMTP ready"))
+        Reply::multiline(220, vec![[host, " ESMTP ready"].concat()])
     }
 
     /// 250 OK.
@@ -114,7 +114,7 @@ impl Reply {
     /// 550 mailbox unavailable (the "invalid recipient" rejection the
     /// paper encountered for 6.4% of TwoWeekMX MTAs).
     pub fn no_such_user(who: &str) -> Reply {
-        Reply::new(550, &format!("No such user: {who}"))
+        Reply::multiline(550, vec![["No such user: ", who].concat()])
     }
 }
 
@@ -268,6 +268,22 @@ impl ReplyParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn canned_lines_are_the_formatted_lines() {
+        for text in ["mx.test", "", "\u{e9}t\u{e9} \u{672a}"] {
+            let greeting = Reply::greeting(text);
+            let no_such_user = Reply::no_such_user(text);
+            assert_eq!(greeting, Reply::new(220, &format!("{text} ESMTP ready")));
+            assert_eq!(
+                no_such_user,
+                Reply::new(550, &format!("No such user: {text}"))
+            );
+            for line in [&greeting.lines[0], &no_such_user.lines[0]] {
+                assert_eq!(line.capacity(), line.len());
+            }
+        }
+    }
 
     #[test]
     fn single_line_roundtrip() {

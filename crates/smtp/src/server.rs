@@ -240,17 +240,14 @@ impl Session {
         let reply = match decision {
             Decision::Accept => match &query {
                 PolicyQuery::Helo { identity, esmtp } => {
+                    let greets = [self.hostname.as_str(), " greets ", identity].concat();
                     if *esmtp {
                         Reply::multiline(
                             250,
-                            vec![
-                                format!("{} greets {identity}", self.hostname),
-                                "SIZE 26214400".into(),
-                                "8BITMIME".into(),
-                            ],
+                            vec![greets, "SIZE 26214400".into(), "8BITMIME".into()],
                         )
                     } else {
-                        Reply::new(250, &format!("{} greets {identity}", self.hostname))
+                        Reply::multiline(250, vec![greets])
                     }
                 }
                 PolicyQuery::Data => Reply::start_mail_input(),
@@ -322,6 +319,22 @@ mod tests {
             Action::Ask(_) => session.on_decision(Decision::Accept),
             Action::Reply(r) | Action::ReplyAndClose(r) => r,
             Action::None => panic!("no reply for {line}"),
+        }
+    }
+
+    #[test]
+    fn greets_line_is_the_formatted_line() {
+        for (host, identity) in [
+            ("mx.test", "probe.test"),
+            ("", "x"),
+            ("mx\u{e9}", "[192.0.2.1]"),
+        ] {
+            for verb in ["EHLO", "HELO"] {
+                let mut s = Session::new(host);
+                let reply = accept_all(&mut s, &format!("{verb} {identity}"));
+                assert_eq!(reply.lines[0], format!("{host} greets {identity}"));
+                assert_eq!(reply.lines[0].capacity(), reply.lines[0].len());
+            }
         }
     }
 

@@ -19,6 +19,7 @@ use crate::SpfResult;
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::rr::{RData, RecordType};
 use mailval_dns::Name;
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::IpAddr;
 
@@ -437,8 +438,13 @@ impl SpfEvaluator {
     /// Expand a domain-spec in the current frame's context.
     fn expand_spec(&self, spec: &str) -> Result<Name, String> {
         let frame = self.frames.last().expect("no frame");
-        let ctx = self.params.macro_ctx(&frame.domain);
-        let expanded = expand(spec, &ctx, false).map_err(|e| e.to_string())?;
+        let ctx = OnceCell::new();
+        let expanded = expand(
+            spec,
+            || ctx.get_or_init(|| self.params.macro_ctx(&frame.domain)),
+            false,
+        )
+        .map_err(|e| e.to_string())?;
         // §7.3: if the expansion exceeds 253 chars, drop left labels; we
         // approximate by letting Name::parse reject and erroring.
         Name::parse(&expanded).map_err(|e| e.to_string())
@@ -976,53 +982,37 @@ impl SpfEvaluator {
     /// Parallel-prefetch: mark every lookup this record will need as
     /// requested and emit it on the next NeedLookups.
     fn prefetch_record_lookups(&mut self, record: &SpfRecord, domain: &Name) {
-        let ctx = self.params.macro_ctx(domain);
+        // Built on the record's first macro, if it has one.
+        let ctx = OnceCell::new();
+        let params = &self.params;
+        let name_of = |spec: &str| {
+            expand(spec, || ctx.get_or_init(|| params.macro_ctx(domain)), false)
+                .ok()
+                .and_then(|d| Name::parse(&d).ok())
+        };
+        let question = |name: Option<Name>, rtype| name.map(|name| DnsQuestion { name, rtype });
         let addr_rtype = self.addr_rtype();
         let mut extra: Vec<DnsQuestion> = Vec::new();
         for term in &record.terms {
             let q = match term {
                 Term::Mechanism(_, Mechanism::Include { domain_spec })
                 | Term::Modifier(Modifier::Redirect { domain_spec }) => {
-                    expand(domain_spec, &ctx, false)
-                        .ok()
-                        .and_then(|d| Name::parse(&d).ok())
-                        .map(|name| DnsQuestion {
-                            name,
-                            rtype: RecordType::Txt,
-                        })
+                    question(name_of(domain_spec), RecordType::Txt)
                 }
                 Term::Mechanism(_, Mechanism::A { domain_spec, .. }) => {
-                    let name = match domain_spec {
-                        Some(spec) => expand(spec, &ctx, false)
-                            .ok()
-                            .and_then(|d| Name::parse(&d).ok()),
-                        None => Some(domain.clone()),
-                    };
-                    name.map(|name| DnsQuestion {
-                        name,
-                        rtype: addr_rtype,
-                    })
+                    let name = domain_spec
+                        .as_deref()
+                        .map_or_else(|| Some(domain.clone()), name_of);
+                    question(name, addr_rtype)
                 }
                 Term::Mechanism(_, Mechanism::Mx { domain_spec, .. }) => {
-                    let name = match domain_spec {
-                        Some(spec) => expand(spec, &ctx, false)
-                            .ok()
-                            .and_then(|d| Name::parse(&d).ok()),
-                        None => Some(domain.clone()),
-                    };
-                    name.map(|name| DnsQuestion {
-                        name,
-                        rtype: RecordType::Mx,
-                    })
+                    let name = domain_spec
+                        .as_deref()
+                        .map_or_else(|| Some(domain.clone()), name_of);
+                    question(name, RecordType::Mx)
                 }
                 Term::Mechanism(_, Mechanism::Exists { domain_spec }) => {
-                    expand(domain_spec, &ctx, false)
-                        .ok()
-                        .and_then(|d| Name::parse(&d).ok())
-                        .map(|name| DnsQuestion {
-                            name,
-                            rtype: RecordType::A,
-                        })
+                    question(name_of(domain_spec), RecordType::A)
                 }
                 Term::Mechanism(_, Mechanism::Ptr { .. }) => Some(DnsQuestion {
                     name: reverse_name(self.params.ip),

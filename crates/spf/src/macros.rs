@@ -68,7 +68,15 @@ pub fn ip_macro_form(ip: IpAddr) -> String {
 /// Expand a macro-string. `is_exp` enables the exp-only macros (c/r/t are
 /// accepted but expanded to fixed placeholders, since the evaluator does
 /// not carry them).
-pub fn expand(spec: &str, ctx: &MacroContext, is_exp: bool) -> Result<String, MacroError> {
+///
+/// `ctx` is called for the context at each `%{...}` macro and at no
+/// other time, so a caller can build it on first use: most domain-specs
+/// hold no macro.
+pub fn expand<'c>(
+    spec: &str,
+    mut ctx: impl FnMut() -> &'c MacroContext,
+    is_exp: bool,
+) -> Result<String, MacroError> {
     let mut out = String::with_capacity(spec.len());
     let bytes = spec.as_bytes();
     let mut i = 0;
@@ -94,7 +102,7 @@ pub fn expand(spec: &str, ctx: &MacroContext, is_exp: bool) -> Result<String, Ma
             Some(b'{') => {
                 let end = spec[i + 2..].find('}').ok_or(MacroError::Unterminated)? + i + 2;
                 let inner = &spec[i + 2..end];
-                out.push_str(&expand_one(inner, ctx, is_exp)?);
+                out.push_str(&expand_one(inner, ctx(), is_exp)?);
                 i = end + 1;
             }
             _ => return Err(MacroError::BadPercent),
@@ -219,41 +227,41 @@ mod tests {
     fn rfc_examples() {
         let c = ctx();
         assert_eq!(
-            expand("%{s}", &c, false).unwrap(),
+            expand("%{s}", || &c, false).unwrap(),
             "strong-bad@email.example.com"
         );
-        assert_eq!(expand("%{o}", &c, false).unwrap(), "email.example.com");
-        assert_eq!(expand("%{d}", &c, false).unwrap(), "email.example.com");
-        assert_eq!(expand("%{d4}", &c, false).unwrap(), "email.example.com");
-        assert_eq!(expand("%{d3}", &c, false).unwrap(), "email.example.com");
-        assert_eq!(expand("%{d2}", &c, false).unwrap(), "example.com");
-        assert_eq!(expand("%{d1}", &c, false).unwrap(), "com");
-        assert_eq!(expand("%{dr}", &c, false).unwrap(), "com.example.email");
-        assert_eq!(expand("%{d2r}", &c, false).unwrap(), "example.email");
-        assert_eq!(expand("%{l}", &c, false).unwrap(), "strong-bad");
-        assert_eq!(expand("%{l-}", &c, false).unwrap(), "strong.bad");
-        assert_eq!(expand("%{lr}", &c, false).unwrap(), "strong-bad");
-        assert_eq!(expand("%{lr-}", &c, false).unwrap(), "bad.strong");
-        assert_eq!(expand("%{l1r-}", &c, false).unwrap(), "strong");
+        assert_eq!(expand("%{o}", || &c, false).unwrap(), "email.example.com");
+        assert_eq!(expand("%{d}", || &c, false).unwrap(), "email.example.com");
+        assert_eq!(expand("%{d4}", || &c, false).unwrap(), "email.example.com");
+        assert_eq!(expand("%{d3}", || &c, false).unwrap(), "email.example.com");
+        assert_eq!(expand("%{d2}", || &c, false).unwrap(), "example.com");
+        assert_eq!(expand("%{d1}", || &c, false).unwrap(), "com");
+        assert_eq!(expand("%{dr}", || &c, false).unwrap(), "com.example.email");
+        assert_eq!(expand("%{d2r}", || &c, false).unwrap(), "example.email");
+        assert_eq!(expand("%{l}", || &c, false).unwrap(), "strong-bad");
+        assert_eq!(expand("%{l-}", || &c, false).unwrap(), "strong.bad");
+        assert_eq!(expand("%{lr}", || &c, false).unwrap(), "strong-bad");
+        assert_eq!(expand("%{lr-}", || &c, false).unwrap(), "bad.strong");
+        assert_eq!(expand("%{l1r-}", || &c, false).unwrap(), "strong");
     }
 
     #[test]
     fn rfc_composite_examples() {
         let c = ctx();
         assert_eq!(
-            expand("%{ir}.%{v}._spf.%{d2}", &c, false).unwrap(),
+            expand("%{ir}.%{v}._spf.%{d2}", || &c, false).unwrap(),
             "3.2.0.192.in-addr._spf.example.com"
         );
         assert_eq!(
-            expand("%{lr-}.lp._spf.%{d2}", &c, false).unwrap(),
+            expand("%{lr-}.lp._spf.%{d2}", || &c, false).unwrap(),
             "bad.strong.lp._spf.example.com"
         );
         assert_eq!(
-            expand("%{ir}.%{v}.%{l1r-}.lp._spf.%{d2}", &c, false).unwrap(),
+            expand("%{ir}.%{v}.%{l1r-}.lp._spf.%{d2}", || &c, false).unwrap(),
             "3.2.0.192.in-addr.strong.lp._spf.example.com"
         );
         assert_eq!(
-            expand("%{d2}.trusted-domains.example.net", &c, false).unwrap(),
+            expand("%{d2}.trusted-domains.example.net", || &c, false).unwrap(),
             "example.com.trusted-domains.example.net"
         );
     }
@@ -262,7 +270,7 @@ mod tests {
     fn ipv6_form() {
         let mut c = ctx();
         c.ip = IpAddr::V6("2001:db8::cb01".parse::<Ipv6Addr>().unwrap());
-        let expanded = expand("%{ir}.%{v}._spf.%{d2}", &c, false).unwrap();
+        let expanded = expand("%{ir}.%{v}._spf.%{d2}", || &c, false).unwrap();
         assert_eq!(
             expanded,
             "1.0.b.c.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.8.b.d.0.1.0.0.2.ip6._spf.example.com"
@@ -272,37 +280,37 @@ mod tests {
     #[test]
     fn literal_escapes() {
         let c = ctx();
-        assert_eq!(expand("a%%b", &c, false).unwrap(), "a%b");
-        assert_eq!(expand("a%_b", &c, false).unwrap(), "a b");
-        assert_eq!(expand("a%-b", &c, false).unwrap(), "a%20b");
+        assert_eq!(expand("a%%b", || &c, false).unwrap(), "a%b");
+        assert_eq!(expand("a%_b", || &c, false).unwrap(), "a b");
+        assert_eq!(expand("a%-b", || &c, false).unwrap(), "a%20b");
     }
 
     #[test]
     fn errors() {
         let c = ctx();
-        assert_eq!(expand("%x", &c, false), Err(MacroError::BadPercent));
-        assert_eq!(expand("%{d", &c, false), Err(MacroError::Unterminated));
+        assert_eq!(expand("%x", || &c, false), Err(MacroError::BadPercent));
+        assert_eq!(expand("%{d", || &c, false), Err(MacroError::Unterminated));
         assert!(matches!(
-            expand("%{q}", &c, false),
+            expand("%{q}", || &c, false),
             Err(MacroError::BadMacro(_))
         ));
         assert!(matches!(
-            expand("%{d0}", &c, false),
+            expand("%{d0}", || &c, false),
             Err(MacroError::BadMacro(_))
         ));
         // exp-only macros outside exp:
         assert!(matches!(
-            expand("%{c}", &c, false),
+            expand("%{c}", || &c, false),
             Err(MacroError::BadMacro(_))
         ));
-        assert!(expand("%{c}", &c, true).is_ok());
+        assert!(expand("%{c}", || &c, true).is_ok());
     }
 
     #[test]
     fn uppercase_url_escapes() {
         let c = ctx();
         assert_eq!(
-            expand("%{S}", &c, false).unwrap(),
+            expand("%{S}", || &c, false).unwrap(),
             "strong-bad%40email.example.com"
         );
     }
@@ -311,8 +319,23 @@ mod tests {
     fn no_macros_passthrough() {
         let c = ctx();
         assert_eq!(
-            expand("plain.example.org", &c, false).unwrap(),
+            expand("plain.example.org", || &c, false).unwrap(),
             "plain.example.org"
         );
+        // Only a `%{...}` macro asks for the context, once per macro.
+        let mut asked = 0;
+        let mut counted = || {
+            asked += 1;
+            &c
+        };
+        assert_eq!(
+            expand("a%%b%_c%-d", &mut counted, false).unwrap(),
+            "a%b c%20d"
+        );
+        assert_eq!(
+            expand("%{d2}.%{l}", &mut counted, false).unwrap(),
+            "example.com.strong-bad"
+        );
+        assert_eq!(asked, 2);
     }
 }
