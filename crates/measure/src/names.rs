@@ -74,6 +74,13 @@ impl<'a> PolicyPath<'a> {
         self.0.split_terminator('.')
     }
 
+    /// The number of labels: one more than the dots, since no label is
+    /// empty; none for the base name's path.
+    pub fn label_count(self) -> usize {
+        let dots = self.0.bytes().filter(|&b| b == b'.').count();
+        dots + usize::from(!self.0.is_empty())
+    }
+
     /// The leftmost label.
     pub fn first(self) -> Option<&'a str> {
         self.labels().next()
@@ -482,6 +489,7 @@ mod tests {
             if let Some(view) = view {
                 let owned = reference::parse(s, name).unwrap();
                 assert_eq!(view.base, reference::base_of(s, &owned).as_str(), "{name}");
+                assert_eq!(view.path.label_count(), owned.path.len(), "{name}");
                 parsed += 1;
             }
         }
