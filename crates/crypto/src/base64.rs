@@ -33,6 +33,13 @@ impl std::error::Error for Base64Error {}
 /// Encode `data` as standard Base64 with padding.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    encode_into(data, &mut out);
+    out
+}
+
+/// Append the padded base64 encoding of `data` to `out`.
+pub fn encode_into(data: &[u8], out: &mut String) {
+    out.reserve(data.len().div_ceil(3) * 4);
     for chunk in data.chunks(3) {
         let b0 = chunk[0] as u32;
         let b1 = *chunk.get(1).unwrap_or(&0) as u32;
@@ -51,7 +58,6 @@ pub fn encode(data: &[u8]) -> String {
             out.push('=');
         }
     }
-    out
 }
 
 fn decode_byte(b: u8) -> Option<u8> {

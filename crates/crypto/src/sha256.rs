@@ -83,17 +83,18 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then 8-byte big-endian length.
-        self.update(&[0x80]);
-        // update() adjusted total_len; that's fine, bit_len was latched first.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros to 56 mod 64, then the 8-byte big-endian
+        // bit length. Past 55 buffered bytes the 0x80 and zeros fill this
+        // block and the length goes into one more.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        self.total_len = 0; // irrelevant from here on
-        let mut lenb = [0u8; 8];
-        lenb.copy_from_slice(&bit_len.to_be_bytes());
-        // Manually place: buf_len is 56, appending 8 bytes completes a block.
-        self.buf[56..64].copy_from_slice(&lenb);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -194,6 +195,33 @@ mod tests {
             hex::encode(&ctx.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// The padding as FIPS 180-4 §5.1.1 spells it, one byte at a time.
+    fn finalize_bytewise(mut ctx: Sha256) -> [u8; 32] {
+        let bit_len = ctx.total_len.wrapping_mul(8);
+        ctx.update(&[0x80]);
+        while ctx.buf_len != 56 {
+            ctx.update(&[0]);
+        }
+        ctx.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = ctx.buf;
+        ctx.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, word) in ctx.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn padding_matches_the_bytewise_reference_at_every_length() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(200).collect();
+        for len in 0..data.len() {
+            let mut ctx = Sha256::new();
+            ctx.update(&data[..len]);
+            assert_eq!(ctx.clone().finalize(), finalize_bytewise(ctx), "len {len}");
+        }
     }
 
     #[test]

@@ -95,9 +95,9 @@ impl DkimKeyRecord {
                 return Err(KeyRecordError::BadVersion);
             }
         }
-        let key_type = tags.get("k").unwrap_or("rsa").trim().to_string();
+        let key_type = tags.get("k").unwrap_or("rsa").trim();
         if !key_type.eq_ignore_ascii_case("rsa") {
-            return Err(KeyRecordError::UnsupportedKeyType(key_type));
+            return Err(KeyRecordError::UnsupportedKeyType(key_type.to_string()));
         }
         let p = tags.get_compact("p").ok_or(KeyRecordError::MissingKey)?;
         let public_key = if p.is_empty() {
@@ -110,10 +110,15 @@ impl DkimKeyRecord {
             .get("h")
             .map(|h| {
                 h.split(':')
-                    .filter_map(|a| match a.trim().to_ascii_lowercase().as_str() {
-                        "sha256" => Some(HashAlg::Sha256),
-                        "sha1" => Some(HashAlg::Sha1),
-                        _ => None,
+                    .filter_map(|a| {
+                        let a = a.trim();
+                        if a.eq_ignore_ascii_case("sha256") {
+                            Some(HashAlg::Sha256)
+                        } else if a.eq_ignore_ascii_case("sha1") {
+                            Some(HashAlg::Sha1)
+                        } else {
+                            None
+                        }
                     })
                     .collect()
             })
@@ -128,7 +133,7 @@ impl DkimKeyRecord {
             .unwrap_or_default();
         Ok(DkimKeyRecord {
             hash_algs,
-            key_type,
+            key_type: key_type.to_string(),
             public_key,
             flags,
             services,

@@ -22,6 +22,8 @@
 
 pub mod canon;
 pub mod key;
+#[cfg(test)]
+mod reference;
 pub mod sign;
 pub mod signature;
 pub mod taglist;

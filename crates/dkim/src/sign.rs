@@ -1,6 +1,6 @@
 //! The DKIM signing pipeline (RFC 6376 §3.7, §5).
 
-use crate::canon::{canonicalize_body, canonicalize_header, Canonicalization};
+use crate::canon::{append_header, append_header_with, canonicalize_body, Canonicalization};
 use crate::signature::DkimSignature;
 use mailval_crypto::rsa::RsaPrivateKey;
 use mailval_crypto::HashAlg;
@@ -73,7 +73,7 @@ impl std::error::Error for SignError {}
 /// Select header instances for `h=` (§5.4.2): for each listed name, take
 /// instances from the *bottom* of the header block upward; names listed
 /// more times than they occur select nothing for the excess ("over-
-/// signing"). Returns the canonicalized header text in signing order.
+/// signing"). Returns the selected fields in signing order.
 pub fn select_headers<'a>(
     headers: &'a [HeaderField],
     signed: &[String],
@@ -94,38 +94,29 @@ pub fn select_headers<'a>(
     out
 }
 
-/// Compute the data hash input (§3.7): canonicalized selected headers,
-/// then the canonicalized DKIM-Signature header with empty `b=` and no
-/// trailing CRLF.
-///
-/// `sig_raw_value` must be the *raw header value* (everything after the
-/// colon, leading whitespace included) so that `simple` canonicalization
-/// hashes the same bytes on the signing and verifying sides.
-fn data_hash_input(
+/// Append the canonicalized selected headers to the data hash input
+/// (§3.7), each with its CRLF. The `DKIM-Signature` header follows,
+/// without one: see [`append_signature_header`].
+fn append_signed_headers(
     message_headers: &[HeaderField],
-    sig_raw_value: &str,
     header_canon: Canonicalization,
     signed: &[String],
-) -> Vec<u8> {
-    let mut input = Vec::new();
+    input: &mut Vec<u8>,
+) {
     for header in select_headers(message_headers, signed)
         .into_iter()
         .flatten()
     {
-        input.extend_from_slice(canonicalize_header(header_canon, header).as_bytes());
+        append_header(header_canon, &header.name, &header.raw_value, input);
+        input.extend_from_slice(b"\r\n");
     }
-    let sig_field = HeaderField {
-        name: "DKIM-Signature".into(),
-        raw_value: sig_raw_value.to_string(),
-    };
-    let canon_sig = canonicalize_header(header_canon, &sig_field);
-    // No trailing CRLF on the signature header itself.
-    let trimmed = canon_sig
-        .strip_suffix("\r\n")
-        .unwrap_or(&canon_sig)
-        .as_bytes();
-    input.extend_from_slice(trimmed);
-    input
+}
+
+/// The hash algorithm's digest of the canonical body (the `bh=` value).
+pub fn body_hash(config: &SignConfig, body: &[u8]) -> Vec<u8> {
+    config
+        .algorithm
+        .digest(&canonicalize_body(config.body_canon, body))
 }
 
 /// Sign `message`, returning the `DKIM-Signature` header *value* to
@@ -135,7 +126,26 @@ pub fn sign_message(
     config: &SignConfig,
     key: &RsaPrivateKey,
 ) -> Result<String, SignError> {
-    if message.header("from").is_none()
+    sign_headers(
+        &message.headers,
+        config,
+        &body_hash(config, &message.body),
+        key,
+    )
+}
+
+/// Sign the header block `headers` of a message whose body hashes to
+/// `body_hash` ([`body_hash`] under the same `config`), returning the
+/// `DKIM-Signature` header value, as [`sign_message`] does. A sender of
+/// many messages with one body hashes it once and signs each through
+/// here.
+pub fn sign_headers(
+    headers: &[HeaderField],
+    config: &SignConfig,
+    body_hash: &[u8],
+    key: &RsaPrivateKey,
+) -> Result<String, SignError> {
+    if !headers.iter().any(|h| h.name.eq_ignore_ascii_case("from"))
         || !config
             .signed_headers
             .iter()
@@ -143,13 +153,10 @@ pub fn sign_message(
     {
         return Err(SignError::NoFrom);
     }
-    let canon_body = canonicalize_body(config.body_canon, &message.body);
-    let body_hash = config.algorithm.digest(&canon_body);
-
     let sig = DkimSignature {
         algorithm: config.algorithm,
         signature: Vec::new(),
-        body_hash,
+        body_hash: body_hash.to_vec(),
         header_canon: config.header_canon,
         body_canon: config.body_canon,
         domain: config.domain.clone(),
@@ -166,19 +173,38 @@ pub fn sign_message(
     };
 
     // The header will be attached as "DKIM-Signature: <value>", i.e. with
-    // a single leading space in the raw value; hash exactly that.
-    let unsigned_value = format!(" {}", sig.to_header_value(""));
-    let input = data_hash_input(
-        &message.headers,
-        &unsigned_value,
+    // a single leading space in the raw value; hash exactly that. The
+    // signed value is this one with the base64 signature after `b=`.
+    let mut value = String::with_capacity(512);
+    value.push(' ');
+    sig.write_header_value(&mut value);
+    let mut input = Vec::with_capacity(1024);
+    append_signed_headers(
+        headers,
         config.header_canon,
         &sig.signed_headers,
+        &mut input,
     );
+    append_header(config.header_canon, SIGNATURE_HEADER, &value, &mut input);
     let digest = config.algorithm.digest(&input);
     let signature = key
         .sign_digest(config.algorithm, &digest)
         .map_err(|e| SignError::Rsa(e.to_string()))?;
-    Ok(sig.to_header_value(&mailval_crypto::base64::encode(&signature)))
+    mailval_crypto::base64::encode_into(&signature, &mut value);
+    value.remove(0);
+    Ok(value)
+}
+
+/// The name the signature header is hashed under.
+const SIGNATURE_HEADER: &str = "DKIM-Signature";
+
+/// Append the `DKIM-Signature` header as received, with its `b=` value
+/// emptied, canonicalized and without a trailing CRLF (§3.7): the last
+/// piece of the data hash input.
+fn append_signature_header(canon: Canonicalization, raw_sig_value: &str, input: &mut Vec<u8>) {
+    append_header_with(canon, SIGNATURE_HEADER, input, |out| {
+        strip_b_value(raw_sig_value, out)
+    });
 }
 
 /// Recompute the data-hash digest for verification of a *parsed*
@@ -188,60 +214,49 @@ pub fn verification_digest(
     sig: &DkimSignature,
     raw_sig_value: &str,
 ) -> Vec<u8> {
-    // Reconstruct the signed header value with b= emptied but everything
-    // else byte-identical to what arrived (§3.7: remove the b= value from
-    // the header as received).
-    let stripped = strip_b_value(raw_sig_value);
-    let input = data_hash_input(
+    // The signed header value is the received one with b= emptied but
+    // everything else byte-identical (§3.7: remove the b= value from the
+    // header as received).
+    let mut input = Vec::with_capacity(1024);
+    append_signed_headers(
         &message.headers,
-        &stripped,
         sig.header_canon,
         &sig.signed_headers,
+        &mut input,
     );
+    append_signature_header(sig.header_canon, raw_sig_value, &mut input);
     sig.algorithm.digest(&input)
 }
 
-/// Remove the value of the `b=` tag while keeping everything else
-/// byte-for-byte (§3.7 step 2).
-pub fn strip_b_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
+/// Append `raw` to `out` with the value of its `b=` tag removed, keeping
+/// everything else byte-for-byte (§3.7 step 2).
+///
+/// A `b` starts the tag when the text since the previous `b` examined
+/// ends in `;` (before FWS) or is all whitespace, and `=` follows it
+/// (after FWS); the value runs to the next `;` or the end.
+pub fn strip_b_value(raw: &str, out: &mut Vec<u8>) {
+    const FWS: [char; 4] = [' ', '\t', '\r', '\n'];
     let mut rest = raw;
     loop {
-        // Find a `b` tag at a tag boundary.
         let Some(pos) = rest.find('b') else {
-            out.push_str(rest);
-            return out;
+            out.extend_from_slice(rest.as_bytes());
+            return;
         };
-        let (before, after) = rest.split_at(pos);
-        // A tag name starts at the beginning or after ';' + optional FWS.
-        let at_boundary = before
-            .trim_end_matches([' ', '\t', '\r', '\n'])
-            .ends_with(';')
-            || before.trim().is_empty();
-        let after_tag = &after[1..];
-        let is_b_tag = at_boundary
-            && after_tag
-                .trim_start_matches([' ', '\t', '\r', '\n'])
-                .starts_with('=');
-        if !is_b_tag {
-            out.push_str(before);
-            out.push('b');
+        let before = &rest[..pos];
+        let after_tag = &rest[pos + 1..];
+        let at_boundary = before.trim_end_matches(FWS).ends_with(';') || before.trim().is_empty();
+        out.extend_from_slice(&rest.as_bytes()[..=pos]);
+        if !(at_boundary && after_tag.trim_start_matches(FWS).starts_with('=')) {
             rest = after_tag;
             continue;
         }
-        out.push_str(before);
-        out.push('b');
-        let eq_rel = after_tag.find('=').expect("checked above");
-        out.push_str(&after_tag[..=eq_rel]);
+        let eq = after_tag.find('=').expect("checked above");
+        out.extend_from_slice(&after_tag.as_bytes()[..=eq]);
         // Skip the value up to the next ';' or end.
-        let value_rest = &after_tag[eq_rel + 1..];
+        let value_rest = &after_tag[eq + 1..];
         match value_rest.find(';') {
-            Some(semi) => {
-                rest = &value_rest[semi..];
-            }
-            None => {
-                return out;
-            }
+            Some(semi) => rest = &value_rest[semi..],
+            None => return,
         }
     }
 }
@@ -263,14 +278,23 @@ pub fn body_hash_matches(message: &MailMessage, sig: &DkimSignature) -> bool {
 mod tests {
     use super::*;
 
+    fn stripped(raw: &str) -> String {
+        let mut out = Vec::new();
+        strip_b_value(raw, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn strip_b_value_basic() {
-        assert_eq!(strip_b_value("v=1; bh=XYZ; b=ABCDEF"), "v=1; bh=XYZ; b=");
-        assert_eq!(strip_b_value("v=1; b=ABC; d=x.test"), "v=1; b=; d=x.test");
+        assert_eq!(stripped("v=1; bh=XYZ; b=ABCDEF"), "v=1; bh=XYZ; b=");
+        assert_eq!(stripped("v=1; b=ABC; d=x.test"), "v=1; b=; d=x.test");
         // bh= must not be stripped.
-        assert_eq!(strip_b_value("bh=KEEP; b=GO"), "bh=KEEP; b=");
+        assert_eq!(stripped("bh=KEEP; b=GO"), "bh=KEEP; b=");
         // Folded b= value.
-        assert_eq!(strip_b_value("v=1; b=abc\r\n\tdef; d=x"), "v=1; b=; d=x");
+        assert_eq!(stripped("v=1; b=abc\r\n\tdef; d=x"), "v=1; b=; d=x");
+        // A leading b= tag, after FWS or none.
+        assert_eq!(stripped(" b=GO; v=1"), " b=; v=1");
+        assert_eq!(stripped("b =GO"), "b =");
     }
 
     #[test]

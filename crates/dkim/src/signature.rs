@@ -72,10 +72,13 @@ impl DkimSignature {
     /// (§3.6.2.1) — the exact name whose TXT query the paper's apparatus
     /// watches for to call an MTA DKIM-validating.
     pub fn key_record_name(&self) -> Name {
-        self.selector
-            .concat(&Name::parse("_domainkey").unwrap())
-            .and_then(|n| n.concat(&self.domain))
-            .expect("selector+domain fit in a name")
+        Name::from_labels(
+            self.selector
+                .labels()
+                .chain(["_domainkey"])
+                .chain(self.domain.labels()),
+        )
+        .expect("selector+domain fit in a name")
     }
 
     /// Parse the value of a `DKIM-Signature` header.
@@ -171,36 +174,67 @@ impl DkimSignature {
     /// Serialize to a header value with the given `b=` content (empty for
     /// the signing pass).
     pub fn to_header_value(&self, b_value: &str) -> String {
+        let mut out = String::with_capacity(256 + b_value.len());
+        self.write_header_value(&mut out);
+        out.push_str(b_value);
+        out
+    }
+
+    /// Append the header value up to and including `b=` (its value is
+    /// the caller's) to `out`.
+    pub fn write_header_value(&self, out: &mut String) {
+        use std::fmt::Write;
         let alg = match self.algorithm {
             HashAlg::Sha256 => "rsa-sha256",
             HashAlg::Sha1 => "rsa-sha1",
         };
-        let mut parts = vec![
-            "v=1".to_string(),
-            format!("a={alg}"),
-            format!("c={}/{}", self.header_canon, self.body_canon),
-            format!("d={}", self.domain),
-            format!("s={}", self.selector),
-        ];
+        for piece in [
+            "v=1; a=",
+            alg,
+            "; c=",
+            self.header_canon.as_str(),
+            "/",
+            self.body_canon.as_str(),
+            "; d=",
+            name_text(&self.domain),
+            "; s=",
+            name_text(&self.selector),
+        ] {
+            out.push_str(piece);
+        }
+        // Writing to a String cannot fail.
         if let Some(t) = self.timestamp {
-            parts.push(format!("t={t}"));
+            let _ = write!(out, "; t={t}");
         }
         if let Some(x) = self.expiration {
-            parts.push(format!("x={x}"));
+            let _ = write!(out, "; x={x}");
         }
         if let Some(l) = self.body_length {
-            parts.push(format!("l={l}"));
+            let _ = write!(out, "; l={l}");
         }
         if let Some(i) = &self.identity {
-            parts.push(format!("i={i}"));
+            out.push_str("; i=");
+            out.push_str(i);
         }
-        parts.push(format!("h={}", self.signed_headers.join(":")));
-        parts.push(format!(
-            "bh={}",
-            mailval_crypto::base64::encode(&self.body_hash)
-        ));
-        parts.push(format!("b={b_value}"));
-        parts.join("; ")
+        out.push_str("; h=");
+        for (k, h) in self.signed_headers.iter().enumerate() {
+            if k > 0 {
+                out.push(':');
+            }
+            out.push_str(h);
+        }
+        out.push_str("; bh=");
+        mailval_crypto::base64::encode_into(&self.body_hash, out);
+        out.push_str("; b=");
+    }
+}
+
+/// A name as it displays: the root is `.`.
+fn name_text(name: &Name) -> &str {
+    if name.is_root() {
+        "."
+    } else {
+        name.as_str()
     }
 }
 

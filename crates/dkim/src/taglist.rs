@@ -1,14 +1,15 @@
 //! The DKIM `tag=value` list syntax (RFC 6376 §3.2), shared by
 //! `DKIM-Signature` headers and key records.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-/// A parsed tag list. Tag names are case-sensitive per the RFC (and are
-//  conventionally lowercase).
+/// A parsed tag list, borrowing names and values from the input. Tag
+/// names are case-sensitive per the RFC (and are conventionally
+/// lowercase). A signature carries at most about 15 tags, so lookup is
+/// a linear scan.
 #[derive(Debug, Clone, Default)]
-pub struct TagList {
-    tags: Vec<(String, String)>,
-    index: HashMap<String, usize>,
+pub struct TagList<'a> {
+    tags: Vec<(&'a str, &'a str)>,
 }
 
 /// Tag-list parse errors.
@@ -34,47 +35,56 @@ impl std::fmt::Display for TagListError {
 
 impl std::error::Error for TagListError {}
 
-impl TagList {
+/// Folding whitespace trimmed around tag names and values.
+const FWS: [char; 4] = [' ', '\t', '\r', '\n'];
+
+impl<'a> TagList<'a> {
     /// Parse a tag list. Folding whitespace around tags and values is
     /// stripped; whitespace *inside* values is preserved (needed for
     /// `h=a : b` style lists, which are normalized later by the caller).
-    pub fn parse(input: &str) -> Result<TagList, TagListError> {
-        let mut list = TagList::default();
+    pub fn parse(input: &'a str) -> Result<TagList<'a>, TagListError> {
+        let mut tags = Vec::new();
         for entry in input.split(';') {
-            let entry = entry.trim_matches([' ', '\t', '\r', '\n']);
+            let entry = entry.trim_matches(FWS);
             if entry.is_empty() {
                 continue; // trailing ';' is legal
             }
-            let eq = entry.find('=').ok_or(TagListError::MissingEquals)?;
-            let name = entry[..eq].trim_matches([' ', '\t', '\r', '\n']);
+            let (name, value) = entry.split_once('=').ok_or(TagListError::MissingEquals)?;
+            let name = name.trim_matches(FWS);
             if name.is_empty() {
                 return Err(TagListError::EmptyName);
             }
-            let value = entry[eq + 1..].trim_matches([' ', '\t', '\r', '\n']);
-            if list.index.contains_key(name) {
+            if tags.iter().any(|&(seen, _)| seen == name) {
                 return Err(TagListError::Duplicate(name.to_string()));
             }
-            list.index.insert(name.to_string(), list.tags.len());
-            list.tags.push((name.to_string(), value.to_string()));
+            tags.push((name, value.trim_matches(FWS)));
         }
-        Ok(list)
+        Ok(TagList { tags })
     }
 
     /// Get a tag's value.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.index.get(name).map(|&i| self.tags[i].1.as_str())
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        self.tags
+            .iter()
+            .find_map(|&(tag, value)| (tag == name).then_some(value))
     }
 
-    /// Get a tag's value with all whitespace removed (for base64 values
-    /// folded across lines).
-    pub fn get_compact(&self, name: &str) -> Option<String> {
-        self.get(name)
-            .map(|v| v.chars().filter(|c| !c.is_ascii_whitespace()).collect())
+    /// Get a tag's value with all ASCII whitespace removed (for base64
+    /// values folded across lines); borrowed when there is none.
+    pub fn get_compact(&self, name: &str) -> Option<Cow<'a, str>> {
+        self.get(name).map(|v| {
+            if !v.bytes().any(|b| b.is_ascii_whitespace()) {
+                return Cow::Borrowed(v);
+            }
+            let mut out = v.to_string();
+            out.retain(|c| !c.is_ascii_whitespace());
+            Cow::Owned(out)
+        })
     }
 
     /// All tags in order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.tags.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> + '_ {
+        self.tags.iter().copied()
     }
 }
 

@@ -46,25 +46,49 @@ pub enum VerifyStep {
 
 /// A resumable verifier for one message's *first* DKIM signature.
 /// (Messages with multiple signatures can run one verifier per header.)
+///
+/// [`DkimVerifier::new`] does all the work that needs the message: it
+/// parses the signature and, if that succeeds, computes the body-hash
+/// verdict and the header digest, so the verifier keeps neither the
+/// message nor a copy of it. [`DkimVerifier::start`] and
+/// [`DkimVerifier::on_key`] then report in RFC order: the key query,
+/// the key checks, and only then the body hash and the signature.
 pub struct DkimVerifier {
-    message: MailMessage,
-    raw_sig_value: Option<String>,
-    signature: Option<DkimSignature>,
+    /// What the signature header came to: a signature ready to check, or
+    /// the result verification ends with at `start`.
+    parsed: Result<Checked, DkimResult>,
+    started: bool,
     done: bool,
+}
+
+/// A parsed signature with the message-side work already done.
+struct Checked {
+    signature: DkimSignature,
+    /// Does the canonical body (cut to `l=`) hash to `bh=`?
+    body_hash_ok: bool,
+    /// The digest of the data hash input (§3.7), which the signature
+    /// must sign.
+    digest: Vec<u8>,
 }
 
 impl DkimVerifier {
     /// Prepare verification of the `index`-th DKIM-Signature header
     /// (0-based).
     pub fn new(message: &MailMessage, index: usize) -> DkimVerifier {
-        let raw_sig_value = message
-            .headers_named("DKIM-Signature")
-            .nth(index)
-            .map(|h| h.raw_value.clone());
+        let parsed = match message.headers_named("DKIM-Signature").nth(index) {
+            None => Err(DkimResult::None),
+            Some(header) => match DkimSignature::parse(&header.raw_value) {
+                Err(e) => Err(DkimResult::PermError(e.to_string())),
+                Ok(signature) => Ok(Checked {
+                    body_hash_ok: body_hash_matches(message, &signature),
+                    digest: verification_digest(message, &signature, &header.raw_value),
+                    signature,
+                }),
+            },
+        };
         DkimVerifier {
-            message: message.clone(),
-            raw_sig_value,
-            signature: None,
+            parsed,
+            started: false,
             done: false,
         }
     }
@@ -74,49 +98,57 @@ impl DkimVerifier {
         message.headers_named("DKIM-Signature").count()
     }
 
-    /// The parsed signature (available after [`DkimVerifier::start`] if
-    /// parsing succeeded).
+    /// The parsed signature, if the header is present and parses (known
+    /// from [`DkimVerifier::new`] on).
     pub fn signature(&self) -> Option<&DkimSignature> {
-        self.signature.as_ref()
+        self.parsed.as_ref().ok().map(|c| &c.signature)
     }
 
-    /// Begin: parses the signature and checks the body hash before asking
-    /// for the key (§6.1: syntax and bh can be checked without DNS —
-    /// but note many real verifiers fetch the key first; the DNS
-    /// observable is the same either way).
+    /// Begin: report a missing or unparsable signature, or ask for the
+    /// key record. Only the signature's syntax is judged here; the body
+    /// hash is checked in [`DkimVerifier::on_key`], after the key. The
+    /// order matters to the measurement: every verifier whose signature
+    /// parses asks for the key, and that query is the paper's observable
+    /// of a DKIM-validating MTA (§4.5), whatever the body turns out to
+    /// be.
     pub fn start(&mut self) -> VerifyStep {
         assert!(!self.done, "verifier already finished");
-        let Some(raw) = &self.raw_sig_value else {
-            self.done = true;
-            return VerifyStep::Done(DkimResult::None);
-        };
-        let sig = match DkimSignature::parse(raw) {
-            Ok(sig) => sig,
-            Err(e) => {
+        match &self.parsed {
+            Err(result) => {
                 self.done = true;
-                return VerifyStep::Done(DkimResult::PermError(e.to_string()));
+                VerifyStep::Done(result.clone())
             }
-        };
-        let name = sig.key_record_name();
-        self.signature = Some(sig);
-        VerifyStep::NeedKey {
-            name,
-            rtype: RecordType::Txt,
+            Ok(checked) => {
+                self.started = true;
+                VerifyStep::NeedKey {
+                    name: checked.signature.key_record_name(),
+                    rtype: RecordType::Txt,
+                }
+            }
         }
     }
 
     /// Resume with the key-record lookup outcome.
     pub fn on_key(&mut self, outcome: ResolveOutcome) -> VerifyStep {
         assert!(!self.done, "verifier already finished");
-        let sig = self.signature.as_ref().expect("on_key before start");
+        assert!(self.started, "on_key before start");
+        let checked = self.parsed.as_ref().expect("started with a signature");
         self.done = true;
+        VerifyStep::Done(checked.verify(outcome))
+    }
+}
+
+impl Checked {
+    /// The result given the key-record lookup outcome (§6.1.2, §6.1.3).
+    fn verify(&self, outcome: ResolveOutcome) -> DkimResult {
+        let sig = &self.signature;
         let records = match outcome {
             ResolveOutcome::Records(records) => records,
             ResolveOutcome::NoData | ResolveOutcome::NxDomain => {
-                return VerifyStep::Done(DkimResult::PermError("no key for signature".into()));
+                return DkimResult::PermError("no key for signature".into());
             }
             ResolveOutcome::Timeout | ResolveOutcome::ServFail => {
-                return VerifyStep::Done(DkimResult::TempError);
+                return DkimResult::TempError;
             }
         };
         // §3.6.2.2: use the first parsable TXT string as the key record.
@@ -125,27 +157,20 @@ impl DkimVerifier {
             .filter_map(|r| r.rdata.txt_joined())
             .find_map(|txt| DkimKeyRecord::parse(&txt).ok());
         let Some(key_record) = key_record else {
-            return VerifyStep::Done(DkimResult::PermError("unusable key record".into()));
+            return DkimResult::PermError("unusable key record".into());
         };
         let Some(public_key) = &key_record.public_key else {
-            return VerifyStep::Done(DkimResult::Neutral("key revoked".into()));
+            return DkimResult::Neutral("key revoked".into());
         };
         if !key_record.allows_hash(sig.algorithm) {
-            return VerifyStep::Done(DkimResult::PermError(
-                "hash algorithm not permitted by key".into(),
-            ));
+            return DkimResult::PermError("hash algorithm not permitted by key".into());
         }
-        if !body_hash_matches(&self.message, sig) {
-            return VerifyStep::Done(DkimResult::Fail("body hash mismatch".into()));
+        if !self.body_hash_ok {
+            return DkimResult::Fail("body hash mismatch".into());
         }
-        let digest = verification_digest(
-            &self.message,
-            sig,
-            self.raw_sig_value.as_ref().expect("sig exists"),
-        );
-        match public_key.verify_digest(sig.algorithm, &digest, &sig.signature) {
-            Ok(()) => VerifyStep::Done(DkimResult::Pass),
-            Err(_) => VerifyStep::Done(DkimResult::Fail("signature mismatch".into())),
+        match public_key.verify_digest(sig.algorithm, &self.digest, &sig.signature) {
+            Ok(()) => DkimResult::Pass,
+            Err(_) => DkimResult::Fail("signature mismatch".into()),
         }
     }
 }

@@ -37,7 +37,7 @@ use crate::vfs::{OsFs, SimFs, Vfs};
 use mailval_crypto::rsa::RsaKeyPair;
 use mailval_crypto::sha256::sha256;
 use mailval_datasets::Population;
-use mailval_dkim::sign::{sign_message, SignConfig};
+use mailval_dkim::sign::{body_hash, sign_headers, SignConfig};
 use mailval_dmarc::record::DmarcRecord;
 use mailval_dns::server::ServerCore;
 use mailval_dns::Name;
@@ -49,7 +49,7 @@ use mailval_simnet::{
     SimRng,
 };
 use mailval_smtp::client::{probe_usernames, ClientConfig, ClientSession};
-use mailval_smtp::mail::MailMessage;
+use mailval_smtp::mail::{HeaderField, MailMessage};
 use mailval_smtp::EmailAddress;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -457,11 +457,14 @@ struct Target {
 }
 
 /// The apparatus's DKIM signer, built once per world for a campaign
-/// that sends messages: the key pair and a signing configuration whose
-/// `d=` each message sets.
+/// that sends messages: the key pair, a signing configuration whose
+/// `d=` each message sets, and the body hash of the one notification
+/// body every message carries.
 struct Signer {
     keypair: RsaKeyPair,
     config: SignConfig,
+    /// `bh=` of [`NOTIFICATION_BODY`] under `config`.
+    body_hash: Vec<u8>,
 }
 
 /// The immutable world of one campaign, built exactly once and shared
@@ -528,6 +531,7 @@ impl CampaignWorld {
                 dmarc_record,
             );
             let signer = Signer {
+                body_hash: body_hash(&sign, NOTIFICATION_BODY.as_bytes()),
                 keypair,
                 config: sign,
             };
@@ -708,7 +712,7 @@ impl CampaignWorld {
                 .zip(sign)
                 .expect("only a signing world's sessions carry a message");
             sign.domain = spec.signing_domain;
-            build_notification(&bp.mail_from, &spec.recipient_domain, &signer.keypair, sign)
+            build_notification(&bp.mail_from, &spec.recipient_domain, signer, sign)
         });
         let client = ClientSession::new(ClientConfig {
             helo_identity: bp.helo_identity,
@@ -1237,38 +1241,65 @@ fn stagger_ms(session_id: usize) -> u64 {
     session_id as u64 * 7
 }
 
+/// The notification body, CRLF line endings included. Every message
+/// carries it, so a world hashes it once ([`Signer`]).
+const NOTIFICATION_BODY: &str = "Dear network operator,\r\n\
+     \r\n\
+     During a recent measurement study we detected that your network\r\n\
+     does not enforce destination-side source address validation.\r\n\
+     Details and remediation guidance: https://dns-lab.org/dsav\r\n\
+     \r\n\
+     To opt out of future notifications, reply to this message.\r\n";
+
 /// Build the signed notification message (§4.3.1: "the content was in
 /// fact an important notification", DKIM-signed, Reply-To set for
-/// attribution §5.3).
+/// attribution §5.3). `sign` is the signer's configuration with `d=`
+/// set for this message; the body hash is the signer's.
 fn build_notification(
     from: &EmailAddress,
     recipient_domain: &Name,
-    keypair: &RsaKeyPair,
+    signer: &Signer,
     sign: &SignConfig,
 ) -> Vec<u8> {
-    let mut m = MailMessage::new();
-    m.add_header("From", &format!("Network Notifier <{from}>"));
-    m.add_header("To", &format!("operator@{recipient_domain}"));
-    m.add_header(
-        "Subject",
-        "Action recommended: source-address-validation issue detected",
-    );
-    m.add_header("Date", "Mon, 12 Oct 2020 09:00:00 +0000");
-    m.add_header(
-        "Message-ID",
-        &format!("<notify.{}@dns-lab.org>", from.domain),
-    );
-    m.add_header("Reply-To", "research@dns-lab.org");
-    m.set_body_text(
-        "Dear network operator,\n\
-         \n\
-         During a recent measurement study we detected that your network\n\
-         does not enforce destination-side source address validation.\n\
-         Details and remediation guidance: https://dns-lab.org/dsav\n\
-         \n\
-         To opt out of future notifications, reply to this message.\n",
-    );
-    let value = sign_message(&m, sign, &keypair.private).expect("signable");
+    // Neither name is the root, so its text is what it displays as.
+    let field = |name: &str, value: &[&str]| {
+        let mut raw_value = String::with_capacity(1 + value.iter().map(|v| v.len()).sum::<usize>());
+        raw_value.push(' ');
+        value.iter().for_each(|v| raw_value.push_str(v));
+        HeaderField {
+            name: name.to_string(),
+            raw_value,
+        }
+    };
+    let headers = vec![
+        field(
+            "From",
+            &[
+                "Network Notifier <",
+                from.local.as_str(),
+                "@",
+                from.domain.as_str(),
+                ">",
+            ],
+        ),
+        field("To", &["operator@", recipient_domain.as_str()]),
+        field(
+            "Subject",
+            &["Action recommended: source-address-validation issue detected"],
+        ),
+        field("Date", &["Mon, 12 Oct 2020 09:00:00 +0000"]),
+        field(
+            "Message-ID",
+            &["<notify.", from.domain.as_str(), "@dns-lab.org>"],
+        ),
+        field("Reply-To", &["research@dns-lab.org"]),
+    ];
+    let value =
+        sign_headers(&headers, sign, &signer.body_hash, &signer.keypair.private).expect("signable");
+    let mut m = MailMessage {
+        headers,
+        body: NOTIFICATION_BODY.as_bytes().to_vec(),
+    };
     m.prepend_header("DKIM-Signature", &value);
     m.to_bytes()
 }
@@ -1437,8 +1468,47 @@ mod tests {
         }
     }
 
+    /// The notification as it was built before the world hashed the
+    /// body once: composed with `format!`, bodied with `set_body_text`,
+    /// and signed whole with `sign_message`.
+    fn reference_notification(
+        from: &EmailAddress,
+        recipient_domain: &Name,
+        keypair: &RsaKeyPair,
+        sign: &SignConfig,
+    ) -> Vec<u8> {
+        let mut m = MailMessage::new();
+        m.add_header("From", &format!("Network Notifier <{from}>"));
+        m.add_header("To", &format!("operator@{recipient_domain}"));
+        m.add_header(
+            "Subject",
+            "Action recommended: source-address-validation issue detected",
+        );
+        m.add_header("Date", "Mon, 12 Oct 2020 09:00:00 +0000");
+        m.add_header(
+            "Message-ID",
+            &format!("<notify.{}@dns-lab.org>", from.domain),
+        );
+        m.add_header("Reply-To", "research@dns-lab.org");
+        m.set_body_text(
+            "Dear network operator,\n\
+             \n\
+             During a recent measurement study we detected that your network\n\
+             does not enforce destination-side source address validation.\n\
+             Details and remediation guidance: https://dns-lab.org/dsav\n\
+             \n\
+             To opt out of future notifications, reply to this message.\n",
+        );
+        let value = mailval_dkim::sign_message(&m, sign, &keypair.private).expect("signable");
+        m.prepend_header("DKIM-Signature", &value);
+        m.to_bytes()
+    }
+
     #[test]
     fn reused_sign_config_signs_like_a_fresh_one() {
+        // The reused configuration and the world's one body hash give
+        // the bytes a fresh configuration and a whole-message signature
+        // give.
         let (config, pop) = layout_fixtures().remove(0);
         let profiles = sample_host_profiles(&pop, 7);
         let world = CampaignWorld::build(&config, &pop, &profiles);
@@ -1453,13 +1523,8 @@ mod tests {
             );
             sign.domain = spec.signing_domain;
             assert_eq!(
-                build_notification(
-                    &bp.mail_from,
-                    &spec.recipient_domain,
-                    &signer.keypair,
-                    &sign
-                ),
-                build_notification(
+                build_notification(&bp.mail_from, &spec.recipient_domain, signer, &sign),
+                reference_notification(
                     &bp.mail_from,
                     &spec.recipient_domain,
                     &signer.keypair,

@@ -541,7 +541,7 @@ impl MtaActor {
         let mut verifier = Box::new(DkimVerifier::new(message, 0));
         match verifier.start() {
             VerifyStep::Done(result) => {
-                self.record_dkim(result, out);
+                self.record_dkim(&verifier, result, out);
                 self.advance_queue(out);
             }
             VerifyStep::NeedKey { name, rtype } => {
@@ -552,17 +552,18 @@ impl MtaActor {
         }
     }
 
-    fn record_dkim(&mut self, result: DkimResult, out: &mut Vec<MtaOutput>) {
+    fn record_dkim(
+        &mut self,
+        verifier: &DkimVerifier,
+        result: DkimResult,
+        out: &mut Vec<MtaOutput>,
+    ) {
         let passed = result == DkimResult::Pass;
         out.push(MtaOutput::Event(MtaEvent::DkimConcluded(passed)));
-        // Record the signing domain for DMARC alignment.
-        if let Some(message) = &self.message {
-            let mut v = DkimVerifier::new(message, 0);
-            if let VerifyStep::NeedKey { .. } = v.start() {
-                if let Some(sig) = v.signature() {
-                    self.dkim_results.push((sig.domain.clone(), passed));
-                }
-            }
+        // Record the signing domain (`d=`) for DMARC alignment; a missing
+        // or unparsable signature has none.
+        if let Some(sig) = verifier.signature() {
+            self.dkim_results.push((sig.domain.clone(), passed));
         }
     }
 
@@ -685,7 +686,7 @@ impl MtaActor {
                 }
                 match verifier.on_key(outcome) {
                     VerifyStep::Done(result) => {
-                        self.record_dkim(result, out);
+                        self.record_dkim(&verifier, result, out);
                         self.advance_queue(out);
                     }
                     VerifyStep::NeedKey { .. } => unreachable!("single key fetch"),
@@ -1026,6 +1027,89 @@ mod tests {
         assert!(out
             .iter()
             .any(|o| matches!(o, MtaOutput::Event(MtaEvent::MessageAccepted))));
+    }
+
+    /// Deliver `message` to a DKIM- and DMARC-checking MTA, answering
+    /// the DKIM key query with `key` and every other query NXDOMAIN.
+    /// Returns whether the key was asked for and the `(d=, passed)` list
+    /// DMARC received.
+    fn dkim_for_dmarc(
+        message: &MailMessage,
+        key: impl Fn() -> ResolveOutcome,
+    ) -> (bool, Vec<(Name, bool)>) {
+        let mut actor = MtaActor::new("mx.r.test", MtaProfile::strict(), ctx());
+        actor.handle(MtaInput::Connected);
+        drive_line(&mut actor, "EHLO sender.test");
+        let out = drive_line(&mut actor, "MAIL FROM:<a@signer.test>");
+        drain_dns(&mut actor, out);
+        drive_line(&mut actor, "RCPT TO:<michael@r.test>");
+        drive_line(&mut actor, "DATA");
+        let text = String::from_utf8(message.to_bytes()).unwrap();
+        for line in text.strip_suffix("\r\n").unwrap().split("\r\n") {
+            drive_line(&mut actor, line);
+        }
+        let mut out = drive_line(&mut actor, ".");
+        let mut asked_key = false;
+        while let Some((qid, name)) = out.iter().find_map(|o| match o {
+            MtaOutput::Resolve { qid, name, .. } => Some((*qid, name.clone())),
+            _ => None,
+        }) {
+            let outcome = if name.as_str().contains("._domainkey.") {
+                asked_key = true;
+                key()
+            } else {
+                ResolveOutcome::NxDomain
+            };
+            out = actor.handle(MtaInput::DnsFinished { qid, outcome });
+        }
+        (asked_key, actor.dkim_results.clone())
+    }
+
+    #[test]
+    fn dmarc_gets_the_signing_domain_of_each_verdict() {
+        use mailval_crypto::bigint::SplitMix64;
+        use mailval_crypto::rsa::RsaKeyPair;
+        use mailval_dkim::{sign_message, DkimKeyRecord, SignConfig};
+        use mailval_dns::rr::RData;
+
+        let kp = RsaKeyPair::generate(512, &mut SplitMix64::new(5));
+        let d = Name::parse("signer.test").unwrap();
+        let record = DkimKeyRecord::for_key(&kp.public).to_record_text();
+        let key = || {
+            let name = Name::parse("s1._domainkey.signer.test").unwrap();
+            ResolveOutcome::Records(vec![mailval_dns::Record::new(
+                name,
+                60,
+                RData::txt_from_str(&record),
+            )])
+        };
+        let mut unsigned = MailMessage::new();
+        unsigned.add_header("From", "Alice <a@signer.test>");
+        unsigned.add_header("Subject", "hello");
+        unsigned.set_body_text("body\n");
+        let config = SignConfig::new(d.clone(), Name::parse("s1").unwrap());
+        let value = sign_message(&unsigned, &config, &kp.private).unwrap();
+        let mut signed = unsigned.clone();
+        signed.prepend_header("DKIM-Signature", &value);
+        let mut tampered = signed.clone();
+        tampered.set_body_text("another body\n");
+        let mut unparsable = unsigned.clone();
+        unparsable.prepend_header("DKIM-Signature", &value.replacen("v=1", "v=2", 1));
+
+        assert_eq!(
+            dkim_for_dmarc(&signed, key),
+            (true, vec![(d.clone(), true)])
+        );
+        assert_eq!(
+            dkim_for_dmarc(&tampered, key),
+            (true, vec![(d.clone(), false)])
+        );
+        assert_eq!(dkim_for_dmarc(&unparsable, key), (false, vec![]));
+        assert_eq!(dkim_for_dmarc(&unsigned, key), (false, vec![]));
+        assert_eq!(
+            dkim_for_dmarc(&signed, || ResolveOutcome::Timeout),
+            (true, vec![(d, false)])
+        );
     }
 
     #[test]

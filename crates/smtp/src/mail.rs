@@ -156,9 +156,16 @@ impl MailMessage {
 
     /// Serialize to wire bytes (headers, blank line, body).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let headers_len: usize = self
+            .headers
+            .iter()
+            .map(|h| h.name.len() + h.raw_value.len() + 3)
+            .sum();
+        let mut out = Vec::with_capacity(headers_len + 2 + self.body.len());
         for h in &self.headers {
-            out.extend_from_slice(h.to_line().as_bytes());
+            out.extend_from_slice(h.name.as_bytes());
+            out.push(b':');
+            out.extend_from_slice(h.raw_value.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");

@@ -82,8 +82,11 @@ pub fn expand<'c>(
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] != b'%' {
-            out.push(bytes[i] as char);
-            i += 1;
+            // Copy the run up to the next escape as it is: a byte-by-byte
+            // `as char` would re-encode every non-ASCII byte.
+            let run = spec[i..].find('%').map_or(bytes.len(), |off| i + off);
+            out.push_str(&spec[i..run]);
+            i = run;
             continue;
         }
         match bytes.get(i + 1) {
@@ -337,5 +340,29 @@ mod tests {
             "example.com.strong-bad"
         );
         assert_eq!(asked, 2);
+    }
+
+    #[test]
+    fn non_ascii_text_passes_through_byte_identical() {
+        let c = ctx();
+        for spec in [
+            "\u{e9}.example",
+            "\u{434}\u{43e}\u{43c}.example",
+            "a.\u{2603}",
+        ] {
+            let expanded = expand(spec, || &c, false).unwrap();
+            assert_eq!(expanded.as_bytes(), spec.as_bytes(), "{spec:?}");
+        }
+        assert_eq!(
+            expand("%{d1}.\u{e9}%%", || &c, false).unwrap(),
+            "com.\u{e9}%"
+        );
+        // The name error names the record's own byte: 0xd0, the lead
+        // byte of U+0434, not the 0xc3 of a Latin-1 re-encoding.
+        let expanded = expand("\u{434}.example", || &c, false).unwrap();
+        assert_eq!(
+            mailval_dns::Name::parse(&expanded),
+            Err(mailval_dns::NameError::BadCharacter(0xd0))
+        );
     }
 }

@@ -25,8 +25,8 @@
 #   scripts/verify.sh --perf        # only the performance gates
 #                                   # (bench --check perf trace)
 #   scripts/verify.sh --crypto      # only the crypto stage (crypto + DKIM
-#                                   # tests in release, RSA and
-#                                   # world-build micro-benches)
+#                                   # tests in release, RSA, world-build
+#                                   # and DKIM micro-benches)
 #
 # The --determinism stage runs its test binary; the full gate does not
 # repeat it, because `cargo test -q` already ran it. One scenario or axis
@@ -162,12 +162,13 @@ crypto() {
   # schoolbook, CRT against plain, the campaign key's known-answer
   # signature and DKIM sign/verify, in release (where the kernel's
   # arithmetic is compiled as benchmarks and campaigns run it); then
-  # the RSA keygen/sign/verify micro-benchmarks on a short budget, and
-  # the probe world build that no longer generates the key.
+  # the RSA keygen/sign/verify micro-benchmarks on a short budget, the
+  # probe world build that no longer generates the key, and DKIM
+  # sign and verify of one message around the RSA calls.
   echo "== crypto: release tests (cargo test -p mailval-crypto -p mailval-dkim) =="
   cargo test -q --release -p mailval-crypto -p mailval-dkim
-  echo "== crypto: RSA and world-build micro-benchmarks (cargo bench --bench microbench -- rsa world_build) =="
-  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- rsa world_build
+  echo "== crypto: RSA, world-build and DKIM micro-benchmarks (cargo bench --bench microbench -- rsa world_build dkim) =="
+  MAILVAL_BENCH_MS=50 cargo bench -p mailval-bench --bench microbench -- rsa world_build dkim
 }
 
 case "${1:-}" in
