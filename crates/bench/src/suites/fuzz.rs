@@ -13,10 +13,22 @@
 //! IO fault seam, corruption position advancing every read), and every
 //! load must come back as a clean reject or a byte-faithful result —
 //! never a panic, never silently different data.
+//!
+//! The DKIM stage mutates `DKIM-Signature` values and key-record TXT
+//! and drives them through the verifier (`DkimVerifier::new`, `start`,
+//! `on_key`): no signature or key ever panics it, and every verdict
+//! lands in one result class.
 
+use mailval_crypto::bigint::SplitMix64;
+use mailval_crypto::rsa::RsaKeyPair;
+use mailval_crypto::HashAlg;
 use mailval_datasets::{DatasetKind, Population, PopulationConfig};
+use mailval_dkim::{
+    sign_message, Canonicalization, DkimKeyRecord, DkimResult, DkimVerifier, SignConfig, VerifyStep,
+};
 use mailval_dmarc::record::looks_like_dmarc;
 use mailval_dmarc::DmarcRecord;
+use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::{Message, Name, RData, Rcode, Record, RecordType};
 use mailval_measure::campaign::{run_campaign, sample_host_profiles, CampaignConfig, CampaignKind};
 use mailval_measure::hostile::{classify_reply, classify_wire, synthesize_hostile_dns};
@@ -27,8 +39,10 @@ use mailval_simnet::{
     DnsMutation, FaultCursor, IoConfig, IoPlan, MalformedClass, MalformedStats, PayloadConfig,
     PayloadPlan, SimRng,
 };
+use mailval_smtp::mail::MailMessage;
 use mailval_smtp::reply::ReplyParser;
 use mailval_spf::record::SpfRecord;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -116,6 +130,204 @@ pub fn fuzz(frames_arg: Option<String>) {
         storage.journal_replays,
         storage.journal_frames_salvaged
     );
+
+    // Stage 3: DKIM signatures and key records through the verifier.
+    let dkim_frames = (frames / 5).clamp(256, 50_000);
+    let start = Instant::now();
+    let dkim = fuzz_dkim(dkim_frames, seed);
+    assert_eq!(
+        dkim.results.values().sum::<u64>(),
+        dkim.frames,
+        "every DKIM frame must end in one result class"
+    );
+    progress!(
+        "fuzz: dkim stage in {:.2}s: {} mutated signatures and key records, \
+         {} key queries, {} oversized key names, 0 panics",
+        start.elapsed().as_secs_f64(),
+        dkim.frames,
+        dkim.key_queries,
+        dkim.oversized_key_names
+    );
+    for (class, n) in &dkim.results {
+        progress!("fuzz:   dkim {class:<17} {n}");
+    }
+}
+
+/// Tallies from the DKIM fuzz stage.
+pub struct DkimFuzzReport {
+    /// Verifier runs driven, each on a mutated signature, key record or
+    /// both.
+    pub frames: u64,
+    /// Runs whose signature got as far as the key query.
+    pub key_queries: u64,
+    /// Runs ended at `start` because `s=` and `d=` do not fit in one
+    /// DNS name.
+    pub oversized_key_names: u64,
+    /// Verdicts by result class (`pass`, `fail`, `permerror`, ...);
+    /// they sum to `frames`.
+    pub results: BTreeMap<&'static str, u64>,
+}
+
+/// Drive `frames` mutated `DKIM-Signature` values and key-record TXT
+/// answers through [`DkimVerifier`]. Each frame takes a signature from
+/// a small signed corpus (one of which names a key record too long for
+/// DNS) and mutates the signature, the key record or both. Panics on a
+/// verdict without its reason; a verifier panic propagates.
+pub fn fuzz_dkim(frames: u64, seed: u64) -> DkimFuzzReport {
+    let keypair = RsaKeyPair::generate(512, &mut SplitMix64::new(seed ^ 0xD41A));
+    let key_text = DkimKeyRecord::for_key(&keypair.public).to_record_text();
+    let mut message = MailMessage::new();
+    message.add_header("From", "Notifier <spf-test@signer.example>");
+    message.add_header("Subject", "Network notification");
+    message.set_body_text("Dear operator,\nYour network has an issue.\n");
+    let name = |s: &str| Name::parse(s).expect("valid corpus name");
+    let long_domain = ["a", "b", "c", "d"].map(|c| c.repeat(60)).join(".");
+    let corpus: Vec<String> = [
+        ("signer.example", "sel1", false),
+        ("signer.example", "sel1", true),
+        (long_domain.as_str(), "selector", false),
+    ]
+    .into_iter()
+    .map(|(domain, selector, simple)| {
+        let mut config = SignConfig::new(name(domain), name(selector));
+        if simple {
+            config.header_canon = Canonicalization::Simple;
+            config.body_canon = Canonicalization::Simple;
+            config.algorithm = HashAlg::Sha1;
+            config.timestamp = Some(1_600_000_000);
+        }
+        sign_message(&message, &config, &keypair.private).expect("corpus signs")
+    })
+    .collect();
+
+    let mut report = DkimFuzzReport {
+        frames: 0,
+        key_queries: 0,
+        oversized_key_names: 0,
+        results: BTreeMap::new(),
+    };
+    let mut rng = SimRng::new(seed ^ 0xD4_1A5E);
+    for _ in 0..frames {
+        report.frames += 1;
+        // 0: the signature, 1: the key record, 2: both.
+        let target = rng.next_below(3);
+        let mut signature = rng.pick(&corpus).clone();
+        if target != 1 {
+            signature = mutate_text(&signature, &mut rng);
+        }
+        let mut signed = message.clone();
+        signed.prepend_header("DKIM-Signature", &signature);
+        let mut verifier = DkimVerifier::new(&signed, 0);
+        let result = match verifier.start() {
+            VerifyStep::Done(result) => result,
+            VerifyStep::NeedKey { name, .. } => {
+                report.key_queries += 1;
+                let outcome = if target == 0 {
+                    ResolveOutcome::Records(vec![Record::new(
+                        name,
+                        300,
+                        RData::txt_from_str(&key_text),
+                    )])
+                } else {
+                    match rng.next_below(8) {
+                        0 => ResolveOutcome::NxDomain,
+                        1 => ResolveOutcome::Timeout,
+                        _ => ResolveOutcome::Records(vec![Record::new(
+                            name,
+                            300,
+                            RData::Txt(vec![mutate_text(&key_text, &mut rng).into_bytes()]),
+                        )]),
+                    }
+                };
+                match verifier.on_key(outcome) {
+                    VerifyStep::Done(result) => result,
+                    VerifyStep::NeedKey { .. } => panic!("verifier asked for a second key"),
+                }
+            }
+        };
+        if result == DkimResult::PermError("key record name too long".into()) {
+            report.oversized_key_names += 1;
+        }
+        let (class, reason) = match &result {
+            DkimResult::Pass => ("pass", None),
+            DkimResult::None => ("none", None),
+            DkimResult::TempError => ("temperror", None),
+            DkimResult::Fail(reason) => ("fail", Some(reason)),
+            DkimResult::PermError(reason) => ("permerror", Some(reason)),
+            DkimResult::Neutral(reason) => ("neutral", Some(reason)),
+        };
+        assert!(
+            reason.is_none_or(|r| !r.is_empty()),
+            "{result:?} without a reason"
+        );
+        *report.results.entry(class).or_default() += 1;
+    }
+    report
+}
+
+/// Tokens the DKIM mutator splices in: tag syntax, folding, hostile
+/// values and non-ASCII text.
+const DKIM_TOKENS: &[&str] = &[
+    ";",
+    "=",
+    " ",
+    "\r\n\t",
+    "d=",
+    "s=",
+    "h=",
+    "b=",
+    "a=rsa-sha1;",
+    "c=simple/relaxed;",
+    "l=99999999999999999999;",
+    "l=0;",
+    "i=@signer.example;",
+    "q=dns/txt;",
+    "k=ed25519;",
+    "h=sha1;",
+    "p=;",
+    "v=DKIM1;",
+    "\u{fffd}",
+    "\u{e9}",
+];
+
+/// One to three byte-level mutations of `text`: a bit flip, a cut, a
+/// deleted or repeated span, a spliced token, or a 63-byte label put in
+/// front of the `d=` or `s=` value. Bytes that are no longer UTF-8
+/// arrive as U+FFFD, as a header or TXT string decoded lossily would.
+fn mutate_text(text: &str, rng: &mut SimRng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..1 + rng.next_below(3) {
+        let at = rng.next_below(bytes.len() as u64 + 1) as usize;
+        let end = (at + 1 + rng.next_below(16) as usize).min(bytes.len());
+        match rng.next_below(6) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << rng.next_below(8),
+            1 => bytes.truncate(at),
+            2 => {
+                bytes.drain(at..end);
+            }
+            3 => {
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+            4 => {
+                let tag = if rng.next_below(2) == 0 { "d=" } else { "s=" };
+                if let Some(pos) = text_find(&bytes, tag.as_bytes()) {
+                    let label = format!("{}.", "x".repeat(63));
+                    bytes.splice(pos + 2..pos + 2, label.into_bytes());
+                }
+            }
+            _ => {
+                let token = rng.pick(DKIM_TOKENS).as_bytes().to_vec();
+                bytes.splice(at..at, token);
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The offset of the first `needle` in `haystack`.
+fn text_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// Tallies from the storage fuzz stage.
@@ -485,6 +697,24 @@ mod tests {
             report.journal_frames_salvaged > 0,
             "no journal frame ever survived a single byte flip"
         );
+    }
+
+    #[test]
+    fn fuzz_dkim_smoke_classifies_every_verdict() {
+        let report = fuzz_dkim(600, 2021);
+        assert_eq!(report.frames, 600);
+        assert_eq!(report.results.values().sum::<u64>(), 600);
+        // The stage reaches the key query, ends some runs on a key name
+        // too long for DNS, and both accepts and rejects.
+        assert!(
+            report.key_queries > 100,
+            "{} key queries",
+            report.key_queries
+        );
+        assert!(report.oversized_key_names > 0);
+        assert!(report.results.get("pass").is_some_and(|&n| n > 0));
+        assert!(report.results.get("permerror").is_some_and(|&n| n > 0));
+        assert!(report.results.get("fail").is_some_and(|&n| n > 0));
     }
 
     #[test]

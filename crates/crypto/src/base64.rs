@@ -72,9 +72,13 @@ fn decode_byte(b: u8) -> Option<u8> {
 }
 
 /// Decode standard Base64, ignoring ASCII whitespace (space, tab, CR, LF),
-/// tolerating both padded and unpadded input.
+/// tolerating both padded and unpadded input. Sextets are packed into
+/// the output as they are read.
 pub fn decode(input: &str) -> Result<Vec<u8>, Base64Error> {
-    let mut vals: Vec<u8> = Vec::with_capacity(input.len());
+    let mut out = Vec::with_capacity(input.len() / 4 * 3 + 2);
+    // The sextets of the current quantum, and how many have been read.
+    let mut quantum = 0u32;
+    let mut sextets = 0usize;
     let mut padding = 0usize;
     for &b in input.as_bytes() {
         if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
@@ -88,44 +92,23 @@ pub fn decode(input: &str) -> Result<Vec<u8>, Base64Error> {
             // Data after padding is malformed.
             return Err(Base64Error::InvalidLength);
         }
-        match decode_byte(b) {
-            Some(v) => vals.push(v),
-            None => return Err(Base64Error::InvalidByte(b)),
+        let v = decode_byte(b).ok_or(Base64Error::InvalidByte(b))?;
+        quantum = (quantum << 6) | v as u32;
+        sextets += 1;
+        if sextets.is_multiple_of(4) {
+            out.extend_from_slice(&[(quantum >> 16) as u8, (quantum >> 8) as u8, quantum as u8]);
+            quantum = 0;
         }
     }
-    if padding > 2 {
+    // A lone sextet holds no whole byte; padding, if present, must
+    // complete the final quantum.
+    if padding > 2 || sextets % 4 == 1 || (padding > 0 && !(sextets + padding).is_multiple_of(4)) {
         return Err(Base64Error::InvalidLength);
     }
-    let rem = vals.len() % 4;
-    if rem == 1 {
-        return Err(Base64Error::InvalidLength);
-    }
-    if padding > 0 {
-        // If padding is present it must complete the final quantum.
-        if !(vals.len() + padding).is_multiple_of(4) {
-            return Err(Base64Error::InvalidLength);
-        }
-    }
-    let mut out = Vec::with_capacity(vals.len() * 3 / 4);
-    let mut iter = vals.chunks_exact(4);
-    for q in &mut iter {
-        let n = ((q[0] as u32) << 18) | ((q[1] as u32) << 12) | ((q[2] as u32) << 6) | q[3] as u32;
-        out.push((n >> 16) as u8);
-        out.push((n >> 8) as u8);
-        out.push(n as u8);
-    }
-    match iter.remainder() {
-        [] => {}
-        [a, b] => {
-            let n = ((*a as u32) << 18) | ((*b as u32) << 12);
-            out.push((n >> 16) as u8);
-        }
-        [a, b, c] => {
-            let n = ((*a as u32) << 18) | ((*b as u32) << 12) | ((*c as u32) << 6);
-            out.push((n >> 16) as u8);
-            out.push((n >> 8) as u8);
-        }
-        _ => unreachable!("chunks_exact(4) remainder is < 4 and rem==1 was rejected"),
+    match sextets % 4 {
+        2 => out.push((quantum >> 4) as u8),
+        3 => out.extend_from_slice(&[(quantum >> 10) as u8, (quantum >> 2) as u8]),
+        _ => {}
     }
     Ok(out)
 }
@@ -133,6 +116,101 @@ pub fn decode(input: &str) -> Result<Vec<u8>, Base64Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decoder [`decode`] replaced, which gathers every sextet
+    /// before packing: the reference it is tested against.
+    fn decode_reference(input: &str) -> Result<Vec<u8>, Base64Error> {
+        let mut vals: Vec<u8> = Vec::with_capacity(input.len());
+        let mut padding = 0usize;
+        for &b in input.as_bytes() {
+            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
+                continue;
+            }
+            if b == b'=' {
+                padding += 1;
+                continue;
+            }
+            if padding > 0 {
+                // Data after padding is malformed.
+                return Err(Base64Error::InvalidLength);
+            }
+            match decode_byte(b) {
+                Some(v) => vals.push(v),
+                None => return Err(Base64Error::InvalidByte(b)),
+            }
+        }
+        if padding > 2 {
+            return Err(Base64Error::InvalidLength);
+        }
+        let rem = vals.len() % 4;
+        if rem == 1 {
+            return Err(Base64Error::InvalidLength);
+        }
+        if padding > 0 {
+            // If padding is present it must complete the final quantum.
+            if !(vals.len() + padding).is_multiple_of(4) {
+                return Err(Base64Error::InvalidLength);
+            }
+        }
+        let mut out = Vec::with_capacity(vals.len() * 3 / 4);
+        let mut iter = vals.chunks_exact(4);
+        for q in &mut iter {
+            let n =
+                ((q[0] as u32) << 18) | ((q[1] as u32) << 12) | ((q[2] as u32) << 6) | q[3] as u32;
+            out.push((n >> 16) as u8);
+            out.push((n >> 8) as u8);
+            out.push(n as u8);
+        }
+        match iter.remainder() {
+            [] => {}
+            [a, b] => {
+                let n = ((*a as u32) << 18) | ((*b as u32) << 12);
+                out.push((n >> 16) as u8);
+            }
+            [a, b, c] => {
+                let n = ((*a as u32) << 18) | ((*b as u32) << 12) | ((*c as u32) << 6);
+                out.push((n >> 16) as u8);
+                out.push((n >> 8) as u8);
+            }
+            _ => unreachable!("chunks_exact(4) remainder is < 4 and rem==1 was rejected"),
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn decode_matches_the_reference_on_a_seeded_sweep() {
+        use crate::bigint::{Rng64, SplitMix64};
+        // Alphabet bytes, whitespace, padding and invalid bytes.
+        const PIECES: &[u8] = b"AZaz09+/Qw==  \t\r\n!-_.\x00\xff";
+        let mut rng = SplitMix64::new(4648);
+        let mut errors = 0;
+        for _ in 0..20_000 {
+            let len = (rng.next_u64() % 24) as usize;
+            let mut bytes: Vec<u8> = (0..len)
+                .map(|_| PIECES[(rng.next_u64() % PIECES.len() as u64) as usize])
+                .collect();
+            // Mostly valid text: strip the invalid bytes from half the
+            // draws, so every length mod 4 and padding position is met
+            // with and without an error.
+            if rng.next_u64().is_multiple_of(2) {
+                bytes.retain(|&b| b.is_ascii_alphanumeric() || b"+/= \t\r\n".contains(&b));
+            }
+            let input = String::from_utf8_lossy(&bytes);
+            let got = decode(&input);
+            errors += usize::from(got.is_err());
+            assert_eq!(got, decode_reference(&input), "{input:?}");
+        }
+        assert!(errors > 1_000 && errors < 19_000, "{errors} errors");
+        // Every length mod 4, with padding at every position.
+        for text in ["", "Q", "QQ", "QQQ", "QQQQ", "QQQQQ"] {
+            for at in 0..=text.len() {
+                for pad in ["=", "==", "==="] {
+                    let input = format!("{}{pad}{}", &text[..at], &text[at..]);
+                    assert_eq!(decode(&input), decode_reference(&input), "{input:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn rfc4648_vectors() {

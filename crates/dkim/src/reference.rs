@@ -147,11 +147,11 @@ pub(crate) fn canonicalize_body(canon: Canonicalization, body: &[u8]) -> Vec<u8>
     out
 }
 
-pub(crate) fn key_record_name(sig: &DkimSignature) -> Name {
+pub(crate) fn key_record_name(sig: &DkimSignature) -> Result<Name, SignatureError> {
     sig.selector
         .concat(&Name::parse("_domainkey").unwrap())
         .and_then(|n| n.concat(&sig.domain))
-        .expect("selector+domain fit in a name")
+        .map_err(|_| SignatureError::KeyNameTooLong)
 }
 
 pub(crate) fn parse_signature(value: &str) -> Result<DkimSignature, SignatureError> {
@@ -394,7 +394,7 @@ pub(crate) fn sign_message(
         || !config
             .signed_headers
             .iter()
-            .any(|h| h.eq_ignore_ascii_case("from"))
+            .any(|h| h.trim().eq_ignore_ascii_case("from"))
     {
         return Err(SignError::NoFrom);
     }
@@ -414,7 +414,7 @@ pub(crate) fn sign_message(
         signed_headers: config
             .signed_headers
             .iter()
-            .map(|h| h.to_ascii_lowercase())
+            .map(|h| h.trim().to_ascii_lowercase())
             .collect(),
     };
     sign_parsed(message, &sig, key)
@@ -503,7 +503,13 @@ impl RefVerifier {
                 return VerifyStep::Done(DkimResult::PermError(e.to_string()));
             }
         };
-        let name = key_record_name(&sig);
+        let name = match key_record_name(&sig) {
+            Ok(name) => name,
+            Err(e) => {
+                self.done = true;
+                return VerifyStep::Done(DkimResult::PermError(e.to_string()));
+            }
+        };
         self.signature = Some(sig);
         VerifyStep::NeedKey {
             name,
@@ -678,11 +684,11 @@ mod tests {
         if d.below(2) == 0 {
             config.algorithm = HashAlg::Sha1;
         }
-        // Over-signed, missing and odd-case names as well as From. Not
-        // "B ": `h=` trims it to "b", which no longer names the header.
+        // Over-signed, missing, odd-case and whitespace-padded names as
+        // well as From.
         let mut signed = vec!["from".to_string()];
         for _ in 0..d.below(6) {
-            let name = d.pick(&NAMES[..NAMES.len() - 1]).to_string();
+            let name = d.pick(NAMES).to_string();
             signed.insert(d.below(signed.len() + 1), name);
         }
         config.signed_headers = signed;
@@ -983,6 +989,13 @@ mod tests {
             DkimResult::TempError
         );
         assert_same_verdict(&m, &|_: &Name| unreachable!("unsigned"));
+        // A key record name too long for DNS ends verification at `start`.
+        let domain = ["a", "b", "c", "d"].map(|c| c.repeat(60)).join(".");
+        let oversized = with_signature(
+            &m,
+            &format!("v=1; a=rsa-sha256; d={domain}; s=selector; h=from; b=; bh="),
+        );
+        assert_same_verdict(&oversized, &|_: &Name| unreachable!("no key query"));
     }
 
     #[test]

@@ -145,11 +145,15 @@ pub fn sign_headers(
     body_hash: &[u8],
     key: &RsaPrivateKey,
 ) -> Result<String, SignError> {
+    // `h=` names are trimmed as `DkimSignature::parse` trims them, so
+    // the verifier selects the headers the signer did.
+    let signed_headers: Vec<String> = config
+        .signed_headers
+        .iter()
+        .map(|h| h.trim().to_ascii_lowercase())
+        .collect();
     if !headers.iter().any(|h| h.name.eq_ignore_ascii_case("from"))
-        || !config
-            .signed_headers
-            .iter()
-            .any(|h| h.eq_ignore_ascii_case("from"))
+        || !signed_headers.iter().any(|h| h == "from")
     {
         return Err(SignError::NoFrom);
     }
@@ -165,11 +169,7 @@ pub fn sign_headers(
         body_length: None,
         timestamp: config.timestamp,
         expiration: None,
-        signed_headers: config
-            .signed_headers
-            .iter()
-            .map(|h| h.to_ascii_lowercase())
-            .collect(),
+        signed_headers,
     };
 
     // The header will be attached as "DKIM-Signature: <value>", i.e. with
@@ -295,6 +295,43 @@ mod tests {
         // A leading b= tag, after FWS or none.
         assert_eq!(stripped(" b=GO; v=1"), " b=; v=1");
         assert_eq!(stripped("b =GO"), "b =");
+    }
+
+    #[test]
+    fn padded_header_names_sign_what_verifies() {
+        use crate::verify::{DkimResult, DkimVerifier, VerifyStep};
+        use mailval_crypto::bigint::SplitMix64;
+        use mailval_crypto::rsa::RsaKeyPair;
+        use mailval_dns::resolver::ResolveOutcome;
+        use mailval_dns::rr::RData;
+        use mailval_dns::Record;
+        let kp = RsaKeyPair::generate(512, &mut SplitMix64::new(7));
+        let mut m = MailMessage::new();
+        m.add_header("From", "a@signer.example");
+        m.add_header("Subject", "padded");
+        m.set_body_text("body\n");
+        let mut config = SignConfig::new(
+            Name::parse("signer.example").unwrap(),
+            Name::parse("sel1").unwrap(),
+        );
+        config.signed_headers = vec!["From".into(), "Subject ".into()];
+        let value = sign_message(&m, &config, &kp.private).unwrap();
+        assert!(value.contains("h=from:subject;"), "{value}");
+        m.prepend_header("DKIM-Signature", &value);
+        let mut v = DkimVerifier::new(&m, 0);
+        let VerifyStep::NeedKey { name, .. } = v.start() else {
+            panic!("expected key lookup");
+        };
+        let key = crate::key::DkimKeyRecord::for_key(&kp.public).to_record_text();
+        let answer =
+            ResolveOutcome::Records(vec![Record::new(name, 300, RData::txt_from_str(&key))]);
+        match v.on_key(answer) {
+            VerifyStep::Done(DkimResult::Pass) => {}
+            other => panic!("{other:?}"),
+        }
+        // A padded "From " is From.
+        config.signed_headers = vec![" From ".into()];
+        assert!(sign_message(&m, &config, &kp.private).is_ok());
     }
 
     #[test]

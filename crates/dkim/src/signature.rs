@@ -50,6 +50,8 @@ pub enum SignatureError {
     FromNotSigned,
     /// Unsupported algorithm or query method.
     Unsupported(&'static str),
+    /// `s=`, `_domainkey` and `d=` together exceed a DNS name.
+    KeyNameTooLong,
 }
 
 impl std::fmt::Display for SignatureError {
@@ -61,6 +63,7 @@ impl std::fmt::Display for SignatureError {
             SignatureError::BadTag(t) => write!(f, "bad {t}= tag"),
             SignatureError::FromNotSigned => write!(f, "From header not signed"),
             SignatureError::Unsupported(what) => write!(f, "unsupported {what}"),
+            SignatureError::KeyNameTooLong => write!(f, "key record name too long"),
         }
     }
 }
@@ -70,15 +73,16 @@ impl std::error::Error for SignatureError {}
 impl DkimSignature {
     /// The DNS name of the key record: `<selector>._domainkey.<domain>`
     /// (§3.6.2.1) — the exact name whose TXT query the paper's apparatus
-    /// watches for to call an MTA DKIM-validating.
-    pub fn key_record_name(&self) -> Name {
+    /// watches for to call an MTA DKIM-validating. A selector and domain
+    /// that each parse may still not fit in one name together.
+    pub fn key_record_name(&self) -> Result<Name, SignatureError> {
         Name::from_labels(
             self.selector
                 .labels()
                 .chain(["_domainkey"])
                 .chain(self.domain.labels()),
         )
-        .expect("selector+domain fit in a name")
+        .map_err(|_| SignatureError::KeyNameTooLong)
     }
 
     /// Parse the value of a `DKIM-Signature` header.
@@ -261,8 +265,16 @@ mod tests {
         assert_eq!(sig.body_hash.len(), 32);
         assert_eq!(
             sig.key_record_name(),
-            Name::parse("brisbane._domainkey.example.net").unwrap()
+            Ok(Name::parse("brisbane._domainkey.example.net").unwrap())
         );
+    }
+
+    #[test]
+    fn oversized_key_record_name_is_an_error() {
+        let domain = ["a", "b", "c", "d"].map(|c| c.repeat(60)).join(".");
+        let value = format!("v=1; a=rsa-sha256; d={domain}; s=selector; h=from; b=; bh=");
+        let sig = DkimSignature::parse(&value).unwrap();
+        assert_eq!(sig.key_record_name(), Err(SignatureError::KeyNameTooLong));
     }
 
     #[test]

@@ -104,24 +104,32 @@ impl DkimVerifier {
         self.parsed.as_ref().ok().map(|c| &c.signature)
     }
 
-    /// Begin: report a missing or unparsable signature, or ask for the
-    /// key record. Only the signature's syntax is judged here; the body
-    /// hash is checked in [`DkimVerifier::on_key`], after the key. The
-    /// order matters to the measurement: every verifier whose signature
-    /// parses asks for the key, and that query is the paper's observable
-    /// of a DKIM-validating MTA (§4.5), whatever the body turns out to
-    /// be.
+    /// Begin: report a missing or unparsable signature, or one whose
+    /// key record name does not fit in a DNS name, or ask for the key
+    /// record. Only the signature's syntax is judged here; the body hash
+    /// is checked in [`DkimVerifier::on_key`], after the key. The order
+    /// matters to the measurement: every verifier whose signature parses
+    /// and names a key asks for it, and that query is the paper's
+    /// observable of a DKIM-validating MTA (§4.5), whatever the body
+    /// turns out to be.
     pub fn start(&mut self) -> VerifyStep {
         assert!(!self.done, "verifier already finished");
-        match &self.parsed {
+        let name = match &self.parsed {
+            Err(result) => Err(result.clone()),
+            Ok(checked) => checked
+                .signature
+                .key_record_name()
+                .map_err(|e| DkimResult::PermError(e.to_string())),
+        };
+        match name {
             Err(result) => {
                 self.done = true;
-                VerifyStep::Done(result.clone())
+                VerifyStep::Done(result)
             }
-            Ok(checked) => {
+            Ok(name) => {
                 self.started = true;
                 VerifyStep::NeedKey {
-                    name: checked.signature.key_record_name(),
+                    name,
                     rtype: RecordType::Txt,
                 }
             }
@@ -346,6 +354,23 @@ mod tests {
         let mut v = DkimVerifier::new(&m, 0);
         match v.start() {
             VerifyStep::Done(DkimResult::None) => {}
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn oversized_key_name_is_permerror() {
+        let domain = ["a", "b", "c", "d"].map(|c| c.repeat(60)).join(".");
+        let mut m = sample_message();
+        m.prepend_header(
+            "DKIM-Signature",
+            &format!("v=1; a=rsa-sha256; d={domain}; s=selector; h=from; b=; bh="),
+        );
+        let mut v = DkimVerifier::new(&m, 0);
+        match v.start() {
+            VerifyStep::Done(DkimResult::PermError(reason)) => {
+                assert_eq!(reason, "key record name too long");
+            }
             other => panic!("{other:?}"),
         }
     }

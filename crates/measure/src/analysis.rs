@@ -6,9 +6,8 @@
 //! (policy synthesis → SMTP dialogue → validator → resolver → wire →
 //! attribution) is on the hook for every number.
 
-use crate::apparatus::{QueryLog, QueryRecord};
-use crate::campaign::{CampaignResult, SessionRecord};
-use crate::names::PolicyPath;
+use crate::apparatus::QueryLog;
+use crate::campaign::CampaignResult;
 use mailval_datasets::{DomainSpec, Population};
 use mailval_dns::rr::RecordType;
 use mailval_dns::server::Transport;
@@ -229,11 +228,10 @@ impl ValidatingCounts {
     }
 }
 
-/// SPF-validating hosts observed in a probe campaign's log.
+/// SPF-validating hosts observed in a probe campaign's log: every MTA
+/// with a [`HostProbes`] record.
 pub fn validating_hosts(log: &QueryLog) -> HashSet<usize> {
-    log.attributed()
-        .filter_map(|(_, attr)| attr.host_index)
-        .collect()
+    host_probes(log).into_keys().collect()
 }
 
 /// The domains with at least one of `hosts` among their MTAs.
@@ -400,6 +398,155 @@ pub fn consistency(
 }
 
 // ---------------------------------------------------------------------------
+// §7 — what each MTA's probe queries show
+// ---------------------------------------------------------------------------
+
+/// What one MTA's queries for the probe tests show: the single per-MTA
+/// record that §7.1, Fig. 5, the §7.3 battery and the §8 fingerprint
+/// ([`crate::fingerprint::behavior_vectors`]) all derive from. A
+/// `*_base` flag means the MTA fetched that test's base policy TXT,
+/// i.e. evaluated the test.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostProbes {
+    /// t01: earliest query for the `foo` address hint, ms.
+    pub t01_foo_ms: Option<u64>,
+    /// t01: earliest query for the `l3` policy, ms.
+    pub t01_l3_ms: Option<u64>,
+    /// t02: fetched the stress policy.
+    pub t02_base: bool,
+    /// t02: queries below the base name, less the HELO lookup `h`.
+    pub t02_queries: u32,
+    /// t03: fetched the MAIL policy.
+    pub t03_base: bool,
+    /// t03: queried the HELO identity `h`.
+    pub t03_helo: bool,
+    /// t04: fetched the policy with the syntax error.
+    pub t04_base: bool,
+    /// t04: queried `after`, past the error.
+    pub t04_after: bool,
+    /// t05: fetched the erroneous `child` policy.
+    pub t05_child: bool,
+    /// t05: queried `after`, past the child's permerror.
+    pub t05_after: bool,
+    /// t06: fetched the void-lookup policy.
+    pub t06_base: bool,
+    /// t06: void lookups: non-TXT queries under a `v*` name.
+    pub t06_voids: u32,
+    /// t07: fetched the `mx:gone` policy.
+    pub t07_base: bool,
+    /// t07: issued a non-MX query for `gone` (the forbidden fallback).
+    pub t07_fallback: bool,
+    /// t08: fetched the duplicate records.
+    pub t08_base: bool,
+    /// t08: followed the first record's `one`.
+    pub t08_one: bool,
+    /// t08: followed the second record's `two`.
+    pub t08_two: bool,
+    /// t09: fetched the base policy over UDP.
+    pub t09_udp: bool,
+    /// t09: fetched the base policy over TCP.
+    pub t09_tcp: bool,
+    /// t10: fetched the base policy.
+    pub t10_base: bool,
+    /// t10: retrieved the `p` policy over IPv6.
+    pub t10_v6: bool,
+    /// t11: queried the `many` MX set.
+    pub t11_many: bool,
+    /// t11: address queries for the exchanges under `many`.
+    pub t11_addrs: u32,
+}
+
+impl HostProbes {
+    /// §7.1: `Some(true)` when the `foo` hint came strictly after the
+    /// L3 policy, as a serial validator must ask it; a tie counts as
+    /// parallel. `None` unless both were seen.
+    pub fn serial(&self) -> Option<bool> {
+        Some(self.t01_foo_ms? > self.t01_l3_ms?)
+    }
+
+    /// Fig. 5: the MTA's query count, if it fetched the stress policy.
+    pub fn limit_queries(&self) -> Option<u32> {
+        self.t02_base.then_some(self.t02_queries)
+    }
+}
+
+/// Walk the probe log once into one [`HostProbes`] per MTA with any
+/// attributed probe query. Times are minima, so the record does not
+/// depend on the log's order.
+pub fn host_probes(log: &QueryLog) -> HashMap<usize, HostProbes> {
+    fn earliest(seen: &mut Option<u64>, t: u64) {
+        *seen = Some(seen.map_or(t, |s| s.min(t)));
+    }
+    let mut hosts: HashMap<usize, HostProbes> = HashMap::new();
+    for (r, attr) in log.attributed() {
+        let (Some(testid), Some(host)) = (attr.testid, attr.host_index) else {
+            continue;
+        };
+        let p = hosts.entry(host).or_default();
+        let first = attr.path.first();
+        let base = attr.path.is_empty() && r.qtype == RecordType::Txt;
+        match testid {
+            "t01" => match first {
+                Some("foo") => earliest(&mut p.t01_foo_ms, r.time_ms),
+                Some("l3") => earliest(&mut p.t01_l3_ms, r.time_ms),
+                _ => {}
+            },
+            "t02" => {
+                p.t02_base |= base;
+                // The HELO-identity lookup is not part of the stress tree
+                // (deeper paths ending in "h" ARE tree nodes).
+                if !attr.path.is_empty() && attr.path.as_str() != "h" {
+                    p.t02_queries += 1;
+                }
+            }
+            "t03" => {
+                p.t03_base |= base;
+                p.t03_helo |= first == Some("h");
+            }
+            "t04" => {
+                p.t04_base |= base;
+                p.t04_after |= first == Some("after");
+            }
+            "t05" => {
+                p.t05_child |= first == Some("child");
+                p.t05_after |= first == Some("after");
+            }
+            "t06" => {
+                p.t06_base |= base;
+                if first.is_some_and(|l| l.starts_with('v')) && r.qtype != RecordType::Txt {
+                    p.t06_voids += 1;
+                }
+            }
+            "t07" => {
+                p.t07_base |= base;
+                p.t07_fallback |= first == Some("gone") && r.qtype != RecordType::Mx;
+            }
+            "t08" => {
+                p.t08_base |= base;
+                p.t08_one |= first == Some("one");
+                p.t08_two |= first == Some("two");
+            }
+            "t09" => {
+                p.t09_udp |= base && r.transport == Transport::Udp;
+                p.t09_tcp |= base && r.transport == Transport::Tcp;
+            }
+            "t10" => {
+                p.t10_base |= base;
+                p.t10_v6 |= first == Some("p") && r.via_ipv6;
+            }
+            "t11" => {
+                p.t11_many |= first == Some("many") && r.qtype == RecordType::Mx;
+                if attr.path.tail() == "many" && r.qtype != RecordType::Mx {
+                    p.t11_addrs += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    hosts
+}
+
+// ---------------------------------------------------------------------------
 // §7.1 — serial vs parallel
 // ---------------------------------------------------------------------------
 
@@ -413,38 +560,17 @@ pub struct SerialParallel {
 }
 
 /// Infer lookup scheduling from the t01 query order: a serial validator
-/// cannot ask for `foo` (the `a` hint) before the L3 policy arrives.
+/// cannot ask for `foo` (the `a` hint) before the L3 policy arrives
+/// ([`HostProbes::serial`]).
 pub fn serial_vs_parallel(log: &QueryLog) -> SerialParallel {
-    #[derive(Default)]
-    struct Seen {
-        foo_at: Option<u64>,
-        l3_at: Option<u64>,
+    let inferred: Vec<bool> = host_probes(log)
+        .values()
+        .filter_map(HostProbes::serial)
+        .collect();
+    SerialParallel {
+        classified: inferred.len(),
+        serial: inferred.iter().filter(|&&serial| serial).count(),
     }
-    let mut per_host: HashMap<usize, Seen> = HashMap::new();
-    for (r, attr) in log.for_test("t01") {
-        let Some(h) = attr.host_index else { continue };
-        let entry = per_host.entry(h).or_default();
-        match attr.path.first() {
-            Some("foo") => {
-                entry.foo_at.get_or_insert(r.time_ms);
-            }
-            Some("l3") => {
-                entry.l3_at.get_or_insert(r.time_ms);
-            }
-            _ => {}
-        }
-    }
-    let mut classified = 0usize;
-    let mut serial = 0usize;
-    for seen in per_host.values() {
-        if let (Some(foo_ms), Some(l3)) = (seen.foo_at, seen.l3_at) {
-            classified += 1;
-            if foo_ms > l3 {
-                serial += 1;
-            }
-        }
-    }
-    SerialParallel { classified, serial }
 }
 
 // ---------------------------------------------------------------------------
@@ -472,25 +598,13 @@ pub struct LimitAnalysis {
     pub all_46: usize,
 }
 
-/// Compute the Fig. 5 CDF inputs from test t02 observations.
+/// Compute the Fig. 5 CDF inputs from test t02 observations
+/// ([`HostProbes::limit_queries`]).
 pub fn lookup_limits(log: &QueryLog) -> LimitAnalysis {
-    let mut per_host: HashMap<usize, u32> = HashMap::new();
-    for (_, attr) in log.for_test("t02") {
-        let Some(h) = attr.host_index else { continue };
-        if attr.path.as_str() == "h" {
-            // The HELO-identity lookup is not part of the stress tree
-            // (deeper paths ending in "h" ARE tree nodes).
-            continue;
-        }
-        if attr.path.is_empty() {
-            per_host.entry(h).or_insert(0);
-        } else {
-            *per_host.entry(h).or_insert(0) += 1;
-        }
-    }
-    let mut points: Vec<LimitPoint> = per_host
+    let mut points: Vec<LimitPoint> = host_probes(log)
         .values()
-        .map(|&queries| LimitPoint {
+        .filter_map(HostProbes::limit_queries)
+        .map(|queries| LimitPoint {
             queries,
             elapsed_lb_ms: 800 * queries.saturating_sub(1) as u64,
         })
@@ -535,200 +649,79 @@ impl BehaviorStat {
     }
 }
 
-/// One attributed probe query: the MTA that asked, the policy path and
-/// the record.
-struct Probe<'a> {
-    host: usize,
-    path: PolicyPath<'a>,
-    record: &'a QueryRecord,
-}
-
-impl Probe<'_> {
-    fn path0_is(&self, label: &str) -> bool {
-        self.path.first() == Some(label)
-    }
-
-    fn base_query(&self) -> bool {
-        self.path.is_empty() && self.record.qtype == RecordType::Txt
-    }
-}
-
-fn hosts_with<'a>(probes: &[Probe<'a>], pred: impl Fn(&Probe<'a>) -> bool) -> HashSet<usize> {
-    probes.iter().filter(|p| pred(p)).map(|p| p.host).collect()
-}
-
-/// The full §7.3 battery.
-pub fn behavior_battery(log: &QueryLog) -> Vec<BehaviorStat> {
-    // The attributed probe queries, bucketed by test in one pass.
-    let mut by_test: HashMap<&str, Vec<Probe>> = HashMap::new();
-    for (record, attr) in log.attributed() {
-        if let (Some(testid), Some(host)) = (attr.testid, attr.host_index) {
-            let path = attr.path;
-            by_test
-                .entry(testid)
-                .or_default()
-                .push(Probe { host, path, record });
-        }
-    }
-    let probes = |testid| by_test.get(testid).map_or(&[][..], Vec::as_slice);
-    let mut stats = Vec::new();
-
-    // HELO policy check (t03).
-    let t03_eval = hosts_with(probes("t03"), Probe::base_query);
-    let t03_helo = hosts_with(probes("t03"), |p| p.path0_is("h"));
-    stats.push(BehaviorStat {
-        testid: "t03",
-        behavior: "checked the HELO identity's policy",
-        evaluated: t03_eval.len(),
-        exhibited: t03_helo.intersection(&t03_eval).count(),
-        paper_fraction: 0.050,
-    });
+/// The §7.3 rows in report order: test, behavior and the paper's
+/// fraction. [`HostProbes::battery`] gives each MTA's cells in the
+/// same order.
+const BATTERY: [(&str, &str, f64); 13] = [
+    ("t03", "checked the HELO identity's policy", 0.050),
     // ... and all of those proceeded to the MAIL policy anyway.
-    let helo_then_mail = t03_helo.intersection(&t03_eval).count();
-    stats.push(BehaviorStat {
-        testid: "t03",
-        behavior: "HELO checkers that evaluated MAIL anyway",
-        evaluated: t03_helo.len(),
-        exhibited: helo_then_mail,
-        paper_fraction: 1.0,
-    });
+    ("t03", "HELO checkers that evaluated MAIL anyway", 1.0),
+    (
+        "t04",
+        "kept evaluating past a main-policy syntax error",
+        0.055,
+    ),
+    (
+        "t05",
+        "kept evaluating the parent past a child permerror",
+        0.123,
+    ),
+    ("t06", "exceeded two void lookups", 0.97),
+    ("t06", "resolved all five void names", 0.64),
+    (
+        "t07",
+        "issued the forbidden A/AAAA fallback after failed mx",
+        0.14,
+    ),
+    ("t08", "followed one of two duplicate records", 0.23),
+    ("t08", "followed BOTH duplicate records", 0.0),
+    ("t09", "retried over TCP after truncation", 1334.0 / 1336.0),
+    ("t10", "retrieved the IPv6-only policy", 0.49),
+    ("t11", "stopped at ≤10 per-mx address lookups", 0.077),
+    ("t11", "queried all 20 exchanges", 0.64),
+];
 
-    // Syntax error in the main policy (t04).
-    let t04_eval = hosts_with(probes("t04"), Probe::base_query);
-    let t04_cont = hosts_with(probes("t04"), |p| p.path0_is("after"));
-    stats.push(BehaviorStat {
-        testid: "t04",
-        behavior: "kept evaluating past a main-policy syntax error",
-        evaluated: t04_eval.len(),
-        exhibited: t04_cont.intersection(&t04_eval).count(),
-        paper_fraction: 0.055,
-    });
+impl HostProbes {
+    /// This MTA's cell of each [`BATTERY`] row: (evaluated the test,
+    /// exhibited the behavior).
+    fn battery(&self) -> [(bool, bool); 13] {
+        [
+            (self.t03_base, self.t03_helo),
+            (self.t03_helo, self.t03_base),
+            (self.t04_base, self.t04_after),
+            (self.t05_child, self.t05_after),
+            (self.t06_base, self.t06_voids > 2),
+            (self.t06_base, self.t06_voids >= 5),
+            (self.t07_base, self.t07_fallback),
+            (self.t08_base, self.t08_one || self.t08_two),
+            (self.t08_base, self.t08_one && self.t08_two),
+            (self.t09_udp, self.t09_tcp),
+            (self.t10_base, self.t10_v6),
+            (self.t11_many, self.t11_addrs <= 10),
+            (self.t11_many, self.t11_addrs >= 20),
+        ]
+    }
+}
 
-    // Syntax error in a child policy (t05).
-    let t05_eval = hosts_with(probes("t05"), |p| p.path0_is("child"));
-    let t05_cont = hosts_with(probes("t05"), |p| p.path0_is("after"));
-    stats.push(BehaviorStat {
-        testid: "t05",
-        behavior: "kept evaluating the parent past a child permerror",
-        evaluated: t05_eval.len(),
-        exhibited: t05_cont.intersection(&t05_eval).count(),
-        paper_fraction: 0.123,
-    });
-
-    // Void lookups (t06).
-    let mut t06_voids: HashMap<usize, u32> = HashMap::new();
-    let t06_eval = hosts_with(probes("t06"), Probe::base_query);
-    for p in probes("t06") {
-        let Some(first) = p.path.first() else {
-            continue;
-        };
-        if first.starts_with('v') && p.record.qtype != RecordType::Txt {
-            *t06_voids.entry(p.host).or_default() += 1;
+/// The full §7.3 battery. Every row counts its exhibiting MTAs among
+/// the ones that evaluated the test.
+pub fn behavior_battery(log: &QueryLog) -> Vec<BehaviorStat> {
+    let mut stats: Vec<BehaviorStat> = BATTERY
+        .iter()
+        .map(|&(testid, behavior, paper_fraction)| BehaviorStat {
+            testid,
+            behavior,
+            evaluated: 0,
+            exhibited: 0,
+            paper_fraction,
+        })
+        .collect();
+    for probes in host_probes(log).values() {
+        for (stat, (evaluated, exhibited)) in stats.iter_mut().zip(probes.battery()) {
+            stat.evaluated += usize::from(evaluated);
+            stat.exhibited += usize::from(evaluated && exhibited);
         }
     }
-    stats.push(BehaviorStat {
-        testid: "t06",
-        behavior: "exceeded two void lookups",
-        evaluated: t06_eval.len(),
-        exhibited: t06_voids.values().filter(|&&c| c > 2).count(),
-        paper_fraction: 0.97,
-    });
-    stats.push(BehaviorStat {
-        testid: "t06",
-        behavior: "resolved all five void names",
-        evaluated: t06_eval.len(),
-        exhibited: t06_voids.values().filter(|&&c| c >= 5).count(),
-        paper_fraction: 0.64,
-    });
-
-    // mx A/AAAA fallback (t07).
-    let t07_eval = hosts_with(probes("t07"), Probe::base_query);
-    let t07_fallback = hosts_with(probes("t07"), |p| {
-        p.path0_is("gone") && p.record.qtype != RecordType::Mx
-    });
-    stats.push(BehaviorStat {
-        testid: "t07",
-        behavior: "issued the forbidden A/AAAA fallback after failed mx",
-        evaluated: t07_eval.len(),
-        exhibited: t07_fallback.intersection(&t07_eval).count(),
-        paper_fraction: 0.14,
-    });
-
-    // Multiple SPF records (t08).
-    let t08_eval = hosts_with(probes("t08"), Probe::base_query);
-    let t08_one = hosts_with(probes("t08"), |p| p.path0_is("one"));
-    let t08_two = hosts_with(probes("t08"), |p| p.path0_is("two"));
-    let followed_any: HashSet<usize> = t08_one.union(&t08_two).copied().collect();
-    let followed_both = t08_one.intersection(&t08_two).count();
-    stats.push(BehaviorStat {
-        testid: "t08",
-        behavior: "followed one of two duplicate records",
-        evaluated: t08_eval.len(),
-        exhibited: followed_any.intersection(&t08_eval).count(),
-        paper_fraction: 0.23,
-    });
-    stats.push(BehaviorStat {
-        testid: "t08",
-        behavior: "followed BOTH duplicate records",
-        evaluated: t08_eval.len(),
-        exhibited: followed_both,
-        paper_fraction: 0.0,
-    });
-
-    // TCP fallback (t09).
-    let t09_udp = hosts_with(probes("t09"), |p| {
-        p.base_query() && p.record.transport == Transport::Udp
-    });
-    let t09_tcp = hosts_with(probes("t09"), |p| {
-        p.base_query() && p.record.transport == Transport::Tcp
-    });
-    stats.push(BehaviorStat {
-        testid: "t09",
-        behavior: "retried over TCP after truncation",
-        evaluated: t09_udp.len(),
-        exhibited: t09_tcp.intersection(&t09_udp).count(),
-        paper_fraction: 1334.0 / 1336.0,
-    });
-
-    // IPv6-only retrieval (t10).
-    let t10_eval = hosts_with(probes("t10"), Probe::base_query);
-    let t10_v6 = hosts_with(probes("t10"), |p| p.path0_is("p") && p.record.via_ipv6);
-    stats.push(BehaviorStat {
-        testid: "t10",
-        behavior: "retrieved the IPv6-only policy",
-        evaluated: t10_eval.len(),
-        exhibited: t10_v6.intersection(&t10_eval).count(),
-        paper_fraction: 0.49,
-    });
-
-    // Per-mx address-lookup limit (t11).
-    let t11_eval = hosts_with(probes("t11"), |p| {
-        p.path0_is("many") && p.record.qtype == RecordType::Mx
-    });
-    let mut t11_addrs: HashMap<usize, u32> = HashMap::new();
-    for p in probes("t11") {
-        if p.path.tail() == "many" && p.record.qtype != RecordType::Mx {
-            *t11_addrs.entry(p.host).or_default() += 1;
-        }
-    }
-    stats.push(BehaviorStat {
-        testid: "t11",
-        behavior: "stopped at ≤10 per-mx address lookups",
-        evaluated: t11_eval.len(),
-        exhibited: t11_eval
-            .iter()
-            .filter(|h| t11_addrs.get(h).copied().unwrap_or(0) <= 10)
-            .count(),
-        paper_fraction: 0.077,
-    });
-    stats.push(BehaviorStat {
-        testid: "t11",
-        behavior: "queried all 20 exchanges",
-        evaluated: t11_eval.len(),
-        exhibited: t11_addrs.values().filter(|&&c| c >= 20).count(),
-        paper_fraction: 0.64,
-    });
-
     stats
 }
 
@@ -783,15 +776,6 @@ pub fn alexa_breakdown(
         }
     }
     (all, top1m, top1k)
-}
-
-// ---------------------------------------------------------------------------
-// Helpers shared by report binaries
-// ---------------------------------------------------------------------------
-
-/// Unique hosts probed in a result's sessions.
-pub fn probed_hosts(sessions: &[SessionRecord]) -> HashSet<usize> {
-    sessions.iter().map(|s| s.host_index).collect()
 }
 
 #[cfg(test)]
@@ -979,6 +963,134 @@ mod tests {
         // Spam rejections ≈ 27% of MTAs.
         let spam_rate = stats.spam_rejections as f64 / stats.probed_mtas.max(1) as f64;
         assert!((0.15..0.40).contains(&spam_rate), "spam {spam_rate}");
+    }
+
+    /// A hand-built probe log with each case on which the §7 analyses
+    /// and the §8 fingerprint once disagreed: a t01 tie and a `foo`
+    /// query logged out of time order, t02 queries at the base name of
+    /// another type, TXT queries at t06 `v*` names, a t10 `p` fetch over
+    /// IPv4, and t06/t11 behavior from MTAs that never evaluated the
+    /// test. Fig. 3, Fig. 5, the battery and the vectors all read the
+    /// one record.
+    #[test]
+    fn edge_cases_read_one_record() {
+        use crate::apparatus::QueryRecord;
+        use crate::fingerprint::behavior_vectors;
+        use mailval_dns::Name;
+        let mut log = QueryLog::default();
+        let mut q = |host: usize, name: &str, qtype, time_ms, via_ipv6| {
+            let (testid, path) = name.split_once('/').unwrap_or((name, ""));
+            let dot = if path.is_empty() { "" } else { "." };
+            log.records.push(QueryRecord {
+                time_ms,
+                session: host,
+                qname: Name::parse(&format!(
+                    "{path}{dot}{testid}.m{host:05}.spf-test.dns-lab.org"
+                ))
+                .unwrap(),
+                qtype,
+                transport: Transport::Udp,
+                via_ipv6,
+            });
+        };
+        use RecordType::{Aaaa, Mx, Txt, A};
+        // t01: host 1 asks `foo` and `l3` at the same time; host 2's
+        // earliest `foo` is logged after a later one; host 3 is serial.
+        q(1, "t01/l3", Txt, 100, false);
+        q(1, "t01/foo", A, 100, false);
+        q(2, "t01/foo", A, 300, false);
+        q(2, "t01/l3", Txt, 200, false);
+        q(2, "t01/foo", A, 150, false);
+        q(3, "t01/l3", Txt, 200, false);
+        q(3, "t01/foo", A, 250, false);
+        // t02: a point needs the base TXT; `h` and base-name queries of
+        // other types are not counted.
+        q(1, "t02", Txt, 0, false);
+        for path in ["s1", "a.s1", "h.f.c.a.s1", "h"] {
+            q(1, &format!("t02/{path}"), Txt, 10, false);
+        }
+        q(2, "t02", A, 0, false);
+        q(2, "t02/s1", Txt, 10, false);
+        q(3, "t02", Txt, 0, false);
+        q(3, "t02", Aaaa, 0, false);
+        q(3, "t02/s1", Txt, 10, false);
+        // t06: host 1 makes two voids and three TXT queries at `v*`
+        // names; host 2 makes five voids without the base policy.
+        q(1, "t06", Txt, 0, false);
+        for (v, qtype) in [
+            ("v1", A),
+            ("v2", Aaaa),
+            ("v3", Txt),
+            ("v4", Txt),
+            ("v5", Txt),
+        ] {
+            q(1, &format!("t06/{v}"), qtype, 10, false);
+        }
+        for v in 1..=5 {
+            q(2, &format!("t06/v{v}"), A, 10, false);
+        }
+        // t10: host 1 fetches `p` over IPv4, host 3 over IPv6.
+        for (host, via_ipv6) in [(1, false), (3, true)] {
+            q(host, "t10", Txt, 0, false);
+            q(host, "t10/p.v6only", Txt, 10, via_ipv6);
+        }
+        // t11: host 2 looks up all 20 exchanges without the MX set.
+        q(1, "t11/many", Mx, 0, false);
+        q(3, "t11/many", Mx, 0, false);
+        for i in 1..=20 {
+            for host in [1, 2] {
+                q(host, &format!("t11/mx{i:02}.many"), A, 10, false);
+            }
+        }
+        for i in 1..=5 {
+            q(3, &format!("t11/mx{i:02}.many"), A, 10, false);
+        }
+
+        let probes = host_probes(&log);
+        assert_eq!(probes.len(), 3);
+        let serial: Vec<Option<bool>> = (1..=3).map(|h| probes[&h].serial()).collect();
+        assert_eq!(serial, [Some(false), Some(false), Some(true)]);
+        assert_eq!(probes[&2].t01_foo_ms, Some(150));
+        let sp = serial_vs_parallel(&log);
+        assert_eq!((sp.classified, sp.serial), (3, 1));
+
+        let limits = lookup_limits(&log);
+        let queries: Vec<u32> = limits.points.iter().map(|p| p.queries).collect();
+        assert_eq!(queries, [1, 3]);
+        assert_eq!((limits.under_10, limits.all_46), (2, 0));
+
+        assert_eq!((probes[&1].t06_voids, probes[&2].t06_voids), (2, 5));
+        let cells: Vec<(&str, usize, usize)> = behavior_battery(&log)
+            .iter()
+            .filter(|s| s.evaluated > 0)
+            .map(|s| (s.behavior, s.evaluated, s.exhibited))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ("exceeded two void lookups", 1, 0),
+                ("resolved all five void names", 1, 0),
+                ("retrieved the IPv6-only policy", 2, 1),
+                ("stopped at ≤10 per-mx address lookups", 2, 1),
+                ("queried all 20 exchanges", 2, 1),
+            ]
+        );
+
+        let vectors = behavior_vectors(&log);
+        let v = |h: usize| vectors[&h];
+        assert_eq!(
+            [v(1).parallel, v(2).parallel, v(3).parallel],
+            [Some(true), Some(true), Some(false)]
+        );
+        assert_eq!(
+            [v(1).limit_bucket, v(2).limit_bucket, v(3).limit_bucket],
+            [Some(0), None, Some(0)]
+        );
+        assert_eq!([v(1).void_bucket, v(2).void_bucket], [Some(0), None]);
+        assert_eq!(
+            [v(1).ipv6, v(2).ipv6, v(3).ipv6],
+            [Some(false), None, Some(true)]
+        );
     }
 
     #[test]

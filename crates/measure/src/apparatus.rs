@@ -81,15 +81,6 @@ impl QueryLog {
             .iter()
             .filter_map(|r| Some((r, r.attribution()?)))
     }
-
-    /// The records attributed to a given test, with their attributions.
-    pub fn for_test<'a>(
-        &'a self,
-        testid: &'a str,
-    ) -> impl Iterator<Item = (&'a QueryRecord, ParsedName<'a>)> {
-        self.attributed()
-            .filter(move |(_, a)| a.testid == Some(testid))
-    }
 }
 
 /// The synthesizing authoritative server for both apparatus suffixes.
@@ -332,10 +323,15 @@ mod tests {
             log.records.push(record(name, t));
         }
         assert_eq!(log.attributed().count(), 4);
-        let t01: Vec<u64> = log.for_test("t01").map(|(r, _)| r.time_ms).collect();
-        assert_eq!(t01, [10, 20]);
-        assert_eq!(log.for_test("t02").count(), 1);
-        assert_eq!(log.for_test("t03").count(), 0);
+        let times = |testid| -> Vec<u64> {
+            log.attributed()
+                .filter(|(_, a)| a.testid == Some(testid))
+                .map(|(r, _)| r.time_ms)
+                .collect()
+        };
+        assert_eq!(times("t01"), [10, 20]);
+        assert_eq!(times("t02"), [30]);
+        assert!(times("t03").is_empty());
     }
 
     /// The borrowed attribution, and the bytes the codec writes for it,

@@ -3,12 +3,13 @@
 //! fingerprint an SPF validator implementation, to learn how many
 //! distinct implementations are deployed."
 //!
-//! Each MTA's outcomes across the behavior tests form a feature vector;
-//! identical vectors are grouped into implementation classes.
+//! Each MTA's outcomes across the behavior tests, read off the same
+//! per-MTA probe record the §7 analyses use
+//! ([`crate::analysis::host_probes`]), form a feature vector; identical
+//! vectors are grouped into implementation classes.
 
+use crate::analysis::{host_probes, HostProbes};
 use crate::apparatus::QueryLog;
-use mailval_dns::rr::RecordType;
-use mailval_dns::server::Transport;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The behavior feature vector of one MTA.
@@ -45,168 +46,37 @@ pub struct FingerprintClass {
     pub hosts: Vec<usize>,
 }
 
-/// Extract behavior vectors from a probe campaign's log.
+/// Extract behavior vectors from a probe campaign's log: one per MTA
+/// with any probe query, read off its [`HostProbes`] record.
 pub fn behavior_vectors(log: &QueryLog) -> HashMap<usize, BehaviorVector> {
-    // Collect per-test intermediate state.
-    #[derive(Default)]
-    struct Scratch {
-        t01_foo: Option<u64>,
-        t01_l3: Option<u64>,
-        t02_count: u32,
-        t02_seen: bool,
-        t03_base: bool,
-        t03_helo: bool,
-        t04_base: bool,
-        t04_after: bool,
-        t05_child: bool,
-        t05_after: bool,
-        t06_base: bool,
-        t06_voids: u32,
-        t07_base: bool,
-        t07_fallback: bool,
-        t08_base: bool,
-        t08_follow: bool,
-        t09_udp: bool,
-        t09_tcp: bool,
-        t10_base: bool,
-        t10_v6: bool,
-    }
-    let mut scratch: HashMap<usize, Scratch> = HashMap::new();
+    host_probes(log)
+        .into_iter()
+        .map(|(h, p)| (h, BehaviorVector::of(&p)))
+        .collect()
+}
 
-    for (r, attr) in log.attributed() {
-        let (Some(testid), Some(h)) = (attr.testid, attr.host_index) else {
-            continue;
+impl BehaviorVector {
+    /// The vector of one MTA's probe record: a dimension is `None`
+    /// unless the MTA evaluated its test.
+    fn of(p: &HostProbes) -> BehaviorVector {
+        let bucket = |count: u32, low: u32, high: u32| match count {
+            c if c <= low => 0,
+            c if c >= high => 2,
+            _ => 1,
         };
-        let s = scratch.entry(h).or_default();
-        let p0 = attr.path.first();
-        let base = attr.path.is_empty() && r.qtype == RecordType::Txt;
-        match testid {
-            "t01" => match p0 {
-                Some("foo") => {
-                    s.t01_foo.get_or_insert(r.time_ms);
-                }
-                Some("l3") => {
-                    s.t01_l3.get_or_insert(r.time_ms);
-                }
-                _ => {}
-            },
-            "t02" => {
-                if base {
-                    s.t02_seen = true;
-                } else if attr.path.as_str() != "h" {
-                    s.t02_count += 1;
-                }
-            }
-            "t03" => {
-                if base {
-                    s.t03_base = true;
-                }
-                if p0 == Some("h") {
-                    s.t03_helo = true;
-                }
-            }
-            "t04" => {
-                if base {
-                    s.t04_base = true;
-                }
-                if p0 == Some("after") {
-                    s.t04_after = true;
-                }
-            }
-            "t05" => {
-                if p0 == Some("child") {
-                    s.t05_child = true;
-                }
-                if p0 == Some("after") {
-                    s.t05_after = true;
-                }
-            }
-            "t06" => {
-                if base {
-                    s.t06_base = true;
-                } else if p0.is_some_and(|x| x.starts_with('v')) {
-                    s.t06_voids += 1;
-                }
-            }
-            "t07" => {
-                if base {
-                    s.t07_base = true;
-                }
-                if p0 == Some("gone") && r.qtype != RecordType::Mx {
-                    s.t07_fallback = true;
-                }
-            }
-            "t08" => {
-                if base {
-                    s.t08_base = true;
-                }
-                if matches!(p0, Some("one") | Some("two")) {
-                    s.t08_follow = true;
-                }
-            }
-            "t09" => {
-                if base && r.transport == Transport::Udp {
-                    s.t09_udp = true;
-                }
-                if base && r.transport == Transport::Tcp {
-                    s.t09_tcp = true;
-                }
-            }
-            "t10" => {
-                if base {
-                    s.t10_base = true;
-                }
-                if p0 == Some("p") {
-                    s.t10_v6 = true;
-                }
-            }
-            _ => {}
+        BehaviorVector {
+            parallel: p.serial().map(|serial| !serial),
+            limit_bucket: p.limit_queries().map(|c| bucket(c, 10, 46)),
+            helo_check: p.t03_base.then_some(p.t03_helo),
+            syntax_lenient: p.t04_base.then_some(p.t04_after),
+            child_lenient: p.t05_child.then_some(p.t05_after),
+            void_bucket: p.t06_base.then(|| bucket(p.t06_voids, 2, 5)),
+            mx_fallback: p.t07_base.then_some(p.t07_fallback),
+            multi_follow: p.t08_base.then_some(p.t08_one || p.t08_two),
+            tcp: p.t09_udp.then_some(p.t09_tcp),
+            ipv6: p.t10_base.then_some(p.t10_v6),
         }
     }
-
-    let mut vectors: HashMap<usize, BehaviorVector> = HashMap::new();
-    for (h, s) in scratch {
-        let v = vectors.entry(h).or_default();
-        if let (Some(foo_ms), Some(l3)) = (s.t01_foo, s.t01_l3) {
-            v.parallel = Some(foo_ms < l3);
-        }
-        if s.t02_seen {
-            v.limit_bucket = Some(match s.t02_count {
-                c if c <= 10 => 0,
-                c if c >= 46 => 2,
-                _ => 1,
-            });
-        }
-        if s.t03_base {
-            v.helo_check = Some(s.t03_helo);
-        }
-        if s.t04_base {
-            v.syntax_lenient = Some(s.t04_after);
-        }
-        if s.t05_child {
-            v.child_lenient = Some(s.t05_after);
-        }
-        if s.t06_base {
-            v.void_bucket = Some(match s.t06_voids {
-                c if c <= 2 => 0,
-                c if c >= 5 => 2,
-                _ => 1,
-            });
-        }
-        if s.t07_base {
-            v.mx_fallback = Some(s.t07_fallback);
-        }
-        if s.t08_base {
-            v.multi_follow = Some(s.t08_follow);
-        }
-        if s.t09_udp {
-            v.tcp = Some(s.t09_tcp);
-        }
-        if s.t10_base {
-            v.ipv6 = Some(s.t10_v6);
-        }
-    }
-    vectors
 }
 
 /// Group MTAs into implementation classes by exact vector equality,
