@@ -28,9 +28,9 @@ use mailval_measure::names::NameScheme;
 use mailval_measure::policies::{synthesize_probe, SynthAddrs};
 use mailval_measure::store::{decode_entry, encode_entry, CampaignKey};
 use mailval_simnet::Simulator;
-use mailval_smtp::command::{Command, EmailAddress};
+use mailval_smtp::command::{Command, Mailbox};
 use mailval_smtp::line::crlf_lines;
-use mailval_smtp::reply::{Reply, ReplyParser};
+use mailval_smtp::reply::{push_wire_line, Canned, ReplyParser};
 use mailval_spf::{DnsQuestion, EvalParams, EvalStep, SpfBehavior, SpfEvaluator, SpfRecord};
 use std::hint::black_box;
 
@@ -89,46 +89,59 @@ fn bench_dns_wire(filter: &Filter) {
 }
 
 fn bench_smtp_wire(filter: &Filter) {
-    // One probe session's dialogue up to the DATA reply: every reply
-    // serialized, framed into lines and parsed back, every command
-    // formatted, framed and parsed.
-    let replies = [
-        Reply::greeting("mx1.as64500.mail.sim"),
-        Reply::multiline(
-            250,
-            vec![
-                "mx1.as64500.mail.sim".into(),
-                "PIPELINING".into(),
-                "SIZE 10240000".into(),
-                "8BITMIME".into(),
-            ],
-        ),
-        Reply::ok(),
-        Reply::new(550, "No such user: michael@org00042.com"),
-        Reply::ok(),
-        Reply::start_mail_input(),
+    // One probe session's dialogue up to the DATA reply, as the engine
+    // runs it: every reply written to wire text in a reused buffer,
+    // framed into lines and parsed back borrowed; every command written
+    // to wire text in a reused buffer, framed and parsed borrowed.
+    let ehlo = [
+        "mx1.as64500.mail.sim",
+        "PIPELINING",
+        "SIZE 10240000",
+        "8BITMIME",
     ];
-    let domain = n("t01.m00042.spf-test.dns-lab.org");
-    let rcpt = |local| Command::Rcpt(EmailAddress::new(local, n("org00042.com")));
+    let replies = [
+        Canned::greeting("mx1.as64500.mail.sim"),
+        Canned::OK,
+        Canned::no_such_user("michael@org00042.com"),
+        Canned::OK,
+        Canned::START_MAIL_INPUT,
+    ];
+    let mailbox = |text| Mailbox::parse(text).unwrap();
     let commands = [
-        Command::Ehlo("probe.dns-lab.org".into()),
-        Command::Mail(Some(EmailAddress::new("spf-test", domain))),
-        rcpt("michael"),
-        rcpt("john.smith"),
+        Command::Ehlo("probe.dns-lab.org"),
+        Command::Mail(Some(mailbox("spf-test@t01.m00042.spf-test.dns-lab.org"))),
+        Command::Rcpt(mailbox("michael@org00042.com")),
+        Command::Rcpt(mailbox("john.smith@org00042.com")),
         Command::Data,
     ];
+    let mut parser = ReplyParser::new();
+    let mut wire = String::new();
     filter.bench("smtp_wire", || {
-        let mut parser = ReplyParser::new();
         let mut parsed = 0;
-        for reply in black_box(&replies) {
-            let wire = reply.to_wire();
-            for line in crlf_lines(&wire) {
+        let mut parse = |wire: &str, parser: &mut ReplyParser| {
+            for line in crlf_lines(wire) {
                 let line = line.trim_end_matches(['\r', '\n']);
                 parsed += parser.push_line(line).unwrap().is_some() as usize;
             }
+        };
+        // The greeting, then the EHLO reply, then the rest.
+        let (greeting, rest) = black_box(&replies).split_first().unwrap();
+        wire.clear();
+        greeting.write_wire(&mut wire);
+        parse(&wire, &mut parser);
+        wire.clear();
+        for (i, line) in black_box(&ehlo).iter().enumerate() {
+            push_wire_line(&mut wire, 250, i + 1 == ehlo.len(), &[line]);
+        }
+        parse(&wire, &mut parser);
+        for reply in rest {
+            wire.clear();
+            reply.write_wire(&mut wire);
+            parse(&wire, &mut parser);
         }
         for command in black_box(&commands) {
-            let mut wire = command.to_line();
+            wire.clear();
+            command.write_line(&mut wire);
             wire.push_str("\r\n");
             for line in crlf_lines(&wire) {
                 let line = line.trim_end_matches(['\r', '\n']);

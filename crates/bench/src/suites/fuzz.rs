@@ -18,6 +18,12 @@
 //! and drives them through the verifier (`DkimVerifier::new`, `start`,
 //! `on_key`): no signature or key ever panics it, and every verdict
 //! lands in one result class.
+//!
+//! The MTA stage drives mutated command lines, pipelined segments and
+//! DATA bodies through the receiving MTA (`MtaActor::handle`, and the
+//! server `Session` inside it) under sampled behavior switches: no
+//! dialogue ever panics it, every reply it writes parses back, and every
+//! reply lands in one class.
 
 use mailval_crypto::bigint::SplitMix64;
 use mailval_crypto::rsa::RsaKeyPair;
@@ -35,10 +41,13 @@ use mailval_measure::hostile::{classify_reply, classify_wire, synthesize_hostile
 use mailval_measure::store::{CampaignStore, KeySpec};
 use mailval_measure::vfs::SimFs;
 use mailval_measure::{journal, progress};
+use mailval_mta::actor::{ConnContext, MtaActor, MtaInput, MtaOutput, MtaSink};
+use mailval_mta::profile::{MtaProfile, SpfTrigger};
 use mailval_simnet::{
     DnsMutation, FaultCursor, IoConfig, IoPlan, MalformedClass, MalformedStats, PayloadConfig,
     PayloadPlan, SimRng,
 };
+use mailval_smtp::line::crlf_lines;
 use mailval_smtp::mail::MailMessage;
 use mailval_smtp::reply::ReplyParser;
 use mailval_spf::record::SpfRecord;
@@ -151,6 +160,227 @@ pub fn fuzz(frames_arg: Option<String>) {
     for (class, n) in &dkim.results {
         progress!("fuzz:   dkim {class:<17} {n}");
     }
+
+    // Stage 4: SMTP dialogues through the receiving MTA.
+    let mta_frames = (frames / 5).clamp(256, 50_000);
+    let start = Instant::now();
+    let mta = fuzz_mta(mta_frames, seed);
+    assert_eq!(
+        mta.classes.values().sum::<u64>(),
+        mta.replies,
+        "every MTA reply must land in one class"
+    );
+    progress!(
+        "fuzz: mta stage in {:.2}s: {} mutated dialogues, {} lines, {} replies, 0 panics",
+        start.elapsed().as_secs_f64(),
+        mta.frames,
+        mta.lines,
+        mta.replies
+    );
+    for (class, n) in &mta.classes {
+        progress!("fuzz:   mta {class:<18} {n}");
+    }
+}
+
+/// Tallies from the MTA fuzz stage.
+pub struct MtaFuzzReport {
+    /// Dialogues driven, each on its own actor.
+    pub frames: u64,
+    /// Command and DATA lines fed to the actors.
+    pub lines: u64,
+    /// Replies the actors wrote.
+    pub replies: u64,
+    /// Replies by class (`accepted`, `syntax`, `sequence`, ...); they
+    /// sum to `replies`.
+    pub classes: BTreeMap<&'static str, u64>,
+}
+
+/// The class of an MTA reply, by its code; `None` for a code the MTA
+/// has no business writing.
+fn mta_reply_class(code: u16) -> Option<&'static str> {
+    Some(match code {
+        220 => "greeting",
+        221 => "closing",
+        250 => "accepted",
+        252 => "vrfy",
+        354 => "data",
+        451 => "tempfail",
+        500 => "syntax",
+        501 => "arguments",
+        503 => "sequence",
+        550 => "no_such_user",
+        554 => "policy",
+        _ => return None,
+    })
+}
+
+/// A probe-shaped dialogue, one line per entry: EHLO, MAIL, two RCPTs,
+/// DATA, a short message, the end-of-data dot and QUIT.
+const MTA_DIALOGUE: &[&str] = &[
+    "EHLO probe.dns-lab.org",
+    "MAIL FROM:<spf-test@t01.m00042.spf-test.dns-lab.org>",
+    "RCPT TO:<michael@org00042.com>",
+    "RCPT TO:<postmaster@org00042.com>",
+    "DATA",
+    "From: Notifier <spf-test@t01.m00042.spf-test.dns-lab.org>",
+    "Subject: network notification",
+    "",
+    "..a stuffed dot",
+    "body",
+    ".",
+    "QUIT",
+];
+
+/// Lines the DATA-body mutator splices into a dialogue.
+const MTA_LINES: &[&str] = &[
+    ".",
+    "..",
+    "...",
+    "",
+    " ",
+    "DATA",
+    "RSET",
+    "MAIL FROM:<>",
+    "RCPT TO:<support@org00042.com>",
+    "HELO legacy.test",
+    "VRFY postmaster",
+    "NOOP",
+    "DKIM-Signature: v=1; a=rsa-sha256; d=org00042.com; s=s1; h=from; bh=AA; b=BB",
+    "From: <a@b.test>",
+    "From: no address at all",
+    "X-Bad:\0nul",
+    "bare\rcr",
+    "\u{e9}\u{fffd}",
+];
+
+/// Drive `frames` mutated dialogues through [`MtaActor`]. Each frame
+/// samples the actor's behavior switches and its connection, mutates
+/// the dialogue's lines (byte edits, spliced lines), groups them into
+/// pipelined segments, and answers every lookup and timer the actor
+/// asks for. Panics on a reply that does not parse or has no class; an
+/// actor panic propagates.
+pub fn fuzz_mta(frames: u64, seed: u64) -> MtaFuzzReport {
+    let mut report = MtaFuzzReport {
+        frames: 0,
+        lines: 0,
+        replies: 0,
+        classes: BTreeMap::new(),
+    };
+    let mut rng = SimRng::new(seed ^ 0x37A_F022);
+    let triggers = [
+        SpfTrigger::AtMail,
+        SpfTrigger::AtRcpt,
+        SpfTrigger::AtData,
+        SpfTrigger::AfterDelivery,
+    ];
+    let usernames = [None, Some("michael"), Some("support")];
+    let mut sink = MtaSink::default();
+    for _ in 0..frames {
+        report.frames += 1;
+        let mut profile = MtaProfile::strict();
+        profile.spf_trigger = *rng.pick(&triggers);
+        profile.checks_helo = rng.chance(0.3);
+        profile.greylists = rng.chance(0.2);
+        profile.rejects_spam = rng.chance(0.2);
+        profile.rejects_blacklist = rng.chance(0.2);
+        profile.rejects_all_recipients = rng.chance(0.1);
+        profile.postmaster_bypass = rng.chance(0.3);
+        profile.accepted_username = *rng.pick(&usernames);
+        profile.spf_unfinished = rng.chance(0.1);
+        let ctx = ConnContext {
+            client_ip: "192.0.2.77".parse().expect("a literal address"),
+            client_blacklisted: rng.chance(0.2),
+            recipients_guessed: rng.chance(0.5),
+        };
+        let mut actor = MtaActor::new("mx.fuzz.test", profile, ctx);
+        actor.handle(MtaInput::Connected, &mut sink);
+        drain_mta(&mut actor, &mut sink, &mut rng, &mut report);
+
+        let mut lines: Vec<String> = MTA_DIALOGUE.iter().map(|l| l.to_string()).collect();
+        for _ in 0..1 + rng.next_below(3) {
+            let at = rng.next_below(lines.len() as u64 + 1) as usize;
+            match rng.next_below(3) {
+                0 if at < lines.len() => lines[at] = mutate_text(&lines[at], &mut rng),
+                1 => lines.insert(at, rng.pick(MTA_LINES).to_string()),
+                _ => {
+                    let long = "x".repeat(rng.next_below(2_000) as usize);
+                    lines.insert(at, long);
+                }
+            }
+        }
+        // Pipeline: one to four lines per segment, framed as the engine
+        // frames a segment.
+        let mut rest = lines.as_slice();
+        while !rest.is_empty() {
+            let take = (1 + rng.next_below(4) as usize).min(rest.len());
+            let segment: String = rest[..take].iter().map(|l| format!("{l}\r\n")).collect();
+            rest = &rest[take..];
+            for line in crlf_lines(&segment) {
+                report.lines += 1;
+                let line = line.trim_end_matches(['\r', '\n']);
+                actor.handle(MtaInput::Line(line), &mut sink);
+            }
+            drain_mta(&mut actor, &mut sink, &mut rng, &mut report);
+        }
+        actor.handle(MtaInput::Disconnected, &mut sink);
+        drain_mta(&mut actor, &mut sink, &mut rng, &mut report);
+    }
+    report
+}
+
+/// Act on everything the actor emitted until it emits nothing more:
+/// classify each reply, answer each lookup (NXDOMAIN, SERVFAIL, a
+/// timeout or a `-all` policy) and fire each timer.
+fn drain_mta(
+    actor: &mut MtaActor,
+    sink: &mut MtaSink,
+    rng: &mut SimRng,
+    report: &mut MtaFuzzReport,
+) {
+    let mut parser = ReplyParser::new();
+    for _ in 0..10_000 {
+        if sink.outputs.is_empty() {
+            return;
+        }
+        let mut inputs = Vec::new();
+        for output in std::mem::take(&mut sink.outputs) {
+            match output {
+                MtaOutput::Smtp(text) => {
+                    for line in crlf_lines(&text) {
+                        let reply = parser
+                            .push_line(line)
+                            .unwrap_or_else(|e| panic!("MTA wrote {text:?}: {e}"));
+                        if let Some(reply) = reply {
+                            report.replies += 1;
+                            let class = mta_reply_class(reply.code)
+                                .unwrap_or_else(|| panic!("unclassified MTA reply {text:?}"));
+                            *report.classes.entry(class).or_default() += 1;
+                        }
+                    }
+                    sink.recycle(text);
+                }
+                MtaOutput::Resolve { qid, name, .. } => {
+                    let outcome = match rng.next_below(4) {
+                        0 => ResolveOutcome::NxDomain,
+                        1 => ResolveOutcome::ServFail,
+                        2 => ResolveOutcome::Timeout,
+                        _ => ResolveOutcome::Records(vec![Record::new(
+                            name,
+                            300,
+                            RData::txt_from_str("v=spf1 -all"),
+                        )]),
+                    };
+                    inputs.push(MtaInput::DnsFinished { qid, outcome });
+                }
+                MtaOutput::SetTimer { token, .. } => inputs.push(MtaInput::Timer { token }),
+                MtaOutput::Close | MtaOutput::Stall { .. } | MtaOutput::Event(_) => {}
+            }
+        }
+        for input in inputs {
+            actor.handle(input, sink);
+        }
+    }
+    panic!("the MTA kept emitting for 10,000 rounds");
 }
 
 /// Tallies from the DKIM fuzz stage.
@@ -715,6 +945,22 @@ mod tests {
         assert!(report.results.get("pass").is_some_and(|&n| n > 0));
         assert!(report.results.get("permerror").is_some_and(|&n| n > 0));
         assert!(report.results.get("fail").is_some_and(|&n| n > 0));
+    }
+
+    #[test]
+    fn fuzz_mta_smoke_classifies_every_reply() {
+        let report = fuzz_mta(400, 2021);
+        assert_eq!(report.frames, 400);
+        assert_eq!(report.classes.values().sum::<u64>(), report.replies);
+        // The dialogues reach the greeting, acceptances and every
+        // kind of refusal the session writes.
+        for class in ["greeting", "accepted", "syntax", "arguments", "sequence"] {
+            assert!(
+                report.classes.get(class).is_some_and(|&n| n > 0),
+                "no {class} replies: {:?}",
+                report.classes
+            );
+        }
     }
 
     #[test]

@@ -103,6 +103,20 @@ impl Name {
         Ok(Name::from_canonical(lower))
     }
 
+    /// Check `s` as [`Name::parse`] would, without building the name:
+    /// the same error for the same text, and `Ok(true)` for text that
+    /// names the root.
+    pub fn check(s: &str) -> Result<bool, NameError> {
+        let text = s.strip_suffix('.').unwrap_or(s);
+        if text.is_empty() {
+            return Ok(true);
+        }
+        if !Self::is_canonical(text.as_bytes()) {
+            Self::check_text(text.as_bytes())?;
+        }
+        Ok(false)
+    }
+
     /// The ordered walk behind [`Name::parse`]: the first fault of
     /// `text` (a name without its trailing dot), or whether it has an
     /// uppercase byte.
@@ -422,6 +436,31 @@ mod tests {
         let label = "a".repeat(63);
         let long = [label.as_str(); 5].join(".");
         assert_eq!(Name::parse(&long), Err(NameError::NameTooLong));
+    }
+
+    #[test]
+    fn check_agrees_with_parse() {
+        let long = ["a".repeat(63).as_str(); 5].join(".");
+        let label = "x".repeat(64);
+        for s in [
+            "",
+            ".",
+            "a",
+            "A.b.",
+            "a..b",
+            ".a",
+            "a.",
+            "a b",
+            "\u{e9}.x",
+            "x.\x7f",
+            &long,
+            &label,
+            "t01.m9.spf-test.dns-lab.org",
+            "Org00042.COM",
+        ] {
+            let parsed = Name::parse(s).map(|n| n.is_root());
+            assert_eq!(Name::check(s), parsed, "{s:?}");
+        }
     }
 
     #[test]

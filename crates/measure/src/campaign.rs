@@ -669,7 +669,7 @@ impl CampaignWorld {
                 let rcpt_candidates = if self.guessed {
                     probe_usernames()
                         .iter()
-                        .map(|u| EmailAddress::new(u, target.domain.clone()))
+                        .map(|&u| EmailAddress::new(u, target.domain.clone()))
                         .collect()
                 } else {
                     operator()
@@ -1203,7 +1203,7 @@ fn build_blueprints(
                 let rcpt_candidates: Vec<EmailAddress> = if config.kind == CampaignKind::TwoWeekMx {
                     probe_usernames()
                         .iter()
-                        .map(|u| EmailAddress::new(u, domain_name.clone()))
+                        .map(|&u| EmailAddress::new(u, domain_name.clone()))
                         .collect()
                 } else {
                     vec![EmailAddress::new("operator", domain_name.clone())]
@@ -1276,7 +1276,7 @@ fn build_notification(
             "From",
             &[
                 "Network Notifier <",
-                from.local.as_str(),
+                &from.local,
                 "@",
                 from.domain.as_str(),
                 ">",

@@ -34,9 +34,10 @@ use mailval_dns::rr::RecordType;
 use mailval_dns::server::Transport;
 use mailval_dns::Name;
 use mailval_simnet::{FaultStats, MalformedClass, MalformedStats};
-use mailval_smtp::client::{ClientOutcome, PackedError, Phase, Transcript};
+use mailval_smtp::client::{probe_usernames, ClientOutcome, PackedError, Phase, Transcript};
 use mailval_smtp::reply::Reply;
 use mailval_smtp::EmailAddress;
+use std::borrow::Cow;
 
 /// Upper bound on one frame's payload length; anything larger in a
 /// length prefix is treated as corruption, not an allocation.
@@ -330,6 +331,22 @@ impl Codec for String {
     }
     fn get(dec: &mut Dec<'_>) -> Result<Self, FrameError> {
         dec.str().map(str::to_owned)
+    }
+}
+
+/// An address's local part: stored as its text, decoded back to the
+/// shared `'static` text when it is one of the probe usernames, which
+/// the local parts of almost every stored address are.
+impl Codec for Cow<'static, str> {
+    fn put(&self, enc: &mut Enc) {
+        enc.str(self);
+    }
+    fn get(dec: &mut Dec<'_>) -> Result<Self, FrameError> {
+        let text = dec.str()?;
+        Ok(match probe_usernames().into_iter().find(|&u| u == text) {
+            Some(username) => Cow::Borrowed(username),
+            None => Cow::Owned(text.to_owned()),
+        })
     }
 }
 

@@ -18,14 +18,15 @@ use crate::journal::{JournalFrame, JournalWriter};
 use crate::telemetry::{NullTracer, Telemetry, TraceKind, Tracer};
 use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::server::{ServerCore, Transport};
-use mailval_mta::actor::{MtaEvent, MtaInput, MtaOutput};
+use mailval_mta::actor::{MtaEvent, MtaInput, MtaOutput, MtaSink};
 use mailval_mta::resolver::{ResolverEvent, UpstreamSend};
 use mailval_simnet::{
     ConnFault, DatagramFate, DnsMutation, FaultConfig, FaultPlan, FaultStats, LatencyModel,
-    MalformedClass, PayloadConfig, PayloadPlan,
+    MalformedClass, PayloadConfig, PayloadPlan, Simulator,
 };
 use mailval_smtp::client::ClientAction;
 use mailval_smtp::line::crlf_lines;
+use mailval_smtp::reply::ReplyParser;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -209,6 +210,18 @@ pub struct SessionEngine<'a, T: Tracer = NullTracer> {
     /// absorbs every server reply encode instead of one `Vec` per
     /// datagram (see [`ServerCore::handle_with`]).
     scratch: Vec<u8>,
+    /// Where the sessions' MTAs emit: its output vector, and its spare
+    /// text buffers, which every SMTP segment of the shard is written
+    /// into — replies by the MTA, commands by the client — and handed
+    /// back to once the segment is read.
+    sink: MtaSink,
+    /// The client's actions on one reply segment, each with the buffer
+    /// a command it sends was written into.
+    actions: Vec<(ClientAction, String)>,
+    /// The last session's queue and reply parser, drained, for the next
+    /// session to use.
+    spare_queue: Simulator<Ev>,
+    spare_parser: ReplyParser,
     /// The journal failed and was demoted mid-run (see
     /// [`EngineStats::durability_lost`]).
     durability_lost: bool,
@@ -239,6 +252,10 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
             journal: None,
             completed: 0,
             scratch: Vec::new(),
+            sink: MtaSink::default(),
+            actions: Vec::new(),
+            spare_queue: Simulator::new(),
+            spare_parser: ReplyParser::new(),
             durability_lost: false,
             tracer,
             heartbeat: None,
@@ -304,6 +321,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
     fn run_session(&mut self, mut s: LiveSession) -> JournalFrame {
         let budget = self.config.budget;
         let memory = self.config.memory;
+        std::mem::swap(&mut s.queue, &mut self.spare_queue);
+        std::mem::swap(&mut s.parser, &mut self.spare_parser);
         s.queue.schedule_at(s.record.start_ms, Ev::Start);
         while let Some((time_ms, ev)) = s.queue.next() {
             self.ticks += 1;
@@ -366,6 +385,11 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 }
             }
         }
+        // Events a terminated session left queued are dropped here.
+        s.queue.clear();
+        s.parser.clear();
+        std::mem::swap(&mut s.queue, &mut self.spare_queue);
+        std::mem::swap(&mut s.parser, &mut self.spare_parser);
         self.finish_session(s)
     }
 
@@ -522,23 +546,24 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 if self.tracer.enabled() {
                     self.trace(s, TraceKind::SessionStart);
                 }
-                let outputs = s.mta.handle(MtaInput::Connected);
-                self.handle_mta_outputs(s, outputs);
+                self.feed_mta(s, MtaInput::Connected);
             }
             Ev::ToMta(text) => {
                 if self.tracer.enabled() {
                     let verb = text.split_whitespace().next().unwrap_or("").to_string();
                     self.trace(s, TraceKind::SmtpCommand { verb });
                 }
-                let mut outputs = Vec::new();
+                let mut sink = std::mem::take(&mut self.sink);
                 for line in crlf_lines(&text) {
                     let line = line.trim_end_matches(['\r', '\n']);
-                    outputs.extend(s.mta.handle(MtaInput::Line(line)));
+                    s.mta.handle(MtaInput::Line(line), &mut sink);
                 }
-                self.handle_mta_outputs(s, outputs);
+                sink.recycle(text);
+                self.handle_mta_outputs(s, sink);
             }
             Ev::ToClient(text) => {
-                let mut actions = Vec::new();
+                let mut actions = std::mem::take(&mut self.actions);
+                let mut refused = None;
                 for line in crlf_lines(&text) {
                     let line = line.trim_end_matches(['\r', '\n']);
                     if line.is_empty() {
@@ -547,49 +572,62 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     match s.parser.push_line(line) {
                         Ok(Some(reply)) => {
                             if self.tracer.enabled() {
-                                self.trace(s, TraceKind::SmtpReply { code: reply.code });
+                                let kind = TraceKind::SmtpReply { code: reply.code };
+                                let now = s.queue.now_ms();
+                                self.tracer.record(now, s.record.session_id, kind);
                             }
-                            actions.push(s.client.on_reply(reply));
+                            let mut out = self.sink.buffer();
+                            let action = s.client.on_reply(reply, &mut out);
+                            actions.push((action, out));
                         }
                         Ok(None) => {}
                         Err(e) => {
-                            // The probe client fails closed on a reply
-                            // its parser refuses: classify the rejection,
-                            // settle the outcome, and end the session
-                            // here (a measurement probe has no business
-                            // guessing at garbage).
-                            let class = crate::hostile::classify_reply(&e);
-                            if self.tracer.enabled() {
-                                let class = format!("{class:?}");
-                                self.trace(s, TraceKind::SmtpRejected { class });
-                            }
-                            s.stats.malformed.record(class);
-                            s.stats.hostile_inputs += 1;
-                            s.record.termination = SessionOutcome::HostileInput { class };
-                            if s.record.outcome.is_none() {
-                                s.record.outcome = Some(s.client.on_disconnect());
-                            }
-                            // The client hangs up; the MTA observes the
-                            // disconnect. The session ends here, and
-                            // anything the MTA schedules is dropped with
-                            // its queue.
-                            let outputs = s.mta.handle(MtaInput::Disconnected);
-                            self.handle_mta_outputs(s, outputs);
-                            return;
+                            refused = Some(e);
+                            break;
                         }
                     }
                 }
-                for action in actions {
-                    self.handle_client_action(s, action);
+                self.sink.recycle(text);
+                if let Some(e) = refused {
+                    // The probe client fails closed on a reply its
+                    // parser refuses: classify the rejection, settle the
+                    // outcome, and end the session here (a measurement
+                    // probe has no business guessing at garbage). What
+                    // it would have sent on the segment's earlier
+                    // replies is not sent.
+                    for (_, out) in actions.drain(..) {
+                        self.sink.recycle(out);
+                    }
+                    self.actions = actions;
+                    let class = crate::hostile::classify_reply(&e);
+                    if self.tracer.enabled() {
+                        let class = format!("{class:?}");
+                        self.trace(s, TraceKind::SmtpRejected { class });
+                    }
+                    s.stats.malformed.record(class);
+                    s.stats.hostile_inputs += 1;
+                    s.record.termination = SessionOutcome::HostileInput { class };
+                    if s.record.outcome.is_none() {
+                        s.record.outcome = Some(s.client.on_disconnect());
+                    }
+                    // The client hangs up; the MTA observes the
+                    // disconnect. The session ends here, and anything
+                    // the MTA schedules is dropped with its queue.
+                    self.feed_mta(s, MtaInput::Disconnected);
+                    return;
                 }
+                for (action, out) in actions.drain(..) {
+                    self.handle_client_action(s, action, out);
+                }
+                self.actions = actions;
             }
             Ev::ClientPauseDone => {
-                let action = s.client.on_pause_elapsed();
-                self.handle_client_action(s, action);
+                let mut out = self.sink.buffer();
+                let action = s.client.on_pause_elapsed(&mut out);
+                self.handle_client_action(s, action, out);
             }
             Ev::MtaTimer(token) => {
-                let outputs = s.mta.handle(MtaInput::Timer { token });
-                self.handle_mta_outputs(s, outputs);
+                self.feed_mta(s, MtaInput::Timer { token });
             }
             Ev::DnsArrive(core_id, bytes, transport, via_ipv6) => {
                 // Encode the reply into the engine's scratch buffer
@@ -722,8 +760,7 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 self.handle_resolver_event(s, event);
             }
             Ev::MtaDns(qid, outcome) => {
-                let outputs = s.mta.handle(MtaInput::DnsFinished { qid, outcome });
-                self.handle_mta_outputs(s, outputs);
+                self.feed_mta(s, MtaInput::DnsFinished { qid, outcome });
             }
             Ev::ServerClosed => {
                 if self.tracer.enabled() {
@@ -750,14 +787,23 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 if s.record.outcome.is_none() {
                     s.record.outcome = Some(s.client.on_disconnect());
                 }
-                let outputs = s.mta.handle(MtaInput::Disconnected);
-                self.handle_mta_outputs(s, outputs);
+                self.feed_mta(s, MtaInput::Disconnected);
             }
         }
     }
 
-    fn handle_mta_outputs(&mut self, s: &mut LiveSession, outputs: Vec<MtaOutput>) {
-        for output in outputs {
+    /// Feed `input` to the session's MTA and act on what it emits.
+    fn feed_mta(&mut self, s: &mut LiveSession, input: MtaInput<'_>) {
+        let mut sink = std::mem::take(&mut self.sink);
+        s.mta.handle(input, &mut sink);
+        self.handle_mta_outputs(s, sink);
+    }
+
+    /// Act on the outputs in `sink`, in order, then keep the sink (its
+    /// outputs emptied) for the next batch.
+    fn handle_mta_outputs(&mut self, s: &mut LiveSession, mut sink: MtaSink) {
+        let mut outputs = std::mem::take(&mut sink.outputs);
+        for output in outputs.drain(..) {
             match output {
                 MtaOutput::Smtp(mut text) => {
                     // Hostile-peer reply mutation happens at the server,
@@ -765,7 +811,6 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     if self.mutate_smtp_payload(s, &mut text) && self.tracer.enabled() {
                         self.trace(s, TraceKind::FaultSmtpMutation);
                     }
-                    let text: Arc<str> = text.into();
                     // Any stall the MTA declared in this batch delays the
                     // reply segment that follows it.
                     let stall = std::mem::take(&mut s.stall_credit_ms);
@@ -776,6 +821,7 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                             if self.tracer.enabled() {
                                 self.trace(s, TraceKind::FaultConn { kind: "reset" });
                             }
+                            sink.recycle(text);
                             s.sched(delay, Ev::ConnReset);
                         }
                         ConnFault::Stall { extra_ms } => {
@@ -896,6 +942,8 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                 MtaOutput::Event(_) => {}
             }
         }
+        sink.outputs = outputs;
+        self.sink = sink;
     }
 
     fn handle_resolver_event(&mut self, s: &mut LiveSession, event: ResolverEvent) {
@@ -990,23 +1038,21 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
         }
     }
 
-    fn handle_client_action(&mut self, s: &mut LiveSession, action: ClientAction) {
+    /// Carry out the client's `action`; `text` is the buffer a command
+    /// it sends was written into.
+    fn handle_client_action(&mut self, s: &mut LiveSession, action: ClientAction, text: String) {
         match action {
-            ClientAction::Send(bytes) => {
+            ClientAction::Send => {
                 let delay = self.one_way_client(s);
-                // Valid UTF-8 (every command the probe client emits) is
-                // wrapped without a second copy; only genuinely invalid
-                // bytes pay for the lossy conversion.
-                let text: Arc<str> = match String::from_utf8(bytes) {
-                    Ok(s) => s.into(),
-                    Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned().into(),
-                };
+                // The segment is the client's buffer itself, moved into
+                // the event: no copy.
                 match self.conn_fault(s) {
                     ConnFault::Reset => {
                         s.stats.conn_resets += 1;
                         if self.tracer.enabled() {
                             self.trace(s, TraceKind::FaultConn { kind: "reset" });
                         }
+                        self.sink.recycle(text);
                         s.sched(delay, Ev::ConnReset);
                     }
                     ConnFault::Stall { extra_ms } => {
@@ -1021,14 +1067,17 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     }
                 }
             }
-            ClientAction::Pause(0) => {}
             ClientAction::Pause(ms) => {
-                if self.tracer.enabled() {
-                    self.trace(s, TraceKind::ClientPause { ms });
+                self.sink.recycle(text);
+                if ms > 0 {
+                    if self.tracer.enabled() {
+                        self.trace(s, TraceKind::ClientPause { ms });
+                    }
+                    s.sched(ms, Ev::ClientPauseDone);
                 }
-                s.sched(ms, Ev::ClientPauseDone);
             }
             ClientAction::Close(outcome) => {
+                self.sink.recycle(text);
                 if self.tracer.enabled() {
                     self.trace(
                         s,
@@ -1039,8 +1088,7 @@ impl<'a, T: Tracer> SessionEngine<'a, T> {
                     );
                 }
                 s.record.outcome = Some(*outcome);
-                let outputs = s.mta.handle(MtaInput::Disconnected);
-                self.handle_mta_outputs(s, outputs);
+                self.feed_mta(s, MtaInput::Disconnected);
             }
         }
     }

@@ -10,16 +10,19 @@ use std::sync::Arc;
 /// a queue of its own ([`crate::engine::SessionEngine`]), so an event
 /// always belongs to the session whose queue holds it.
 ///
-/// Wire payloads ride as `Arc<[u8]>` / `Arc<str>`: an event that fans
-/// out (a duplicated datagram) clones a pointer, not the payload, and
-/// the bytes a session encodes are the bytes every hop observes.
+/// DNS datagrams ride as `Arc<[u8]>`: a datagram that fans out (a
+/// duplicate) clones a pointer, not the payload, and the bytes a session
+/// encodes are the bytes every hop observes. An SMTP segment never fans
+/// out, so it rides as the `String` it was written into, owned by the
+/// event; the engine takes those buffers back once they are read (see
+/// [`crate::engine::SessionEngine`]).
 pub enum Ev {
     /// TCP established: the MTA emits its greeting.
     Start,
     /// Client bytes arriving at the MTA.
-    ToMta(Arc<str>),
+    ToMta(String),
     /// MTA reply text arriving at the probe client.
-    ToClient(Arc<str>),
+    ToClient(String),
     /// The probe client's inter-command pause elapsed.
     ClientPauseDone,
     /// An MTA-armed timer fired.
@@ -41,8 +44,8 @@ pub enum Ev {
 }
 
 impl Ev {
-    /// Bytes of shared payload (`Arc<[u8]>` / `Arc<str>`) this event
-    /// keeps alive while queued — the unit the engine's
+    /// Payload bytes this event keeps alive while queued (a segment's
+    /// text, a datagram's bytes) — the unit the engine's
     /// [`crate::engine::MemoryBudget`] accounts in.
     pub fn payload_bytes(&self) -> u64 {
         match self {

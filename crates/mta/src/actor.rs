@@ -17,7 +17,7 @@ use mailval_dns::resolver::ResolveOutcome;
 use mailval_dns::rr::RecordType;
 use mailval_dns::Name;
 use mailval_smtp::mail::MailMessage;
-use mailval_smtp::reply::Reply;
+use mailval_smtp::reply::Canned;
 use mailval_smtp::server::{Action, Decision, PolicyQuery, Session};
 use mailval_spf::{EvalParams, EvalStep, SpfEvaluation, SpfEvaluator, SpfResult};
 use std::collections::HashMap;
@@ -92,7 +92,8 @@ pub enum MtaEvent {
 /// Outputs from the actor.
 #[derive(Debug, Clone)]
 pub enum MtaOutput {
-    /// SMTP reply text to transmit (includes CRLFs).
+    /// SMTP reply text to transmit (includes CRLFs), in a buffer taken
+    /// from [`MtaSink::spare`].
     Smtp(String),
     /// Ask the MTA's resolver to resolve this; report back with
     /// [`MtaInput::DnsFinished`].
@@ -121,6 +122,39 @@ pub enum MtaOutput {
     },
     /// A milestone for the driver's logs.
     Event(MtaEvent),
+}
+
+/// Where the actor puts what it emits: the outputs of each
+/// [`MtaActor::handle`] call in order, appended, and the spare text
+/// buffers its SMTP replies are written into.
+///
+/// An embedder that hands each reply's buffer back through
+/// [`MtaSink::recycle`] once it is done with it, and clears `outputs`
+/// between calls, lets a whole campaign's replies reuse a few buffers.
+#[derive(Debug, Default)]
+pub struct MtaSink {
+    /// The outputs, in the order the actor emitted them.
+    pub outputs: Vec<MtaOutput>,
+    /// Cleared buffers for reply text.
+    pub spare: Vec<String>,
+}
+
+/// Spare buffers a sink keeps at most.
+const MAX_SPARE: usize = 64;
+
+impl MtaSink {
+    /// An empty text buffer: a spare one if there is one.
+    pub fn buffer(&mut self) -> String {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keep `text`'s buffer, cleared, for a later reply.
+    pub fn recycle(&mut self, mut text: String) {
+        if self.spare.len() < MAX_SPARE {
+            text.clear();
+            self.spare.push(text);
+        }
+    }
 }
 
 /// What validation work is in flight.
@@ -169,7 +203,7 @@ pub struct MtaActor {
     current: Option<Work>,
     queue: Vec<QueuedWork>,
     /// The SMTP decision owed once the queue drains.
-    owed_decision: Option<Decision>,
+    owed_decision: Option<Decision<'static>>,
     /// Sender validation bypassed for this session (postmaster
     /// whitelisting, §6.3).
     bypassed: bool,
@@ -221,53 +255,69 @@ impl MtaActor {
         q
     }
 
-    /// Feed an input; collect outputs.
+    /// Feed an input; append its outputs to `out`.
     ///
     /// A closed connection stops SMTP traffic, but DNS completions and
     /// timers keep flowing: post-delivery validation (§6.2) is offline
     /// processing that outlives the TCP session.
-    pub fn handle(&mut self, input: MtaInput<'_>) -> Vec<MtaOutput> {
+    pub fn handle(&mut self, input: MtaInput<'_>, out: &mut MtaSink) {
         if self.closed && matches!(input, MtaInput::Connected | MtaInput::Line(_)) {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         match input {
             MtaInput::Connected => {
-                out.push(MtaOutput::Smtp(self.session.greeting().to_wire()));
+                let mut text = out.buffer();
+                self.session.greeting(&mut text);
+                out.outputs.push(MtaOutput::Smtp(text));
             }
             MtaInput::Line(line) => {
-                let action = self.session.on_line(line);
-                self.apply_action(action, &mut out);
+                let mut text = out.buffer();
+                match self.session.on_line(line, &mut text) {
+                    Action::Replied => out.outputs.push(MtaOutput::Smtp(text)),
+                    Action::RepliedAndClose => {
+                        out.outputs.push(MtaOutput::Smtp(text));
+                        out.outputs.push(MtaOutput::Close);
+                        self.closed = true;
+                    }
+                    Action::None => out.recycle(text),
+                    Action::Ask(query) => {
+                        out.recycle(text);
+                        self.on_policy(query, out);
+                    }
+                }
             }
             MtaInput::DnsFinished { qid, outcome } => {
-                self.on_dns(qid, outcome, &mut out);
+                self.on_dns(qid, outcome, out);
             }
             MtaInput::Timer { token } => {
-                self.on_timer(token, &mut out);
+                self.on_timer(token, out);
             }
             MtaInput::Disconnected => {
                 self.closed = true;
             }
         }
-        out
     }
 
-    fn apply_action(&mut self, action: Action, out: &mut Vec<MtaOutput>) {
-        match action {
-            Action::Reply(r) => out.push(MtaOutput::Smtp(r.to_wire())),
-            Action::ReplyAndClose(r) => {
-                out.push(MtaOutput::Smtp(r.to_wire()));
-                out.push(MtaOutput::Close);
-                self.closed = true;
+    /// Answer the pending SMTP decision: its reply goes out, and its
+    /// code comes back. With no decision pending (the session was
+    /// answered already) nothing is sent.
+    fn decide(&mut self, decision: Decision<'_>, out: &mut MtaSink) -> Option<u16> {
+        let mut text = out.buffer();
+        match self.session.on_decision(decision, &mut text) {
+            Ok(code) => {
+                out.outputs.push(MtaOutput::Smtp(text));
+                Some(code)
             }
-            Action::None => {}
-            Action::Ask(query) => self.on_policy(query, out),
+            Err(_) => {
+                out.recycle(text);
+                None
+            }
         }
     }
 
-    fn on_policy(&mut self, query: PolicyQuery, out: &mut Vec<MtaOutput>) {
+    fn on_policy(&mut self, query: PolicyQuery<'_>, out: &mut MtaSink) {
         match query {
-            PolicyQuery::Helo { ref identity, .. } => {
+            PolicyQuery::Helo { identity, .. } => {
                 let helo_suppressed = (self.ctx.recipients_guessed
                     && !self.profile.validates_guessed_recipient)
                     // HELO checking is a connect-time filter of MTAs that
@@ -286,93 +336,94 @@ impl MtaActor {
                         }
                     }
                 }
-                let reply = self.session.on_decision(Decision::Accept);
-                out.push(MtaOutput::Smtp(reply.to_wire()));
+                self.decide(Decision::Accept, out);
             }
-            PolicyQuery::Mail { ref from } => {
+            PolicyQuery::Mail { from } => {
                 if self.profile.poison {
                     panic!("poisoned MTA profile: injected crash at MAIL");
                 }
                 if self.profile.stall_at_mail_ms > 0 {
-                    out.push(MtaOutput::Stall {
+                    out.outputs.push(MtaOutput::Stall {
                         delay_ms: self.profile.stall_at_mail_ms,
                     });
                 }
                 if self.ctx.client_blacklisted && self.profile.rejects_spam {
-                    let reply = self.session.on_decision(Decision::Reject(Reply::new(
-                        554,
-                        "5.7.1 Rejected: sender address triggered spam filters",
-                    )));
-                    out.push(MtaOutput::Smtp(reply.to_wire()));
+                    self.decide(
+                        Decision::Reject(Canned::new(
+                            554,
+                            "5.7.1 Rejected: sender address triggered spam filters",
+                        )),
+                        out,
+                    );
                     return;
                 }
                 if self.ctx.client_blacklisted && self.profile.rejects_blacklist {
                     // DNSBL operators slam the connection after the 554
                     // (§6.2): reply, then a server-initiated close the
                     // driver must propagate to the probe client.
-                    let reply = self
-                        .session
-                        .on_decision(Decision::RejectAndClose(Reply::new(
+                    self.decide(
+                        Decision::RejectAndClose(Canned::new(
                             554,
                             "5.7.1 Client host found on blacklist (DNSBL)",
-                        )));
-                    out.push(MtaOutput::Smtp(reply.to_wire()));
-                    out.push(MtaOutput::Close);
+                        )),
+                        out,
+                    );
+                    out.outputs.push(MtaOutput::Close);
                     self.closed = true;
                     return;
                 }
+                // The one address the actor keeps: SPF validates its
+                // domain.
                 if let Some(addr) = from {
-                    self.mail_from_domain = Some(addr.domain.clone());
-                    self.mail_from_local = Some(addr.local.clone());
+                    self.mail_from_domain = Some(addr.domain_name());
+                    self.mail_from_local = Some(addr.local().to_string());
                 }
                 if self.should_run_spf(SpfTrigger::AtMail) && from.is_some() {
                     self.owed_decision = Some(Decision::Accept);
                     self.start_mail_spf(out);
                     return;
                 }
-                let reply = self.session.on_decision(Decision::Accept);
-                out.push(MtaOutput::Smtp(reply.to_wire()));
+                self.decide(Decision::Accept, out);
             }
-            PolicyQuery::Rcpt { ref to } => {
+            PolicyQuery::Rcpt { to } => {
                 if self.greylist_pending {
                     // Greylisting tempfails the first RCPT of an unknown
                     // sender regardless of whether the mailbox exists;
                     // the retried transaction passes.
                     self.greylist_pending = false;
-                    let reply = self.session.on_decision(Decision::TempFail(Reply::new(
-                        451,
-                        "4.7.1 Greylisted: please try again later",
-                    )));
-                    out.push(MtaOutput::Smtp(reply.to_wire()));
-                    out.push(MtaOutput::Event(MtaEvent::TempFailed));
+                    self.decide(
+                        Decision::TempFail(Canned::new(
+                            451,
+                            "4.7.1 Greylisted: please try again later",
+                        )),
+                        out,
+                    );
+                    out.outputs.push(MtaOutput::Event(MtaEvent::TempFailed));
                     return;
                 }
-                let local = to.local.to_ascii_lowercase();
-                let accepted = if !self.ctx.recipients_guessed
-                    && !matches!(
-                        local.as_str(),
-                        "michael" | "john.smith" | "support" | "postmaster"
-                    ) {
+                let local = to.local();
+                let is = |name: &str| lowercase_is(local, name);
+                let postmaster = is("postmaster");
+                let probe_username =
+                    is("michael") || is("john.smith") || is("support") || postmaster;
+                let accepted = if !(self.ctx.recipients_guessed || probe_username) {
                     // A real address (NotifyEmail/NotifyMX recipients come
                     // from the notification list, which is defined by
                     // accepted deliveries).
                     true
                 } else if self.profile.rejects_all_recipients {
                     false
-                } else if local == "postmaster" {
+                } else if postmaster {
                     true
                 } else {
-                    self.profile.accepted_username == Some(local.as_str())
+                    self.profile.accepted_username.is_some_and(is)
                 };
                 if !accepted {
-                    let reply = self
-                        .session
-                        .on_decision(Decision::Reject(Reply::no_such_user(&to.local)));
-                    out.push(MtaOutput::Smtp(reply.to_wire()));
+                    self.decide(Decision::Reject(Canned::no_such_user(local)), out);
                     return;
                 }
-                let first_rcpt = self.session.rcpt_to.is_empty();
-                if local == "postmaster" && self.profile.postmaster_bypass {
+                let first_rcpt = self.session.rcpt_count == 0;
+                if postmaster && self.profile.postmaster_bypass {
                     // §6.3 whitelisting: skip sender validation entirely.
                     self.bypassed = true;
                 }
@@ -381,8 +432,7 @@ impl MtaActor {
                     self.start_mail_spf(out);
                     return;
                 }
-                let reply = self.session.on_decision(Decision::Accept);
-                out.push(MtaOutput::Smtp(reply.to_wire()));
+                self.decide(Decision::Accept, out);
             }
             PolicyQuery::Data => {
                 if !self.bypassed && self.should_run_spf(SpfTrigger::AtData) {
@@ -390,11 +440,10 @@ impl MtaActor {
                     self.start_mail_spf(out);
                     return;
                 }
-                let reply = self.session.on_decision(Decision::Accept);
-                out.push(MtaOutput::Smtp(reply.to_wire()));
+                self.decide(Decision::Accept, out);
             }
-            PolicyQuery::Message { ref raw } => {
-                self.message = MailMessage::parse(raw).ok();
+            PolicyQuery::Message { raw } => {
+                self.message = MailMessage::parse(&raw).ok();
                 self.owed_decision = Some(Decision::Accept);
                 if !self.bypassed && self.profile.combo.dkim && self.message.is_some() {
                     self.queue.push(QueuedWork::Dkim);
@@ -418,7 +467,7 @@ impl MtaActor {
 
     /// Pop and start the next queued work item; when the queue is empty,
     /// answer the owed SMTP decision.
-    fn advance_queue(&mut self, out: &mut Vec<MtaOutput>) {
+    fn advance_queue(&mut self, out: &mut MtaSink) {
         if self.current.is_some() {
             return;
         }
@@ -429,15 +478,13 @@ impl MtaActor {
                         self.session.state(),
                         mailval_smtp::server::SessionState::AwaitingDecision
                     );
-                    let reply = self.session.on_decision(decision);
-                    let accepted_message =
-                        was_message && reply.code == 250 && self.message.is_some();
-                    out.push(MtaOutput::Smtp(reply.to_wire()));
-                    if accepted_message {
-                        out.push(MtaOutput::Event(MtaEvent::MessageAccepted));
+                    let code = self.decide(decision, out);
+                    if was_message && code == Some(250) && self.message.is_some() {
+                        out.outputs
+                            .push(MtaOutput::Event(MtaEvent::MessageAccepted));
                         // Post-delivery SPF validation (§6.2's 17%).
                         if self.should_run_spf(SpfTrigger::AfterDelivery) && !self.bypassed {
-                            out.push(MtaOutput::SetTimer {
+                            out.outputs.push(MtaOutput::SetTimer {
                                 token: TIMER_POST_DELIVERY,
                                 delay_ms: self.profile.post_delivery_delay_ms,
                             });
@@ -449,7 +496,7 @@ impl MtaActor {
             Some(QueuedWork::AcceptDelay) => {
                 self.queue.remove(0);
                 self.current = Some(Work::AcceptDelay);
-                out.push(MtaOutput::SetTimer {
+                out.outputs.push(MtaOutput::SetTimer {
                     token: TIMER_ACCEPT,
                     delay_ms: self.profile.accept_latency_ms,
                 });
@@ -467,7 +514,7 @@ impl MtaActor {
 
     // --- SPF ---------------------------------------------------------
 
-    fn start_helo_spf(&mut self, domain: Name, out: &mut Vec<MtaOutput>) {
+    fn start_helo_spf(&mut self, domain: Name, out: &mut MtaSink) {
         let params = EvalParams {
             ip: self.ctx.client_ip,
             domain: domain.clone(),
@@ -480,7 +527,7 @@ impl MtaActor {
         self.install_spf(evaluator, step, true, out);
     }
 
-    fn start_mail_spf(&mut self, out: &mut Vec<MtaOutput>) {
+    fn start_mail_spf(&mut self, out: &mut MtaSink) {
         let domain = self.mail_from_domain.clone().expect("mail from domain set");
         let params = EvalParams {
             ip: self.ctx.client_ip,
@@ -503,15 +550,16 @@ impl MtaActor {
         evaluator: Box<SpfEvaluator>,
         step: EvalStep,
         helo_check: bool,
-        out: &mut Vec<MtaOutput>,
+        out: &mut MtaSink,
     ) {
         match step {
             EvalStep::Done(done) => {
                 push_spf_hostile(&done, out);
                 if !helo_check {
                     self.spf_result = Some(done.result);
-                    out.push(MtaOutput::Event(MtaEvent::SpfConcluded(done.result)));
-                    out.push(MtaOutput::Event(MtaEvent::SpfLookups(0)));
+                    out.outputs
+                        .push(MtaOutput::Event(MtaEvent::SpfConcluded(done.result)));
+                    out.outputs.push(MtaOutput::Event(MtaEvent::SpfLookups(0)));
                 }
                 self.advance_queue(out);
             }
@@ -519,7 +567,7 @@ impl MtaActor {
                 let mut outstanding = HashMap::new();
                 for q in questions {
                     let qid = self.qid();
-                    out.push(MtaOutput::Resolve {
+                    out.outputs.push(MtaOutput::Resolve {
                         qid,
                         name: q.name.clone(),
                         rtype: q.rtype,
@@ -536,7 +584,7 @@ impl MtaActor {
         }
     }
 
-    fn start_dkim(&mut self, out: &mut Vec<MtaOutput>) {
+    fn start_dkim(&mut self, out: &mut MtaSink) {
         let message = self.message.as_ref().expect("message present");
         let mut verifier = Box::new(DkimVerifier::new(message, 0));
         match verifier.start() {
@@ -546,20 +594,16 @@ impl MtaActor {
             }
             VerifyStep::NeedKey { name, rtype } => {
                 let qid = self.qid();
-                out.push(MtaOutput::Resolve { qid, name, rtype });
+                out.outputs.push(MtaOutput::Resolve { qid, name, rtype });
                 self.current = Some(Work::Dkim { verifier, qid });
             }
         }
     }
 
-    fn record_dkim(
-        &mut self,
-        verifier: &DkimVerifier,
-        result: DkimResult,
-        out: &mut Vec<MtaOutput>,
-    ) {
+    fn record_dkim(&mut self, verifier: &DkimVerifier, result: DkimResult, out: &mut MtaSink) {
         let passed = result == DkimResult::Pass;
-        out.push(MtaOutput::Event(MtaEvent::DkimConcluded(passed)));
+        out.outputs
+            .push(MtaOutput::Event(MtaEvent::DkimConcluded(passed)));
         // Record the signing domain (`d=`) for DMARC alignment; a missing
         // or unparsable signature has none.
         if let Some(sig) = verifier.signature() {
@@ -567,7 +611,7 @@ impl MtaActor {
         }
     }
 
-    fn start_dmarc(&mut self, out: &mut Vec<MtaOutput>) {
+    fn start_dmarc(&mut self, out: &mut MtaSink) {
         let Some(from_domain) = self.header_from_domain() else {
             self.advance_queue(out);
             return;
@@ -582,12 +626,13 @@ impl MtaActor {
         let mut evaluator = Box::new(DmarcEvaluator::new(auth, pct_roll));
         match evaluator.start() {
             DmarcStep::Done(verdict) => {
-                out.push(MtaOutput::Event(MtaEvent::DmarcConcluded(verdict.pass)));
+                out.outputs
+                    .push(MtaOutput::Event(MtaEvent::DmarcConcluded(verdict.pass)));
                 self.advance_queue(out);
             }
             DmarcStep::NeedLookup { name, rtype } => {
                 let qid = self.qid();
-                out.push(MtaOutput::Resolve { qid, name, rtype });
+                out.outputs.push(MtaOutput::Resolve { qid, name, rtype });
                 self.current = Some(Work::Dmarc { evaluator, qid });
             }
         }
@@ -611,7 +656,7 @@ impl MtaActor {
 
     // --- DNS completions ----------------------------------------------
 
-    fn on_dns(&mut self, qid: u64, outcome: ResolveOutcome, out: &mut Vec<MtaOutput>) {
+    fn on_dns(&mut self, qid: u64, outcome: ResolveOutcome, out: &mut MtaSink) {
         match self.current.take() {
             Some(Work::Spf {
                 mut evaluator,
@@ -633,8 +678,10 @@ impl MtaActor {
                 // follow up.
                 if self.profile.spf_unfinished && completed >= 1 && !helo_check {
                     self.spf_result = Some(SpfResult::None);
-                    out.push(MtaOutput::Event(MtaEvent::SpfConcluded(SpfResult::None)));
-                    out.push(MtaOutput::Event(MtaEvent::SpfLookups(completed)));
+                    out.outputs
+                        .push(MtaOutput::Event(MtaEvent::SpfConcluded(SpfResult::None)));
+                    out.outputs
+                        .push(MtaOutput::Event(MtaEvent::SpfLookups(completed)));
                     self.advance_queue(out);
                     return;
                 }
@@ -643,15 +690,17 @@ impl MtaActor {
                         push_spf_hostile(&done, out);
                         if !helo_check {
                             self.spf_result = Some(done.result);
-                            out.push(MtaOutput::Event(MtaEvent::SpfConcluded(done.result)));
-                            out.push(MtaOutput::Event(MtaEvent::SpfLookups(completed)));
+                            out.outputs
+                                .push(MtaOutput::Event(MtaEvent::SpfConcluded(done.result)));
+                            out.outputs
+                                .push(MtaOutput::Event(MtaEvent::SpfLookups(completed)));
                         }
                         self.advance_queue(out);
                     }
                     EvalStep::NeedLookups(questions) => {
                         for q in questions {
                             let new_qid = self.qid();
-                            out.push(MtaOutput::Resolve {
+                            out.outputs.push(MtaOutput::Resolve {
                                 qid: new_qid,
                                 name: q.name.clone(),
                                 rtype: q.rtype,
@@ -705,12 +754,13 @@ impl MtaActor {
                 }
                 match evaluator.on_answer(outcome) {
                     DmarcStep::Done(verdict) => {
-                        out.push(MtaOutput::Event(MtaEvent::DmarcConcluded(verdict.pass)));
+                        out.outputs
+                            .push(MtaOutput::Event(MtaEvent::DmarcConcluded(verdict.pass)));
                         self.advance_queue(out);
                     }
                     DmarcStep::NeedLookup { name, rtype } => {
                         let new_qid = self.qid();
-                        out.push(MtaOutput::Resolve {
+                        out.outputs.push(MtaOutput::Resolve {
                             qid: new_qid,
                             name,
                             rtype,
@@ -729,7 +779,7 @@ impl MtaActor {
         }
     }
 
-    fn on_timer(&mut self, token: u64, out: &mut Vec<MtaOutput>) {
+    fn on_timer(&mut self, token: u64, out: &mut MtaSink) {
         match token {
             TIMER_ACCEPT => {
                 if matches!(self.current, Some(Work::AcceptDelay)) {
@@ -745,12 +795,21 @@ impl MtaActor {
     }
 }
 
+/// Whether `local`, lowercased, is `name`, without lowercasing a copy.
+fn lowercase_is(local: &str, name: &str) -> bool {
+    local.len() == name.len()
+        && local
+            .bytes()
+            .zip(name.bytes())
+            .all(|(l, n)| l.to_ascii_lowercase() == n)
+}
+
 /// Surface an evaluation's hostile-policy flags as a driver event (both
 /// HELO- and MAIL-identity checks: a malicious policy is hostile input
 /// regardless of which identity tripped it).
-fn push_spf_hostile(done: &SpfEvaluation, out: &mut Vec<MtaOutput>) {
+fn push_spf_hostile(done: &SpfEvaluation, out: &mut MtaSink) {
     if done.cycle_detected || done.lookups_exhausted {
-        out.push(MtaOutput::Event(MtaEvent::SpfHostile {
+        out.outputs.push(MtaOutput::Event(MtaEvent::SpfHostile {
             cycle_detected: done.cycle_detected,
             lookups_exhausted: done.lookups_exhausted,
         }));
@@ -770,8 +829,15 @@ mod tests {
         }
     }
 
+    /// Feed one input; its outputs.
+    fn handle(actor: &mut MtaActor, input: MtaInput<'_>) -> Vec<MtaOutput> {
+        let mut sink = MtaSink::default();
+        actor.handle(input, &mut sink);
+        sink.outputs
+    }
+
     fn drive_line(actor: &mut MtaActor, line: &str) -> Vec<MtaOutput> {
-        actor.handle(MtaInput::Line(line))
+        handle(actor, MtaInput::Line(line))
     }
 
     fn first_smtp(outputs: &[MtaOutput]) -> Option<&str> {
@@ -799,10 +865,13 @@ mod tests {
             }
             outputs = Vec::new();
             for qid in resolves {
-                outputs.extend(actor.handle(MtaInput::DnsFinished {
-                    qid,
-                    outcome: ResolveOutcome::NxDomain,
-                }));
+                outputs.extend(handle(
+                    actor,
+                    MtaInput::DnsFinished {
+                        qid,
+                        outcome: ResolveOutcome::NxDomain,
+                    },
+                ));
             }
         }
     }
@@ -810,7 +879,7 @@ mod tests {
     #[test]
     fn greeting_and_ehlo() {
         let mut actor = MtaActor::new("mx.r.test", MtaProfile::strict(), ctx());
-        let out = actor.handle(MtaInput::Connected);
+        let out = handle(&mut actor, MtaInput::Connected);
         assert!(first_smtp(&out).unwrap().starts_with("220"));
         let out = drive_line(&mut actor, "EHLO probe.test");
         assert!(first_smtp(&out).unwrap().starts_with("250"));
@@ -819,7 +888,7 @@ mod tests {
     #[test]
     fn at_mail_spf_defers_reply_until_lookup_completes() {
         let mut actor = MtaActor::new("mx.r.test", MtaProfile::strict(), ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<spf-test@t01.m3.spf.test>");
         // No SMTP reply yet — a TXT resolve was requested instead.
@@ -835,10 +904,13 @@ mod tests {
                 _ => None,
             })
             .expect("resolve requested");
-        let out = actor.handle(MtaInput::DnsFinished {
-            qid,
-            outcome: ResolveOutcome::NxDomain,
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::DnsFinished {
+                qid,
+                outcome: ResolveOutcome::NxDomain,
+            },
+        );
         // SPF none → accept.
         assert!(first_smtp(&out).unwrap().starts_with("250"));
         assert!(out
@@ -859,7 +931,7 @@ mod tests {
                 recipients_guessed: false,
             },
         );
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<x@y.test>");
         let reply = first_smtp(&out).unwrap();
@@ -882,7 +954,7 @@ mod tests {
                 recipients_guessed: false,
             },
         );
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<x@y.test>");
         let reply = first_smtp(&out).unwrap();
@@ -903,7 +975,7 @@ mod tests {
         profile.rejects_spam = true;
         profile.spf_trigger = SpfTrigger::AfterDelivery;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<x@y.test>");
         assert!(first_smtp(&out).unwrap().starts_with("250"));
@@ -916,7 +988,7 @@ mod tests {
         profile.postmaster_bypass = true;
         profile.spf_trigger = SpfTrigger::AtRcpt;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         drive_line(&mut actor, "MAIL FROM:<spf-test@t.m.spf.test>");
         let out = drive_line(&mut actor, "RCPT TO:<michael@r.test>");
@@ -933,7 +1005,7 @@ mod tests {
         profile.accepted_username = Some("michael");
         profile.spf_trigger = SpfTrigger::AtRcpt;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         drive_line(&mut actor, "MAIL FROM:<spf-test@t.m.spf.test>");
         let out = drive_line(&mut actor, "RCPT TO:<michael@r.test>");
@@ -945,7 +1017,7 @@ mod tests {
         let mut profile = MtaProfile::strict();
         profile.checks_helo = true;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         let out = drive_line(&mut actor, "EHLO h.t39.m3.spf.test");
         let qid = out
             .iter()
@@ -963,10 +1035,13 @@ mod tests {
             60,
             mailval_dns::rr::RData::txt_from_str("v=spf1 -all"),
         );
-        let out = actor.handle(MtaInput::DnsFinished {
-            qid,
-            outcome: ResolveOutcome::Records(vec![record]),
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::DnsFinished {
+                qid,
+                outcome: ResolveOutcome::Records(vec![record]),
+            },
+        );
         // ... is ignored: EHLO accepted (§7.3).
         assert!(first_smtp(&out).unwrap().starts_with("250"));
         // And MAIL still triggers the MAIL-identity evaluation.
@@ -979,7 +1054,7 @@ mod tests {
         let mut profile = MtaProfile::strict();
         profile.spf_trigger = SpfTrigger::AtMail;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO sender.test");
         let out = drive_line(&mut actor, "MAIL FROM:<a@sender.test>");
         let all = drain_dns(&mut actor, out);
@@ -1020,9 +1095,12 @@ mod tests {
         });
         assert_eq!(timer, Some(TIMER_ACCEPT));
         // Fire the accept timer → 250 + MessageAccepted event.
-        let out = actor.handle(MtaInput::Timer {
-            token: TIMER_ACCEPT,
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::Timer {
+                token: TIMER_ACCEPT,
+            },
+        );
         assert!(first_smtp(&out).unwrap().starts_with("250"));
         assert!(out
             .iter()
@@ -1038,7 +1116,7 @@ mod tests {
         key: impl Fn() -> ResolveOutcome,
     ) -> (bool, Vec<(Name, bool)>) {
         let mut actor = MtaActor::new("mx.r.test", MtaProfile::strict(), ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO sender.test");
         let out = drive_line(&mut actor, "MAIL FROM:<a@signer.test>");
         drain_dns(&mut actor, out);
@@ -1060,7 +1138,7 @@ mod tests {
             } else {
                 ResolveOutcome::NxDomain
             };
-            out = actor.handle(MtaInput::DnsFinished { qid, outcome });
+            out = handle(&mut actor, MtaInput::DnsFinished { qid, outcome });
         }
         (asked_key, actor.dkim_results.clone())
     }
@@ -1119,7 +1197,7 @@ mod tests {
         profile.combo.dkim = false;
         profile.combo.dmarc = false;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO sender.test");
         let out = drive_line(&mut actor, "MAIL FROM:<a@sender.test>");
         // No SPF at MAIL.
@@ -1137,9 +1215,12 @@ mod tests {
                 ..
             }
         )));
-        let out = actor.handle(MtaInput::Timer {
-            token: TIMER_ACCEPT,
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::Timer {
+                token: TIMER_ACCEPT,
+            },
+        );
         assert!(out
             .iter()
             .any(|o| matches!(o, MtaOutput::Event(MtaEvent::MessageAccepted))));
@@ -1151,9 +1232,12 @@ mod tests {
                 ..
             }
         )));
-        let out = actor.handle(MtaInput::Timer {
-            token: TIMER_POST_DELIVERY,
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::Timer {
+                token: TIMER_POST_DELIVERY,
+            },
+        );
         assert!(out.iter().any(|o| matches!(o, MtaOutput::Resolve { .. })));
     }
 
@@ -1162,7 +1246,7 @@ mod tests {
         let mut profile = MtaProfile::strict();
         profile.spf_unfinished = true;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<spf-test@t.m.spf.test>");
         let qid = out
@@ -1179,10 +1263,13 @@ mod tests {
             60,
             mailval_dns::rr::RData::txt_from_str("v=spf1 a:foo.t.m.spf.test -all"),
         );
-        let out = actor.handle(MtaInput::DnsFinished {
-            qid,
-            outcome: ResolveOutcome::Records(vec![record]),
-        });
+        let out = handle(
+            &mut actor,
+            MtaInput::DnsFinished {
+                qid,
+                outcome: ResolveOutcome::Records(vec![record]),
+            },
+        );
         assert!(
             !out.iter().any(|o| matches!(o, MtaOutput::Resolve { .. })),
             "partial validator must not follow up"
@@ -1196,7 +1283,7 @@ mod tests {
         profile.greylists = true;
         profile.spf_trigger = SpfTrigger::AfterDelivery; // keep MAIL synchronous
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         drive_line(&mut actor, "MAIL FROM:<a@sender.test>");
         let out = drive_line(&mut actor, "RCPT TO:<michael@r.test>");
@@ -1219,7 +1306,7 @@ mod tests {
         profile.stall_at_mail_ms = 7_000;
         profile.spf_trigger = SpfTrigger::AfterDelivery;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         let out = drive_line(&mut actor, "MAIL FROM:<a@sender.test>");
         assert!(matches!(out[0], MtaOutput::Stall { delay_ms: 7_000 }));
@@ -1232,7 +1319,7 @@ mod tests {
         let mut profile = MtaProfile::strict();
         profile.poison = true;
         let mut actor = MtaActor::new("mx.r.test", profile, ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         drive_line(&mut actor, "EHLO probe.test");
         drive_line(&mut actor, "MAIL FROM:<a@sender.test>");
     }
@@ -1240,7 +1327,7 @@ mod tests {
     #[test]
     fn quit_closes() {
         let mut actor = MtaActor::new("mx.r.test", MtaProfile::strict(), ctx());
-        actor.handle(MtaInput::Connected);
+        handle(&mut actor, MtaInput::Connected);
         let out = drive_line(&mut actor, "QUIT");
         assert!(first_smtp(&out).unwrap().starts_with("221"));
         assert!(out.iter().any(|o| matches!(o, MtaOutput::Close)));

@@ -64,6 +64,15 @@ impl<E> Simulator<E> {
         }
     }
 
+    /// Drop every pending event and go back to time zero, as a new
+    /// simulator, keeping the queue's storage.
+    pub fn clear(&mut self) {
+        self.now_ms = 0;
+        self.seq = 0;
+        self.queue.clear();
+        self.dispatched = 0;
+    }
+
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> u64 {
         self.now_ms
@@ -111,6 +120,27 @@ impl<E> Simulator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_cleared_simulator_runs_as_a_new_one() {
+        fn run(sim: &mut Simulator<&'static str>) -> (Vec<(u64, &'static str)>, u64, u64) {
+            sim.schedule(5, "b");
+            sim.schedule_at(5, "a");
+            sim.schedule(1, "c");
+            let mut fired = Vec::new();
+            while let Some(next) = sim.next() {
+                fired.push(next);
+            }
+            (fired, sim.now_ms(), sim.dispatched)
+        }
+        let mut reused = Simulator::new();
+        reused.schedule(40, "left over");
+        reused.next();
+        reused.schedule(7, "dropped");
+        reused.clear();
+        assert!(reused.is_idle());
+        assert_eq!(run(&mut reused), run(&mut Simulator::new()));
+    }
 
     #[test]
     fn fires_in_time_order() {

@@ -11,9 +11,9 @@
 //!   server's `DATA` reply **disconnects without transmitting any message
 //!   data**, so no email can possibly be delivered.
 
-use crate::command::{mail_line, rcpt_line, Command, EmailAddress};
-use crate::mail::dot_stuff;
-use crate::reply::Reply;
+use crate::command::{push_mail_line, push_rcpt_line, EmailAddress};
+use crate::mail::dot_stuff_into;
+use crate::reply::{Reply, ReplyView};
 use std::fmt;
 
 /// The dialogue phase a reply belongs to.
@@ -77,8 +77,9 @@ pub struct ClientConfig {
 /// What the embedder must do next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientAction {
-    /// Transmit these bytes (already CRLF-terminated).
-    Send(Vec<u8>),
+    /// Transmit the text just appended to the output buffer the
+    /// session was handed (already CRLF-terminated).
+    Send,
     /// Wait this long, then call [`ClientSession::on_pause_elapsed`].
     Pause(u64),
     /// Close the connection; the session is finished.
@@ -120,6 +121,10 @@ pub struct Transcript {
 
 /// Bytes of a reply's header in a [`Transcript`]'s buffer.
 const REPLY_HEADER_LEN: usize = 7;
+
+/// Room a transcript takes at its first reply: a probe dialogue's
+/// replies fit, so the buffer grows once and is trimmed once.
+const TRANSCRIPT_ROOM: usize = 512;
 
 /// Why bytes handed to [`Transcript::decode_packed`] are not a packed
 /// transcript.
@@ -191,17 +196,31 @@ impl Transcript {
     }
 
     /// Append `reply`, received in `phase`.
-    pub fn push(&mut self, phase: Phase, reply: &Reply) {
-        let count = u32::try_from(reply.lines.len()).expect("a reply has under 4 Gi lines");
+    ///
+    /// Every count is written as a `u32`: a reply from the wire has at
+    /// most [`crate::reply::MAX_REPLY_LINES`] lines of at most
+    /// [`crate::reply::MAX_REPLY_LINE_LEN`] bytes, and an owned reply
+    /// with more lines, or a line of 4 GiB or more, is refused before
+    /// anything is written.
+    pub fn push(&mut self, phase: Phase, reply: ReplyView<'_>) -> Result<(), TooLarge> {
+        let lines = reply.lines();
+        let count = u32::try_from(lines.len()).map_err(|_| TooLarge)?;
+        if lines.clone().any(|line| u32::try_from(line.len()).is_err()) {
+            return Err(TooLarge);
+        }
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve(TRANSCRIPT_ROOM);
+        }
         self.bytes.push(phase as u8);
         self.bytes.extend_from_slice(&reply.code.to_le_bytes());
         self.bytes.extend_from_slice(&count.to_le_bytes());
-        for line in &reply.lines {
-            let len = u32::try_from(line.len()).expect("a reply line is under 4 GiB");
-            self.bytes.extend_from_slice(&len.to_le_bytes());
+        for line in lines {
+            self.bytes
+                .extend_from_slice(&(line.len() as u32).to_le_bytes());
             self.bytes.extend_from_slice(line.as_bytes());
         }
         self.replies += 1;
+        Ok(())
     }
 
     /// Give back the buffer's growth slack.
@@ -224,11 +243,25 @@ impl fmt::Debug for Transcript {
     }
 }
 
+/// A reply too large for a [`Transcript`]'s `u32` counts: 4 Gi lines,
+/// or a line of 4 GiB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooLarge;
+
+impl fmt::Display for TooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "reply too large for a transcript")
+    }
+}
+
+impl std::error::Error for TooLarge {}
+
 impl FromIterator<(Phase, Reply)> for Transcript {
+    /// Replies too large for a transcript are left out.
     fn from_iter<I: IntoIterator<Item = (Phase, Reply)>>(iter: I) -> Self {
         let mut transcript = Transcript::new();
         for (phase, reply) in iter {
-            transcript.push(phase, &reply);
+            let _ = transcript.push(phase, reply.view());
         }
         transcript
     }
@@ -290,6 +323,9 @@ impl<'a> Iterator for Lines<'a> {
 
     fn next(&mut self) -> Option<&'a str> {
         let line = self.0.next()?;
+        // A transcript's bytes come from `push`, which writes `&str`
+        // lines, or from `decode_packed`, which checks that each line
+        // is UTF-8 before it keeps any: no input reaches the panic.
         Some(std::str::from_utf8(line).expect("transcript lines are pushed as text"))
     }
 
@@ -390,25 +426,27 @@ impl ClientSession {
         }
     }
 
-    /// Send one command line, CRLF-terminated.
-    fn send_line(mut line: String) -> ClientAction {
-        line.push_str("\r\n");
-        ClientAction::Send(line.into_bytes())
+    /// Append one command line to `out`: `write` writes it, without
+    /// its CRLF.
+    fn send(out: &mut String, write: impl FnOnce(&mut String)) -> ClientAction {
+        write(out);
+        out.push_str("\r\n");
+        ClientAction::Send
     }
 
     /// Enter `paused` (a `PauseBefore*` state) and wait the configured
     /// pause, or, with no pause configured, send the command it waits
     /// for at once. Either way the command is built only when sent.
-    fn pause_then(&mut self, paused: State) -> ClientAction {
+    fn pause_then(&mut self, paused: State, out: &mut String) -> ClientAction {
         self.state = paused;
         if self.config.pause_before_commands_ms > 0 {
             ClientAction::Pause(self.config.pause_before_commands_ms)
         } else {
-            self.on_pause_elapsed()
+            self.on_pause_elapsed(out)
         }
     }
 
-    fn can_retry(&self, reply: &Reply) -> bool {
+    fn can_retry(&self, reply: &ReplyView<'_>) -> bool {
         reply.is_transient_failure() && self.outcome.retries < self.config.max_session_retries
     }
 
@@ -427,12 +465,18 @@ impl ClientSession {
         ClientAction::Pause(backoff)
     }
 
-    fn fail(&mut self, phase: Phase, reply: Reply) -> ClientAction {
+    /// Keep the first decisive rejection (the one copy of a reply the
+    /// session keeps besides its transcript).
+    fn reject(&mut self, phase: Phase, reply: ReplyView<'_>) {
         if self.outcome.rejection.is_none() {
-            self.outcome.rejection = Some((phase, reply));
+            self.outcome.rejection = Some((phase, reply.to_reply()));
         }
+    }
+
+    fn fail(&mut self, phase: Phase, reply: ReplyView<'_>, out: &mut String) -> ClientAction {
+        self.reject(phase, reply);
         self.state = State::AwaitQuitReply;
-        Self::send_line(Command::Quit.to_line())
+        Self::send(out, |o| o.push_str("QUIT"))
     }
 
     fn close(&mut self) -> ClientAction {
@@ -450,46 +494,52 @@ impl ClientSession {
         outcome
     }
 
-    /// Feed a complete server reply.
-    pub fn on_reply(&mut self, reply: Reply) -> ClientAction {
+    /// Feed a complete server reply; a command it answers with is
+    /// appended to `out` ([`ClientAction::Send`]).
+    ///
+    /// The reply is read where it lies: only the transcript and a
+    /// decisive rejection copy it. A reply too large for the
+    /// transcript's counts (only an owned [`Reply`] can be) is left out
+    /// of it.
+    pub fn on_reply(&mut self, reply: ReplyView<'_>, out: &mut String) -> ClientAction {
         let phase = self.phase_of();
-        self.outcome.transcript.push(phase, &reply);
+        let _ = self.outcome.transcript.push(phase, reply);
         self.outcome.phase_reached = self.outcome.phase_reached.max(phase);
         match self.state {
             State::AwaitGreeting => {
                 if !reply.is_positive() {
-                    return self.fail(Phase::Greeting, reply);
+                    return self.fail(Phase::Greeting, reply, out);
                 }
                 self.state = State::AwaitHeloReply { fell_back: false };
-                Self::send_line(Command::Ehlo(self.config.helo_identity.clone()).to_line())
+                let identity = &self.config.helo_identity;
+                Self::send(out, |o| o.extend(["EHLO ", identity]))
             }
             State::AwaitHeloReply { fell_back } => {
                 if reply.is_positive() {
-                    return self.pause_then(State::PauseBeforeMail);
+                    return self.pause_then(State::PauseBeforeMail, out);
                 }
                 if !fell_back && reply.is_permanent_failure() {
                     // EHLO unsupported: fall back to HELO (§4.6).
                     self.state = State::AwaitHeloReply { fell_back: true };
-                    return Self::send_line(
-                        Command::Helo(self.config.helo_identity.clone()).to_line(),
-                    );
+                    let identity = &self.config.helo_identity;
+                    return Self::send(out, |o| o.extend(["HELO ", identity]));
                 }
-                self.fail(Phase::Helo, reply)
+                self.fail(Phase::Helo, reply, out)
             }
             State::AwaitMailReply => {
                 if !reply.is_positive() {
                     if self.can_retry(&reply) {
                         return self.begin_retry();
                     }
-                    return self.fail(Phase::Mail, reply);
+                    return self.fail(Phase::Mail, reply, out);
                 }
-                self.pause_then(State::PauseBeforeRcpt)
+                self.pause_then(State::PauseBeforeRcpt, out)
             }
             State::AwaitRcptReply => {
                 if reply.is_positive() {
                     self.outcome.accepted_rcpt =
                         Some(self.config.rcpt_candidates[self.rcpt_index].clone());
-                    return self.pause_then(State::PauseBeforeData);
+                    return self.pause_then(State::PauseBeforeData, out);
                 }
                 // A transient failure (451 greylisting) is "come back
                 // later", not a verdict on the username: retry the whole
@@ -502,17 +552,17 @@ impl ClientSession {
                 // candidate whenever the server rejects the recipient).
                 if self.rcpt_index + 1 < self.config.rcpt_candidates.len() {
                     self.rcpt_index += 1;
-                    return self.pause_then(State::PauseBeforeRcpt);
+                    return self.pause_then(State::PauseBeforeRcpt, out);
                 }
-                self.fail(Phase::Rcpt, reply)
+                self.fail(Phase::Rcpt, reply, out)
             }
             State::AwaitDataReply => {
                 match &self.config.message {
                     None => {
                         // Probe mode: regardless of the reply, disconnect
                         // *without* sending message data (§4.6, §5.1).
-                        if !reply.is_intermediate() && self.outcome.rejection.is_none() {
-                            self.outcome.rejection = Some((Phase::Data, reply));
+                        if !reply.is_intermediate() {
+                            self.reject(Phase::Data, reply);
                         }
                         self.close()
                     }
@@ -521,15 +571,22 @@ impl ClientSession {
                             if self.can_retry(&reply) {
                                 return self.begin_retry();
                             }
-                            return self.fail(Phase::Data, reply);
+                            return self.fail(Phase::Data, reply, out);
                         }
-                        let mut payload = dot_stuff(message);
-                        if !payload.ends_with(b"\r\n") {
-                            payload.extend_from_slice(b"\r\n");
+                        // The payload as text: a message that is not
+                        // UTF-8 goes out with U+FFFD where its bad
+                        // bytes were.
+                        let start = out.len();
+                        match std::str::from_utf8(message) {
+                            Ok(text) => dot_stuff_into(text, out),
+                            Err(_) => dot_stuff_into(&String::from_utf8_lossy(message), out),
                         }
-                        payload.extend_from_slice(b".\r\n");
+                        if !out[start..].ends_with("\r\n") {
+                            out.push_str("\r\n");
+                        }
+                        out.push_str(".\r\n");
                         self.state = State::AwaitMessageReply;
-                        ClientAction::Send(payload)
+                        ClientAction::Send
                     }
                 }
             }
@@ -537,18 +594,18 @@ impl ClientSession {
                 if reply.is_positive() {
                     self.outcome.delivered = true;
                     self.state = State::AwaitQuitReply;
-                    return Self::send_line(Command::Quit.to_line());
+                    return Self::send(out, |o| o.push_str("QUIT"));
                 }
                 if self.can_retry(&reply) {
                     return self.begin_retry();
                 }
-                self.fail(Phase::Message, reply)
+                self.fail(Phase::Message, reply, out)
             }
             State::AwaitRsetReply => {
                 if !reply.is_positive() {
-                    return self.fail(Phase::Mail, reply);
+                    return self.fail(Phase::Mail, reply, out);
                 }
-                self.pause_then(State::PauseBeforeMail)
+                self.pause_then(State::PauseBeforeMail, out)
             }
             State::AwaitQuitReply => self.close(),
             State::Done
@@ -563,26 +620,29 @@ impl ClientSession {
         }
     }
 
-    /// Resume after a [`ClientAction::Pause`].
-    pub fn on_pause_elapsed(&mut self) -> ClientAction {
+    /// Resume after a [`ClientAction::Pause`]; a command it sends is
+    /// appended to `out`.
+    pub fn on_pause_elapsed(&mut self, out: &mut String) -> ClientAction {
         match self.state {
             State::PauseBeforeMail => {
                 self.state = State::AwaitMailReply;
-                Self::send_line(mail_line(self.config.mail_from.as_ref()))
+                let from = self.config.mail_from.as_ref();
+                Self::send(out, |o| push_mail_line(o, from))
             }
             State::PauseBeforeRcpt => {
                 self.state = State::AwaitRcptReply;
-                Self::send_line(rcpt_line(&self.config.rcpt_candidates[self.rcpt_index]))
+                let to = &self.config.rcpt_candidates[self.rcpt_index];
+                Self::send(out, |o| push_rcpt_line(o, to))
             }
             State::PauseBeforeData => {
                 self.state = State::AwaitDataReply;
-                Self::send_line(Command::Data.to_line())
+                Self::send(out, |o| o.push_str("DATA"))
             }
             State::PauseBeforeRetry => {
                 // Backoff elapsed: clear the transaction server-side,
                 // then replay from MAIL once the RSET is acknowledged.
                 self.state = State::AwaitRsetReply;
-                Self::send_line(Command::Rset.to_line())
+                Self::send(out, |o| o.push_str("RSET"))
             }
             _ => ClientAction::Pause(0),
         }
@@ -618,7 +678,7 @@ mod tests {
             mail_from: Some(addr("spf-test@t01.m9.spf-test.dns-lab.org")),
             rcpt_candidates: probe_usernames()
                 .iter()
-                .map(|u| EmailAddress::new(u, Name::parse("target.test").unwrap()))
+                .map(|u| EmailAddress::new(*u, Name::parse("target.test").unwrap()))
                 .collect(),
             message: None,
             pause_before_commands_ms: 15_000,
@@ -627,9 +687,43 @@ mod tests {
         }
     }
 
-    fn expect_send(action: ClientAction) -> String {
+    /// What a call did, with the text a send appended.
+    #[derive(Debug, PartialEq)]
+    enum Did {
+        Send(String),
+        Pause(u64),
+        Close(Box<ClientOutcome>),
+    }
+
+    fn did(action: ClientAction, out: String) -> Did {
         match action {
-            ClientAction::Send(bytes) => String::from_utf8(bytes).unwrap(),
+            ClientAction::Send => Did::Send(out),
+            ClientAction::Pause(ms) => {
+                assert!(out.is_empty());
+                Did::Pause(ms)
+            }
+            ClientAction::Close(outcome) => {
+                assert!(out.is_empty());
+                Did::Close(outcome)
+            }
+        }
+    }
+
+    fn reply(c: &mut ClientSession, r: Reply) -> Did {
+        let mut out = String::new();
+        let action = c.on_reply(r.view(), &mut out);
+        did(action, out)
+    }
+
+    fn pause_elapsed(c: &mut ClientSession) -> Did {
+        let mut out = String::new();
+        let action = c.on_pause_elapsed(&mut out);
+        did(action, out)
+    }
+
+    fn expect_send(done: Did) -> String {
+        match done {
+            Did::Send(text) => text,
             other => panic!("expected send, got {other:?}"),
         }
     }
@@ -638,30 +732,30 @@ mod tests {
     fn probe_session_full_flow() {
         let mut c = ClientSession::new(probe_config());
         // Greeting → EHLO immediately (no pause before EHLO).
-        let line = expect_send(c.on_reply(Reply::greeting("mx.target.test")));
+        let line = expect_send(reply(&mut c, Reply::greeting("mx.target.test")));
         assert!(line.starts_with("EHLO"));
         // EHLO ok → pause 15s → MAIL.
-        assert_eq!(c.on_reply(Reply::ok()), ClientAction::Pause(15_000));
-        let line = expect_send(c.on_pause_elapsed());
+        assert_eq!(reply(&mut c, Reply::ok()), Did::Pause(15_000));
+        let line = expect_send(pause_elapsed(&mut c));
         assert!(line.starts_with("MAIL FROM:<spf-test@t01.m9"));
         // MAIL ok → pause → RCPT michael.
-        assert_eq!(c.on_reply(Reply::ok()), ClientAction::Pause(15_000));
-        let line = expect_send(c.on_pause_elapsed());
+        assert_eq!(reply(&mut c, Reply::ok()), Did::Pause(15_000));
+        let line = expect_send(pause_elapsed(&mut c));
         assert!(line.contains("<michael@target.test>"));
         // michael rejected → pause → john.smith.
         assert_eq!(
-            c.on_reply(Reply::no_such_user("michael")),
-            ClientAction::Pause(15_000)
+            reply(&mut c, Reply::no_such_user("michael")),
+            Did::Pause(15_000)
         );
-        let line = expect_send(c.on_pause_elapsed());
+        let line = expect_send(pause_elapsed(&mut c));
         assert!(line.contains("<john.smith@target.test>"));
         // accepted → pause → DATA.
-        assert_eq!(c.on_reply(Reply::ok()), ClientAction::Pause(15_000));
-        let line = expect_send(c.on_pause_elapsed());
+        assert_eq!(reply(&mut c, Reply::ok()), Did::Pause(15_000));
+        let line = expect_send(pause_elapsed(&mut c));
         assert_eq!(line, "DATA\r\n");
         // 354 → probe disconnects without sending anything.
-        match c.on_reply(Reply::start_mail_input()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::start_mail_input()) {
+            Did::Close(outcome) => {
                 assert_eq!(outcome.accepted_rcpt.unwrap().local, "john.smith");
                 assert!(!outcome.delivered);
                 assert!(outcome.rejection.is_none());
@@ -674,20 +768,20 @@ mod tests {
     #[test]
     fn probe_all_usernames_rejected() {
         let mut c = ClientSession::new(probe_config());
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        c.on_reply(Reply::ok()); // EHLO → pause
-        c.on_pause_elapsed(); // MAIL
-        c.on_reply(Reply::ok()); // → pause
-        c.on_pause_elapsed(); // RCPT 1
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        reply(&mut c, Reply::ok()); // EHLO → pause
+        pause_elapsed(&mut c); // MAIL
+        reply(&mut c, Reply::ok()); // → pause
+        pause_elapsed(&mut c); // RCPT 1
         for _ in 0..3 {
-            c.on_reply(Reply::no_such_user("x"));
-            c.on_pause_elapsed();
+            reply(&mut c, Reply::no_such_user("x"));
+            pause_elapsed(&mut c);
         }
         // Fourth rejection exhausts the list → QUIT.
-        let line = expect_send(c.on_reply(Reply::no_such_user("postmaster")));
+        let line = expect_send(reply(&mut c, Reply::no_such_user("postmaster")));
         assert_eq!(line, "QUIT\r\n");
-        match c.on_reply(Reply::closing()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::closing()) {
+            Did::Close(outcome) => {
                 assert!(outcome.accepted_rcpt.is_none());
                 assert_eq!(outcome.rejection.as_ref().unwrap().0, Phase::Rcpt);
             }
@@ -701,18 +795,18 @@ mod tests {
         config.message = Some(b"Subject: notification\r\n\r\n.hidden\r\nbody\r\n".to_vec());
         config.pause_before_commands_ms = 0;
         let mut c = ClientSession::new(config);
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        expect_send(c.on_reply(Reply::ok())); // EHLO → MAIL (no pause)
-        expect_send(c.on_reply(Reply::ok())); // MAIL → RCPT
-        let line = expect_send(c.on_reply(Reply::ok())); // RCPT → DATA
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::ok())); // EHLO → MAIL (no pause)
+        expect_send(reply(&mut c, Reply::ok())); // MAIL → RCPT
+        let line = expect_send(reply(&mut c, Reply::ok())); // RCPT → DATA
         assert_eq!(line, "DATA\r\n");
-        let payload = expect_send(c.on_reply(Reply::start_mail_input()));
+        let payload = expect_send(reply(&mut c, Reply::start_mail_input()));
         assert!(payload.contains("..hidden\r\n"), "dot-stuffed");
         assert!(payload.ends_with("\r\n.\r\n"));
-        let line = expect_send(c.on_reply(Reply::new(250, "queued as 123")));
+        let line = expect_send(reply(&mut c, Reply::new(250, "queued as 123")));
         assert_eq!(line, "QUIT\r\n");
-        match c.on_reply(Reply::closing()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::closing()) {
+            Did::Close(outcome) => {
                 assert!(outcome.delivered);
                 assert_eq!(outcome.phase_reached, Phase::Quit);
             }
@@ -725,10 +819,10 @@ mod tests {
         let mut config = probe_config();
         config.pause_before_commands_ms = 0;
         let mut c = ClientSession::new(config);
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        let line = expect_send(c.on_reply(Reply::new(502, "command not implemented")));
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        let line = expect_send(reply(&mut c, Reply::new(502, "command not implemented")));
         assert!(line.starts_with("HELO"));
-        let line = expect_send(c.on_reply(Reply::ok()));
+        let line = expect_send(reply(&mut c, Reply::ok()));
         assert!(line.starts_with("MAIL"));
     }
 
@@ -737,12 +831,12 @@ mod tests {
         let mut config = probe_config();
         config.pause_before_commands_ms = 0;
         let mut c = ClientSession::new(config);
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        expect_send(c.on_reply(Reply::ok())); // EHLO → MAIL
-        let line = expect_send(c.on_reply(Reply::new(554, "sender on spam blacklist")));
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::ok())); // EHLO → MAIL
+        let line = expect_send(reply(&mut c, Reply::new(554, "sender on spam blacklist")));
         assert_eq!(line, "QUIT\r\n");
-        match c.on_reply(Reply::closing()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::closing()) {
+            Did::Close(outcome) => {
                 let (phase, reply) = outcome.rejection.unwrap();
                 assert_eq!(phase, Phase::Mail);
                 assert!(reply.text().contains("spam"));
@@ -758,28 +852,28 @@ mod tests {
         config.max_session_retries = 2;
         config.retry_backoff_ms = 30_000;
         let mut c = ClientSession::new(config);
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        expect_send(c.on_reply(Reply::ok())); // EHLO → MAIL
-        expect_send(c.on_reply(Reply::ok())); // MAIL → RCPT michael
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::ok())); // EHLO → MAIL
+        expect_send(reply(&mut c, Reply::ok())); // MAIL → RCPT michael
         let greylist = Reply::new(451, "4.7.1 Greylisted, try again later");
         // First 451 → backoff 30s, then RSET / MAIL / same RCPT.
-        assert_eq!(c.on_reply(greylist.clone()), ClientAction::Pause(30_000));
-        assert_eq!(expect_send(c.on_pause_elapsed()), "RSET\r\n");
-        let line = expect_send(c.on_reply(Reply::ok()));
+        assert_eq!(reply(&mut c, greylist.clone()), Did::Pause(30_000));
+        assert_eq!(expect_send(pause_elapsed(&mut c)), "RSET\r\n");
+        let line = expect_send(reply(&mut c, Reply::ok()));
         assert!(line.starts_with("MAIL FROM:"));
-        let line = expect_send(c.on_reply(Reply::ok()));
+        let line = expect_send(reply(&mut c, Reply::ok()));
         assert!(line.contains("<michael@target.test>"), "same candidate");
         // Second 451 → backoff doubles to 60s.
-        assert_eq!(c.on_reply(greylist.clone()), ClientAction::Pause(60_000));
-        assert_eq!(expect_send(c.on_pause_elapsed()), "RSET\r\n");
-        expect_send(c.on_reply(Reply::ok())); // RSET → MAIL
-        let line = expect_send(c.on_reply(Reply::ok())); // MAIL → RCPT
+        assert_eq!(reply(&mut c, greylist.clone()), Did::Pause(60_000));
+        assert_eq!(expect_send(pause_elapsed(&mut c)), "RSET\r\n");
+        expect_send(reply(&mut c, Reply::ok())); // RSET → MAIL
+        let line = expect_send(reply(&mut c, Reply::ok())); // MAIL → RCPT
         assert!(line.contains("<michael@target.test>"));
         // Accepted this time: the session proceeds to DATA.
-        let line = expect_send(c.on_reply(Reply::ok()));
+        let line = expect_send(reply(&mut c, Reply::ok()));
         assert_eq!(line, "DATA\r\n");
-        match c.on_reply(Reply::start_mail_input()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::start_mail_input()) {
+            Did::Close(outcome) => {
                 assert_eq!(outcome.retries, 2);
                 assert_eq!(outcome.accepted_rcpt.unwrap().local, "michael");
                 assert!(outcome.rejection.is_none());
@@ -795,25 +889,25 @@ mod tests {
         config.max_session_retries = 1;
         config.retry_backoff_ms = 10_000;
         let mut c = ClientSession::new(config);
-        expect_send(c.on_reply(Reply::greeting("mx")));
-        expect_send(c.on_reply(Reply::ok())); // EHLO → MAIL
-        expect_send(c.on_reply(Reply::ok())); // MAIL → RCPT
+        expect_send(reply(&mut c, Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::ok())); // EHLO → MAIL
+        expect_send(reply(&mut c, Reply::ok())); // MAIL → RCPT
         let greylist = Reply::new(451, "4.7.1 Greylisted");
-        assert_eq!(c.on_reply(greylist.clone()), ClientAction::Pause(10_000));
-        assert_eq!(expect_send(c.on_pause_elapsed()), "RSET\r\n");
-        expect_send(c.on_reply(Reply::ok())); // RSET → MAIL
-        expect_send(c.on_reply(Reply::ok())); // MAIL → RCPT
-                                              // Budget spent: the 451 now walks the username-fallback list.
-        let line = expect_send(c.on_reply(greylist.clone()));
+        assert_eq!(reply(&mut c, greylist.clone()), Did::Pause(10_000));
+        assert_eq!(expect_send(pause_elapsed(&mut c)), "RSET\r\n");
+        expect_send(reply(&mut c, Reply::ok())); // RSET → MAIL
+        expect_send(reply(&mut c, Reply::ok())); // MAIL → RCPT
+                                                 // Budget spent: the 451 now walks the username-fallback list.
+        let line = expect_send(reply(&mut c, greylist.clone()));
         assert!(line.contains("<john.smith@target.test>"));
         // And once candidates run out, the session fails with the 451.
         for _ in 0..2 {
-            expect_send(c.on_reply(greylist.clone()));
+            expect_send(reply(&mut c, greylist.clone()));
         }
-        let line = expect_send(c.on_reply(greylist));
+        let line = expect_send(reply(&mut c, greylist));
         assert_eq!(line, "QUIT\r\n");
-        match c.on_reply(Reply::closing()) {
-            ClientAction::Close(outcome) => {
+        match reply(&mut c, Reply::closing()) {
+            Did::Close(outcome) => {
                 assert_eq!(outcome.retries, 1);
                 let (phase, reply) = outcome.rejection.unwrap();
                 assert_eq!(phase, Phase::Rcpt);
@@ -837,11 +931,11 @@ mod tests {
             Reply::ok(),
         ];
         let mut sent = Vec::new();
-        for reply in replies {
-            let mut action = c.on_reply(reply);
-            if let ClientAction::Pause(ms) = action {
+        for r in replies {
+            let mut action = reply(&mut c, r);
+            if let Did::Pause(ms) = action {
                 assert_eq!(ms, pause_before_commands_ms);
-                action = c.on_pause_elapsed();
+                action = pause_elapsed(&mut c);
             }
             sent.push(expect_send(action));
         }
@@ -864,14 +958,14 @@ mod tests {
     #[test]
     fn greeting_failure_quits() {
         let mut c = ClientSession::new(probe_config());
-        let line = expect_send(c.on_reply(Reply::new(554, "no service")));
+        let line = expect_send(reply(&mut c, Reply::new(554, "no service")));
         assert_eq!(line, "QUIT\r\n");
     }
 
     #[test]
     fn disconnect_mid_session_yields_partial_outcome() {
         let mut c = ClientSession::new(probe_config());
-        expect_send(c.on_reply(Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::greeting("mx")));
         let outcome = c.on_disconnect();
         assert_eq!(outcome.phase_reached, Phase::Greeting);
         assert_eq!(outcome.transcript.len(), 1);
@@ -888,9 +982,9 @@ mod tests {
     #[test]
     fn transcript_records_every_reply_in_order() {
         let mut c = ClientSession::new(probe_config());
-        expect_send(c.on_reply(Reply::greeting("mx")));
+        expect_send(reply(&mut c, Reply::greeting("mx")));
         let ehlo = Reply::multiline(250, vec!["mx".into(), String::new(), "8BITMIME".into()]);
-        c.on_reply(ehlo);
+        reply(&mut c, ehlo);
         let outcome = c.on_disconnect();
         assert_eq!(outcome.transcript.len(), 2);
         assert_eq!(
@@ -909,18 +1003,22 @@ mod tests {
     #[test]
     fn decode_packed_takes_back_what_push_packed() {
         let mut t = Transcript::new();
-        t.push(Phase::Greeting, &Reply::greeting("mx"));
+        t.push(Phase::Greeting, Reply::greeting("mx").view())
+            .unwrap();
         t.push(
             Phase::Quit,
-            &Reply::multiline(221, vec!["Bye".into(), "\u{e9}t\u{e9}".into()]),
-        );
+            Reply::multiline(221, vec!["Bye".into(), "\u{e9}t\u{e9}".into()]).view(),
+        )
+        .unwrap();
         t.push(
             Phase::Rcpt,
-            &Reply {
+            Reply {
                 code: 451,
                 lines: vec![],
-            },
-        );
+            }
+            .view(),
+        )
+        .unwrap();
         let mut bytes = t.bytes.clone();
         bytes.extend_from_slice(b"after");
         let (decoded, used) = Transcript::decode_packed(&bytes, 3).unwrap();
@@ -956,19 +1054,22 @@ mod tests {
     #[test]
     fn raw_lines_are_the_text_lines_bytes() {
         let mut t = Transcript::new();
-        t.push(Phase::Greeting, &Reply::greeting("mx"));
+        t.push(Phase::Greeting, Reply::greeting("mx").view())
+            .unwrap();
         let ehlo = Reply::multiline(
             250,
             vec!["mx".into(), String::new(), "\u{e9}t\u{e9}".into()],
         );
-        t.push(Phase::Helo, &ehlo);
+        t.push(Phase::Helo, ehlo.view()).unwrap();
         t.push(
             Phase::Quit,
-            &Reply {
+            Reply {
                 code: 221,
                 lines: vec![],
-            },
-        );
+            }
+            .view(),
+        )
+        .unwrap();
         for (_, _, lines) in t.iter() {
             let raw = lines.clone().raw();
             assert_eq!(raw.len(), lines.len());

@@ -1,6 +1,11 @@
 //! SMTP command grammar (RFC 5321 §4.1) and mailbox parsing.
+//!
+//! A [`Command`] borrows its arguments from the line it was parsed from;
+//! the server reads them there, and builds an owned [`EmailAddress`]
+//! (a DNS [`Name`]) only for an address it keeps.
 
 use mailval_dns::Name;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An email address: local-part @ domain.
@@ -10,17 +15,18 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EmailAddress {
     /// The local part, case-preserved (RFC 5321 §2.4: local parts are
-    /// case-sensitive in principle).
-    pub local: String,
+    /// case-sensitive in principle). A fixed local part (the probe
+    /// usernames, `spf-test`) is shared, not copied.
+    pub local: Cow<'static, str>,
     /// The domain.
     pub domain: Name,
 }
 
 impl EmailAddress {
     /// Construct from parts.
-    pub fn new(local: &str, domain: Name) -> Self {
+    pub fn new(local: impl Into<Cow<'static, str>>, domain: Name) -> Self {
         EmailAddress {
-            local: local.to_string(),
+            local: local.into(),
             domain,
         }
     }
@@ -28,6 +34,29 @@ impl EmailAddress {
     /// Parse `local@domain`. Quoted local parts are not supported (the
     /// measurement only generates dot-atom locals).
     pub fn parse(s: &str) -> Option<EmailAddress> {
+        Mailbox::parse(s).map(|m| m.to_address())
+    }
+}
+
+impl fmt::Display for EmailAddress {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}@{}", self.local, self.domain)
+    }
+}
+
+/// A checked `local@domain` borrowed from the text it was parsed from:
+/// what [`EmailAddress::parse`] accepts, before any of it is copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mailbox<'a> {
+    local: &'a str,
+    domain: &'a str,
+}
+
+impl<'a> Mailbox<'a> {
+    /// Check `local@domain` as [`EmailAddress::parse`] does: a non-empty
+    /// local part of dot-atom characters, and a domain that parses as a
+    /// name other than the root.
+    pub fn parse(s: &'a str) -> Option<Mailbox<'a>> {
         let (local, domain) = s.rsplit_once('@')?;
         if local.is_empty() {
             return None;
@@ -61,34 +90,46 @@ impl EmailAddress {
                 return None;
             }
         }
-        let domain = Name::parse(domain).ok()?;
-        if domain.is_root() {
-            return None;
+        match Name::check(domain) {
+            Ok(false) => Some(Mailbox { local, domain }),
+            Ok(true) | Err(_) => None,
         }
-        Some(EmailAddress {
-            local: local.to_string(),
-            domain,
-        })
+    }
+
+    /// The local part, as written.
+    pub fn local(&self) -> &'a str {
+        self.local
+    }
+
+    /// The domain, as written (any case, maybe with a trailing dot).
+    pub fn domain(&self) -> &'a str {
+        self.domain
+    }
+
+    /// The domain as a [`Name`].
+    pub fn domain_name(&self) -> Name {
+        // `parse` let only a domain through that `Name::check` passed,
+        // and `Name::parse` accepts exactly that text.
+        Name::parse(self.domain).expect("a mailbox's domain was checked")
+    }
+
+    /// The address, owned.
+    pub fn to_address(&self) -> EmailAddress {
+        EmailAddress::new(self.local.to_string(), self.domain_name())
     }
 }
 
-impl fmt::Display for EmailAddress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.local, self.domain)
-    }
-}
-
-/// A parsed SMTP command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
+/// A parsed SMTP command, borrowing its arguments from its line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command<'a> {
     /// EHLO with the client's identity (domain or address literal).
-    Ehlo(String),
+    Ehlo(&'a str),
     /// HELO (legacy) with the client's identity.
-    Helo(String),
+    Helo(&'a str),
     /// MAIL FROM:<reverse-path>; `None` is the null reverse path `<>`.
-    Mail(Option<EmailAddress>),
+    Mail(Option<Mailbox<'a>>),
     /// RCPT TO:<forward-path>.
-    Rcpt(EmailAddress),
+    Rcpt(Mailbox<'a>),
     /// DATA.
     Data,
     /// RSET.
@@ -98,7 +139,7 @@ pub enum Command {
     /// QUIT.
     Quit,
     /// VRFY (we parse it; servers mostly refuse it).
-    Vrfy(String),
+    Vrfy(&'a str),
 }
 
 /// Why a command line failed to parse.
@@ -124,7 +165,7 @@ impl std::error::Error for CommandError {}
 /// Parse an angle-bracketed path, e.g. `<user@example.com>` or `<>`.
 /// Source routes (`<@relay:user@dom>`) are accepted and the route ignored,
 /// per RFC 5321 §C.
-fn parse_path(s: &str) -> Result<Option<EmailAddress>, CommandError> {
+fn parse_path(s: &str) -> Result<Option<Mailbox<'_>>, CommandError> {
     let s = s.trim();
     let inner = s
         .strip_prefix('<')
@@ -138,16 +179,16 @@ fn parse_path(s: &str) -> Result<Option<EmailAddress>, CommandError> {
         Some(pos) if inner.starts_with('@') => &inner[pos + 1..],
         _ => inner,
     };
-    EmailAddress::parse(inner)
+    Mailbox::parse(inner)
         .map(Some)
         .ok_or(CommandError::BadArguments("malformed mailbox"))
 }
 
-impl Command {
+impl<'a> Command<'a> {
     /// Parse one command line (without the trailing CRLF).
     /// ESMTP MAIL/RCPT parameters (e.g. `SIZE=123`, `BODY=8BITMIME`) are
     /// accepted and ignored.
-    pub fn parse(line: &str) -> Result<Command, CommandError> {
+    pub fn parse(line: &'a str) -> Result<Command<'a>, CommandError> {
         let line = line.trim_end_matches(['\r', '\n']);
         let (verb, args) = match line.find(' ') {
             Some(pos) => (&line[..pos], line[pos + 1..].trim()),
@@ -164,13 +205,13 @@ impl Command {
                 if args.is_empty() {
                     return Err(CommandError::BadArguments("EHLO requires a domain"));
                 }
-                Ok(Command::Ehlo(args.to_string()))
+                Ok(Command::Ehlo(args))
             }
             b"HELO" => {
                 if args.is_empty() {
                     return Err(CommandError::BadArguments("HELO requires a domain"));
                 }
-                Ok(Command::Helo(args.to_string()))
+                Ok(Command::Helo(args))
             }
             b"MAIL" => {
                 let rest = strip_keyword(args, "FROM:")
@@ -191,78 +232,73 @@ impl Command {
             b"RSET" => Ok(Command::Rset),
             b"NOOP" => Ok(Command::Noop),
             b"QUIT" => Ok(Command::Quit),
-            b"VRFY" => Ok(Command::Vrfy(args.to_string())),
+            b"VRFY" => Ok(Command::Vrfy(args)),
             _ => Err(CommandError::UnknownCommand(verb.to_ascii_uppercase())),
         }
     }
 
     /// Serialize to a wire line (without CRLF).
     pub fn to_line(&self) -> String {
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
+    }
+
+    /// Append the wire line (without CRLF) to `out`.
+    pub fn write_line(&self, out: &mut String) {
         match self {
-            Command::Ehlo(d) => verb_line("EHLO ", d),
-            Command::Helo(d) => verb_line("HELO ", d),
-            Command::Mail(from) => mail_line(from.as_ref()),
-            Command::Rcpt(to) => rcpt_line(to),
-            Command::Data => verb_line("DATA", ""),
-            Command::Rset => verb_line("RSET", ""),
-            Command::Noop => verb_line("NOOP", ""),
-            Command::Quit => verb_line("QUIT", ""),
-            Command::Vrfy(who) => verb_line("VRFY ", who),
+            Command::Ehlo(d) => out.extend(["EHLO ", d]),
+            Command::Helo(d) => out.extend(["HELO ", d]),
+            Command::Mail(None) => out.push_str("MAIL FROM:<>"),
+            Command::Mail(Some(m)) => push_path(out, "MAIL FROM:", m.local, m.domain),
+            Command::Rcpt(m) => push_path(out, "RCPT TO:", m.local, m.domain),
+            Command::Data => out.push_str("DATA"),
+            Command::Rset => out.push_str("RSET"),
+            Command::Noop => out.push_str("NOOP"),
+            Command::Quit => out.push_str("QUIT"),
+            Command::Vrfy(who) => out.extend(["VRFY ", who]),
         }
     }
 }
 
-/// `verb` then `arg`, with room for the CRLF a sender appends.
-fn verb_line(verb: &str, arg: &str) -> String {
-    let mut line = String::with_capacity(verb.len() + arg.len() + 2);
-    line.push_str(verb);
-    line.push_str(arg);
-    line
+/// Append `prefix`, then `<local@domain>`.
+fn push_path(out: &mut String, prefix: &str, local: &str, domain: &str) {
+    out.extend([prefix, "<", local, "@", domain, ">"]);
 }
 
-/// `prefix`, then `<local@domain>` as [`EmailAddress`]'s `Display`
-/// writes it, with room for the CRLF a sender appends.
-fn path_line(prefix: &str, addr: &EmailAddress) -> String {
-    // The root domain displays as ".".
-    let domain = if addr.domain.is_root() {
-        "."
-    } else {
-        addr.domain.as_str()
-    };
-    let len = prefix.len() + addr.local.len() + domain.len() + 5;
-    let mut line = String::with_capacity(len);
-    line.push_str(prefix);
-    line.push('<');
-    line.push_str(&addr.local);
-    line.push('@');
-    line.push_str(domain);
-    line.push('>');
-    line
-}
-
-/// The `MAIL FROM` line (without CRLF) for a borrowed reverse path;
-/// `None` is the null reverse path `<>`.
-pub(crate) fn mail_line(from: Option<&EmailAddress>) -> String {
+/// Append the `MAIL FROM` line (without CRLF) for a borrowed reverse
+/// path, as [`EmailAddress`]'s `Display` writes it; `None` is the null
+/// reverse path `<>`.
+pub(crate) fn push_mail_line(out: &mut String, from: Option<&EmailAddress>) {
     match from {
-        Some(a) => path_line("MAIL FROM:", a),
-        None => verb_line("MAIL FROM:<>", ""),
+        Some(a) => push_path(out, "MAIL FROM:", &a.local, display_domain(&a.domain)),
+        None => out.push_str("MAIL FROM:<>"),
     }
 }
 
-/// The `RCPT TO` line (without CRLF) for a borrowed forward path.
-pub(crate) fn rcpt_line(to: &EmailAddress) -> String {
-    path_line("RCPT TO:", to)
+/// Append the `RCPT TO` line (without CRLF) for a borrowed forward path.
+pub(crate) fn push_rcpt_line(out: &mut String, to: &EmailAddress) {
+    push_path(out, "RCPT TO:", &to.local, display_domain(&to.domain));
+}
+
+/// A domain's text as `Display` writes it: the root domain is ".".
+fn display_domain(domain: &Name) -> &str {
+    if domain.is_root() {
+        "."
+    } else {
+        domain.as_str()
+    }
 }
 
 /// Case-insensitively strip a leading keyword (e.g. `FROM:`); tolerate
 /// optional whitespace after the colon (seen in the wild).
 fn strip_keyword<'a>(s: &'a str, keyword: &str) -> Option<&'a str> {
-    if s.len() < keyword.len() {
-        return None;
-    }
-    let (head, tail) = s.split_at(keyword.len());
+    // `get`, not `split_at`: the keyword is ASCII, so text whose byte
+    // at the keyword's length is inside a multibyte char cannot start
+    // with it, and must not panic the split.
+    let head = s.get(..keyword.len())?;
     if head.eq_ignore_ascii_case(keyword) {
-        Some(tail.trim_start())
+        Some(s[keyword.len()..].trim_start())
     } else {
         None
     }
@@ -289,6 +325,16 @@ mod tests {
         EmailAddress::parse(s).unwrap()
     }
 
+    fn mbox(s: &str) -> Mailbox<'_> {
+        Mailbox::parse(s).unwrap()
+    }
+
+    fn line(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
+
     #[test]
     fn parse_addresses() {
         let a = addr("spf-test@t01.m5.spf-test.dns-lab.org");
@@ -308,11 +354,11 @@ mod tests {
     fn parse_basic_commands() {
         assert_eq!(
             Command::parse("EHLO probe.dns-lab.org").unwrap(),
-            Command::Ehlo("probe.dns-lab.org".into())
+            Command::Ehlo("probe.dns-lab.org")
         );
         assert_eq!(
             Command::parse("helo legacy.test").unwrap(),
-            Command::Helo("legacy.test".into())
+            Command::Helo("legacy.test")
         );
         assert_eq!(Command::parse("DATA").unwrap(), Command::Data);
         assert_eq!(Command::parse("QUIT").unwrap(), Command::Quit);
@@ -324,23 +370,23 @@ mod tests {
     fn parse_mail_variants() {
         assert_eq!(
             Command::parse("MAIL FROM:<a@b.test>").unwrap(),
-            Command::Mail(Some(addr("a@b.test")))
+            Command::Mail(Some(mbox("a@b.test")))
         );
         assert_eq!(Command::parse("MAIL FROM:<>").unwrap(), Command::Mail(None));
         // Case-insensitive verb/keyword and space after colon.
         assert_eq!(
             Command::parse("mail from: <a@b.test>").unwrap(),
-            Command::Mail(Some(addr("a@b.test")))
+            Command::Mail(Some(mbox("a@b.test")))
         );
         // ESMTP parameters ignored.
         assert_eq!(
             Command::parse("MAIL FROM:<a@b.test> SIZE=1024 BODY=8BITMIME").unwrap(),
-            Command::Mail(Some(addr("a@b.test")))
+            Command::Mail(Some(mbox("a@b.test")))
         );
         // Source route stripped.
         assert_eq!(
             Command::parse("MAIL FROM:<@relay.test:a@b.test>").unwrap(),
-            Command::Mail(Some(addr("a@b.test")))
+            Command::Mail(Some(mbox("a@b.test")))
         );
     }
 
@@ -348,7 +394,7 @@ mod tests {
     fn parse_rcpt() {
         assert_eq!(
             Command::parse("RCPT TO:<postmaster@b.test>").unwrap(),
-            Command::Rcpt(addr("postmaster@b.test"))
+            Command::Rcpt(mbox("postmaster@b.test"))
         );
         assert!(Command::parse("RCPT TO:<>").is_err());
         assert!(Command::parse("RCPT <a@b.test>").is_err());
@@ -372,17 +418,57 @@ mod tests {
         };
         let plain = addr("john.smith+tag@t01.m00042.spf-test.dns-lab.org");
         for a in [&root, &plain] {
-            assert_eq!(mail_line(Some(a)), format!("MAIL FROM:<{a}>"));
-            assert_eq!(rcpt_line(a), format!("RCPT TO:<{a}>"));
-            assert_eq!(Command::Rcpt(a.clone()).to_line(), format!("RCPT TO:<{a}>"));
+            assert_eq!(
+                line(|o| push_mail_line(o, Some(a))),
+                format!("MAIL FROM:<{a}>")
+            );
+            assert_eq!(line(|o| push_rcpt_line(o, a)), format!("RCPT TO:<{a}>"));
         }
-        assert_eq!(rcpt_line(&root), "RCPT TO:<postmaster@.>");
-        assert_eq!(mail_line(None), "MAIL FROM:<>");
+        let text = plain.to_string();
+        assert_eq!(
+            Command::Rcpt(mbox(&text)).to_line(),
+            format!("RCPT TO:<{plain}>")
+        );
+        assert_eq!(line(|o| push_rcpt_line(o, &root)), "RCPT TO:<postmaster@.>");
+        assert_eq!(line(|o| push_mail_line(o, None)), "MAIL FROM:<>");
         assert_eq!(Command::Mail(None).to_line(), "MAIL FROM:<>");
         for id in ["probe.dns-lab.org", "[192.0.2.1]", ""] {
-            assert_eq!(Command::Ehlo(id.into()).to_line(), format!("EHLO {id}"));
-            assert_eq!(Command::Helo(id.into()).to_line(), format!("HELO {id}"));
-            assert_eq!(Command::Vrfy(id.into()).to_line(), format!("VRFY {id}"));
+            assert_eq!(Command::Ehlo(id).to_line(), format!("EHLO {id}"));
+            assert_eq!(Command::Helo(id).to_line(), format!("HELO {id}"));
+            assert_eq!(Command::Vrfy(id).to_line(), format!("VRFY {id}"));
+        }
+    }
+
+    #[test]
+    fn multibyte_text_at_a_keyword_boundary_is_bad_arguments() {
+        // The keyword's length falls inside the two-byte char: the
+        // keyword check must refuse it, not split it.
+        for line in ["MAIL FROM\u{e9}<a@b.test>", "RCPT TO\u{e9}<a@b.test>"] {
+            assert!(
+                matches!(Command::parse(line), Err(CommandError::BadArguments(_))),
+                "{line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_mailbox_is_the_text_around_its_last_at() {
+        for s in ["a@b.test", "A.b+c@B.Test.", "x_y@z.test"] {
+            let m = mbox(s);
+            assert_eq!(format!("{}@{}", m.local(), m.domain()), s);
+            assert_eq!(m.to_address(), addr(s));
+            assert_eq!(m.domain_name(), Name::parse(m.domain()).unwrap());
+        }
+        for s in [
+            "@b.test",
+            "a@",
+            "a@.",
+            "a b@c.test",
+            "a@b..test",
+            "x@y@z.test",
+            "\u{e9}@b.test",
+        ] {
+            assert_eq!(Mailbox::parse(s), None, "{s:?}");
         }
     }
 

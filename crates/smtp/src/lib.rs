@@ -26,6 +26,8 @@ pub mod client;
 pub mod command;
 pub mod line;
 pub mod mail;
+#[cfg(test)]
+mod reference;
 pub mod reply;
 pub mod server;
 

@@ -221,6 +221,25 @@ pub fn dot_stuff(body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// [`dot_stuff`] for text, appended to `out`.
+pub fn dot_stuff_into(body: &str, out: &mut String) {
+    out.reserve(body.len() + 8);
+    let mut rest = body;
+    if rest.starts_with('.') {
+        out.push('.');
+    }
+    // Each line after a LF that starts with a dot gets one more.
+    while let Some(lf) = rest.find('\n') {
+        let (line, after) = rest.split_at(lf + 1);
+        out.push_str(line);
+        if after.starts_with('.') {
+            out.push('.');
+        }
+        rest = after;
+    }
+    out.push_str(rest);
+}
+
 /// Reverse of [`dot_stuff`].
 pub fn dot_unstuff(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
@@ -313,6 +332,24 @@ Dear operator,\r\nYour network has an issue.\r\n";
             b"..leading dot\r\nnormal\r\n...double\r\n..\r\n".to_vec()
         );
         assert_eq!(dot_unstuff(&stuffed), body.to_vec());
+    }
+
+    #[test]
+    fn text_stuffing_matches_byte_stuffing() {
+        for body in [
+            "",
+            ".",
+            "..",
+            "\n.",
+            ".a\r\n.b\n\n.\r\n",
+            "x.\r\n.\u{e9}\n\u{e9}.\n",
+            "no dots at all\r\n",
+        ] {
+            let mut out = String::from("prefix.");
+            dot_stuff_into(body, &mut out);
+            let expected = [b"prefix.".as_slice(), &dot_stuff(body.as_bytes())].concat();
+            assert_eq!(out.as_bytes(), expected, "{body:?}");
+        }
     }
 
     #[test]

@@ -29,6 +29,200 @@ impl Reply {
 
     /// 2xx success.
     pub fn is_positive(&self) -> bool {
+        self.view().is_positive()
+    }
+
+    /// 3xx intermediate (e.g. 354 after DATA).
+    pub fn is_intermediate(&self) -> bool {
+        self.view().is_intermediate()
+    }
+
+    /// 4xx transient failure.
+    pub fn is_transient_failure(&self) -> bool {
+        self.view().is_transient_failure()
+    }
+
+    /// 5xx permanent failure.
+    pub fn is_permanent_failure(&self) -> bool {
+        self.view().is_permanent_failure()
+    }
+
+    /// All text joined with spaces (for substring matching, e.g. the
+    /// paper's grep for "spam"/"blacklist" in rejection messages, §6.2).
+    pub fn text(&self) -> String {
+        self.lines.join(" ")
+    }
+
+    /// The reply, borrowed.
+    pub fn view(&self) -> ReplyView<'_> {
+        ReplyView {
+            code: self.code,
+            lines: LineSource::Owned(&self.lines),
+        }
+    }
+
+    /// Serialize to wire lines including CRLFs (see [`push_wire_line`]),
+    /// in one buffer sized up front.
+    pub fn to_wire(&self) -> String {
+        let mut digits = [0u8; 5];
+        let code = decimal(self.code, &mut digits);
+        let len = self
+            .lines
+            .iter()
+            .map(|line| code.len() + line.len() + 3)
+            .sum();
+        let mut out = String::with_capacity(len);
+        for (i, line) in self.lines.iter().enumerate() {
+            push_wire_line(&mut out, self.code, i + 1 == self.lines.len(), &[line]);
+        }
+        out
+    }
+
+    // Common canned replies, owned (see [`Canned`] for the borrowed
+    // forms the server writes) -------------------------------------------
+
+    /// 220 service ready greeting.
+    pub fn greeting(host: &str) -> Reply {
+        Canned::greeting(host).to_reply()
+    }
+
+    /// 250 OK.
+    pub fn ok() -> Reply {
+        Canned::OK.to_reply()
+    }
+
+    /// 354 start mail input.
+    pub fn start_mail_input() -> Reply {
+        Canned::START_MAIL_INPUT.to_reply()
+    }
+
+    /// 221 closing.
+    pub fn closing() -> Reply {
+        Canned::CLOSING.to_reply()
+    }
+
+    /// 500 syntax error.
+    pub fn syntax_error() -> Reply {
+        Canned::SYNTAX_ERROR.to_reply()
+    }
+
+    /// 501 bad arguments.
+    pub fn bad_arguments() -> Reply {
+        Canned::BAD_ARGUMENTS.to_reply()
+    }
+
+    /// 503 bad sequence.
+    pub fn bad_sequence() -> Reply {
+        Canned::BAD_SEQUENCE.to_reply()
+    }
+
+    /// 550 mailbox unavailable (the "invalid recipient" rejection the
+    /// paper encountered for 6.4% of TwoWeekMX MTAs).
+    pub fn no_such_user(who: &str) -> Reply {
+        Canned::no_such_user(who).to_reply()
+    }
+}
+
+/// Append one reply line to `out` as wire text: the code's decimal
+/// digits, `-` for a continuation or ` ` for the last line, the pieces
+/// of `text` in order, and CRLF.
+pub fn push_wire_line(out: &mut String, code: u16, last: bool, text: &[&str]) {
+    let mut digits = [0u8; 5];
+    out.push_str(decimal(code, &mut digits));
+    out.push(if last { ' ' } else { '-' });
+    for piece in text {
+        out.push_str(piece);
+    }
+    out.push_str("\r\n");
+}
+
+/// A one-line reply whose text is two borrowed pieces, written straight
+/// to wire text: the server's canned replies need no owned [`Reply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Canned<'a> {
+    /// Three-digit reply code.
+    pub code: u16,
+    /// The line's text, in two pieces.
+    pub text: [&'a str; 2],
+}
+
+impl<'a> Canned<'a> {
+    /// 250 OK.
+    pub const OK: Canned<'static> = Canned::new(250, "OK");
+    /// 354 start mail input.
+    pub const START_MAIL_INPUT: Canned<'static> =
+        Canned::new(354, "Start mail input; end with <CRLF>.<CRLF>");
+    /// 221 closing.
+    pub const CLOSING: Canned<'static> = Canned::new(221, "Bye");
+    /// 500 syntax error.
+    pub const SYNTAX_ERROR: Canned<'static> =
+        Canned::new(500, "Syntax error, command unrecognized");
+    /// 501 bad arguments.
+    pub const BAD_ARGUMENTS: Canned<'static> =
+        Canned::new(501, "Syntax error in parameters or arguments");
+    /// 503 bad sequence.
+    pub const BAD_SEQUENCE: Canned<'static> = Canned::new(503, "Bad sequence of commands");
+
+    /// A reply of one piece of text.
+    pub const fn new(code: u16, text: &'a str) -> Canned<'a> {
+        Canned {
+            code,
+            text: [text, ""],
+        }
+    }
+
+    /// 220 service ready greeting.
+    pub fn greeting(host: &'a str) -> Canned<'a> {
+        Canned {
+            code: 220,
+            text: [host, " ESMTP ready"],
+        }
+    }
+
+    /// 550 mailbox unavailable.
+    pub fn no_such_user(who: &'a str) -> Canned<'a> {
+        Canned {
+            code: 550,
+            text: ["No such user: ", who],
+        }
+    }
+
+    /// Append the reply's wire line to `out`.
+    pub fn write_wire(&self, out: &mut String) {
+        push_wire_line(out, self.code, true, &self.text);
+    }
+
+    /// The same reply, owned.
+    pub fn to_reply(&self) -> Reply {
+        Reply {
+            code: self.code,
+            lines: vec![self.text.concat()],
+        }
+    }
+}
+
+/// A reply borrowed from where it was assembled: a [`ReplyParser`]'s
+/// buffer, or an owned [`Reply`] ([`Reply::view`]).
+#[derive(Clone, Copy)]
+pub struct ReplyView<'a> {
+    /// Three-digit reply code.
+    pub code: u16,
+    lines: LineSource<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum LineSource<'a> {
+    /// The lines' text back to back, and where each line ends in it.
+    Packed {
+        text: &'a str,
+        ends: &'a [usize],
+    },
+    Owned(&'a [String]),
+}
+
+impl<'a> ReplyView<'a> {
+    /// 2xx success.
+    pub fn is_positive(&self) -> bool {
         (200..300).contains(&self.code)
     }
 
@@ -47,76 +241,68 @@ impl Reply {
         (500..600).contains(&self.code)
     }
 
-    /// All text joined with spaces (for substring matching, e.g. the
-    /// paper's grep for "spam"/"blacklist" in rejection messages, §6.2).
-    pub fn text(&self) -> String {
-        self.lines.join(" ")
-    }
-
-    /// Serialize to wire lines including CRLFs: per line the code's
-    /// decimal digits, `-` (a continuation) or ` ` (the last line), the
-    /// text and CRLF, in one buffer sized up front.
-    pub fn to_wire(&self) -> String {
-        let mut digits = [0u8; 5];
-        let code = decimal(self.code, &mut digits);
-        let len = self
-            .lines
-            .iter()
-            .map(|line| code.len() + line.len() + 3)
-            .sum();
-        let mut out = String::with_capacity(len);
-        for (i, line) in self.lines.iter().enumerate() {
-            out.push_str(code);
-            out.push(if i + 1 == self.lines.len() { ' ' } else { '-' });
-            out.push_str(line);
-            out.push_str("\r\n");
+    /// The text lines, in order.
+    pub fn lines(&self) -> ViewLines<'a> {
+        ViewLines {
+            source: self.lines,
+            next: 0,
+            start: 0,
         }
-        out
     }
 
-    // Common canned replies -------------------------------------------------
-
-    /// 220 service ready greeting.
-    pub fn greeting(host: &str) -> Reply {
-        Reply::multiline(220, vec![[host, " ESMTP ready"].concat()])
-    }
-
-    /// 250 OK.
-    pub fn ok() -> Reply {
-        Reply::new(250, "OK")
-    }
-
-    /// 354 start mail input.
-    pub fn start_mail_input() -> Reply {
-        Reply::new(354, "Start mail input; end with <CRLF>.<CRLF>")
-    }
-
-    /// 221 closing.
-    pub fn closing() -> Reply {
-        Reply::new(221, "Bye")
-    }
-
-    /// 500 syntax error.
-    pub fn syntax_error() -> Reply {
-        Reply::new(500, "Syntax error, command unrecognized")
-    }
-
-    /// 501 bad arguments.
-    pub fn bad_arguments() -> Reply {
-        Reply::new(501, "Syntax error in parameters or arguments")
-    }
-
-    /// 503 bad sequence.
-    pub fn bad_sequence() -> Reply {
-        Reply::new(503, "Bad sequence of commands")
-    }
-
-    /// 550 mailbox unavailable (the "invalid recipient" rejection the
-    /// paper encountered for 6.4% of TwoWeekMX MTAs).
-    pub fn no_such_user(who: &str) -> Reply {
-        Reply::multiline(550, vec![["No such user: ", who].concat()])
+    /// The same reply, owned.
+    pub fn to_reply(&self) -> Reply {
+        Reply {
+            code: self.code,
+            lines: self.lines().map(str::to_string).collect(),
+        }
     }
 }
+
+impl fmt::Debug for ReplyView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReplyView")
+            .field("code", &self.code)
+            .field("lines", &self.lines().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Iterator over a [`ReplyView`]'s lines.
+#[derive(Clone)]
+pub struct ViewLines<'a> {
+    source: LineSource<'a>,
+    next: usize,
+    start: usize,
+}
+
+impl<'a> Iterator for ViewLines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let line = match self.source {
+            LineSource::Packed { text, ends } => {
+                let end = *ends.get(self.next)?;
+                let line = &text[self.start..end];
+                self.start = end;
+                line
+            }
+            LineSource::Owned(lines) => lines.get(self.next)?,
+        };
+        self.next += 1;
+        Some(line)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let total = match self.source {
+            LineSource::Packed { ends, .. } => ends.len(),
+            LineSource::Owned(lines) => lines.len(),
+        };
+        (total - self.next, Some(total - self.next))
+    }
+}
+
+impl ExactSizeIterator for ViewLines<'_> {}
 
 /// `n` in decimal without leading zeros (`"0"` for zero), written to
 /// the end of `buf`.
@@ -130,6 +316,8 @@ fn decimal(mut n: u16, buf: &mut [u8; 5]) -> &str {
             break;
         }
     }
+    // Every byte from `start` on was written above as an ASCII digit,
+    // whatever the code: no input reaches the panic.
     std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII")
 }
 
@@ -148,11 +336,20 @@ pub const MAX_REPLY_LINE_LEN: usize = 512;
 /// cap a hostile server can grow the parser's buffer without limit.
 pub const MAX_REPLY_LINES: usize = 64;
 
-/// Incremental parser assembling (possibly multiline) replies from lines.
+/// Incremental parser assembling (possibly multiline) replies from
+/// lines, in one buffer it reuses from reply to reply.
+///
+/// The buffer never holds more than one reply, and the limits above
+/// bound a reply, so a hostile peer can pin at most
+/// [`MAX_REPLY_LINES`] × [`MAX_REPLY_LINE_LEN`] bytes of it.
 #[derive(Debug, Default)]
 pub struct ReplyParser {
+    /// The code of the reply being assembled; `None` between replies.
     code: Option<u16>,
-    lines: Vec<String>,
+    /// The text of the reply's lines so far, back to back.
+    text: String,
+    /// Where each line so far ends in `text`.
+    ends: Vec<usize>,
 }
 
 /// Errors from [`ReplyParser::push_line`].
@@ -197,14 +394,14 @@ impl ReplyParser {
         Self::default()
     }
 
-    /// Feed one line (without CRLF). Returns `Some(reply)` when a complete
-    /// reply has been assembled.
+    /// Feed one line (without CRLF). Returns the reply, borrowed from
+    /// the parser's buffer, when the line completes one.
     ///
     /// Any error discards the partially-assembled reply and resets the
     /// parser — in particular the [`ReplyParseError::LineTooLong`] and
     /// [`ReplyParseError::TooManyLines`] limits, which exist so a
     /// hostile peer cannot grow this buffer without bound.
-    pub fn push_line(&mut self, line: &str) -> Result<Option<Reply>, ReplyParseError> {
+    pub fn push_line(&mut self, line: &str) -> Result<Option<ReplyView<'_>>, ReplyParseError> {
         let line = line.trim_end_matches(['\r', '\n']);
         // Embedded NULs and bare CRs survive the terminator strip above;
         // both are hostile framing games (header smuggling, log
@@ -232,9 +429,12 @@ impl ReplyParser {
                 return Err(self.fail(ReplyParseError::CodeMismatch));
             }
         } else {
+            // A new reply: the last one's text is no longer borrowed.
             self.code = Some(code);
+            self.text.clear();
+            self.ends.clear();
         }
-        if self.lines.len() >= MAX_REPLY_LINES {
+        if self.ends.len() >= MAX_REPLY_LINES {
             return Err(self.fail(ReplyParseError::TooManyLines));
         }
         let (is_final, text) = match line.as_bytes().get(3) {
@@ -243,24 +443,32 @@ impl ReplyParser {
             Some(b'-') => (false, &line[4..]),
             Some(_) => return Err(self.fail(ReplyParseError::BadFormat)),
         };
-        self.lines.push(text.to_string());
-        if is_final {
-            let reply = Reply {
-                code,
-                lines: std::mem::take(&mut self.lines),
-            };
-            self.code = None;
-            Ok(Some(reply))
-        } else {
-            Ok(None)
+        self.text.push_str(text);
+        self.ends.push(self.text.len());
+        if !is_final {
+            return Ok(None);
         }
+        self.code = None;
+        Ok(Some(ReplyView {
+            code,
+            lines: LineSource::Packed {
+                text: &self.text,
+                ends: &self.ends,
+            },
+        }))
     }
 
-    /// Reset the in-progress reply and pass the error through (frees any
-    /// buffered lines so errors cannot be used to pin memory).
-    fn fail(&mut self, err: ReplyParseError) -> ReplyParseError {
+    /// Drop any reply in progress, keeping the buffer: the parser is as
+    /// new.
+    pub fn clear(&mut self) {
         self.code = None;
-        self.lines = Vec::new();
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// Reset the in-progress reply and pass the error through.
+    fn fail(&mut self, err: ReplyParseError) -> ReplyParseError {
+        self.clear();
         err
     }
 }
@@ -268,6 +476,11 @@ impl ReplyParser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `push_line`, with a completed reply copied out.
+    fn push(p: &mut ReplyParser, line: &str) -> Result<Option<Reply>, ReplyParseError> {
+        p.push_line(line).map(|r| r.map(|v| v.to_reply()))
+    }
 
     #[test]
     fn canned_lines_are_the_formatted_lines() {
@@ -290,7 +503,7 @@ mod tests {
         let r = Reply::new(250, "OK");
         assert_eq!(r.to_wire(), "250 OK\r\n");
         let mut p = ReplyParser::new();
-        assert_eq!(p.push_line("250 OK").unwrap(), Some(r));
+        assert_eq!(push(&mut p, "250 OK").unwrap(), Some(r));
     }
 
     #[test]
@@ -311,7 +524,7 @@ mod tests {
         let mut p = ReplyParser::new();
         let mut result = None;
         for line in wire.lines() {
-            result = p.push_line(line).unwrap();
+            result = push(&mut p, line).unwrap();
         }
         assert_eq!(result, Some(r));
     }
@@ -358,14 +571,14 @@ mod tests {
         // used to panic the code slice; it must be a clean BadFormat.
         let mut p = ReplyParser::new();
         assert_eq!(
-            p.push_line("2\u{fffd} hostile"),
+            push(&mut p, "2\u{fffd} hostile"),
             Err(ReplyParseError::BadFormat)
         );
         assert_eq!(
-            p.push_line("\u{fffd}\u{fffd}"),
+            push(&mut p, "\u{fffd}\u{fffd}"),
             Err(ReplyParseError::BadFormat)
         );
-        assert_eq!(p.push_line("250 OK").unwrap(), Some(Reply::new(250, "OK")));
+        assert_eq!(push(&mut p, "250 OK").unwrap(), Some(Reply::new(250, "OK")));
     }
 
     #[test]
@@ -379,17 +592,17 @@ mod tests {
     #[test]
     fn parser_rejects_garbage() {
         let mut p = ReplyParser::new();
-        assert!(p.push_line("hi").is_err());
-        assert!(p.push_line("abc hello").is_err());
-        assert!(p.push_line("250#x").is_err());
+        assert!(push(&mut p, "hi").is_err());
+        assert!(push(&mut p, "abc hello").is_err());
+        assert!(push(&mut p, "250#x").is_err());
     }
 
     #[test]
     fn parser_rejects_code_mismatch() {
         let mut p = ReplyParser::new();
-        assert_eq!(p.push_line("250-first").unwrap(), None);
+        assert_eq!(push(&mut p, "250-first").unwrap(), None);
         assert_eq!(
-            p.push_line("251 second"),
+            push(&mut p, "251 second"),
             Err(ReplyParseError::CodeMismatch)
         );
     }
@@ -397,7 +610,7 @@ mod tests {
     #[test]
     fn bare_code_line() {
         let mut p = ReplyParser::new();
-        let r = p.push_line("354").unwrap().unwrap();
+        let r = push(&mut p, "354").unwrap().unwrap();
         assert_eq!(r.code, 354);
         assert_eq!(r.lines, vec![String::new()]);
     }
@@ -411,15 +624,15 @@ mod tests {
     #[test]
     fn parser_rejects_nul_and_bare_cr() {
         let mut p = ReplyParser::new();
-        assert_eq!(p.push_line("250 O\0K"), Err(ReplyParseError::BadChar));
-        assert_eq!(p.push_line("250 O\rK"), Err(ReplyParseError::BadChar));
-        assert_eq!(p.push_line("2\x005 OK"), Err(ReplyParseError::BadChar));
+        assert_eq!(push(&mut p, "250 O\0K"), Err(ReplyParseError::BadChar));
+        assert_eq!(push(&mut p, "250 O\rK"), Err(ReplyParseError::BadChar));
+        assert_eq!(push(&mut p, "2\x005 OK"), Err(ReplyParseError::BadChar));
         // A trailing CR is the stripped line terminator, not hostile.
-        assert_eq!(p.push_line("250 OK\r").unwrap(), Some(Reply::ok()));
+        assert_eq!(push(&mut p, "250 OK\r").unwrap(), Some(Reply::ok()));
         // A bad char mid-multiline discards the buffered reply.
-        assert_eq!(p.push_line("250-first").unwrap(), None);
-        assert_eq!(p.push_line("250-b\0d"), Err(ReplyParseError::BadChar));
-        assert_eq!(p.push_line("220 fresh").unwrap().unwrap().code, 220);
+        assert_eq!(push(&mut p, "250-first").unwrap(), None);
+        assert_eq!(push(&mut p, "250-b\0d"), Err(ReplyParseError::BadChar));
+        assert_eq!(push(&mut p, "220 fresh").unwrap().unwrap().code, 220);
     }
 
     #[test]
@@ -432,13 +645,13 @@ mod tests {
             line[1] = b;
             let mut p = ReplyParser::new();
             if let Ok(s) = std::str::from_utf8(&line) {
-                let _ = p.push_line(s); // must not panic
+                let _ = push(&mut p, s); // must not panic
             }
             // And spliced into the text region.
             let mut line = b"250 hello".to_vec();
             line[6] = b;
             if let Ok(s) = std::str::from_utf8(&line) {
-                let _ = p.push_line(s);
+                let _ = push(&mut p, s);
             }
         }
     }
@@ -453,14 +666,14 @@ mod tests {
             ("250-a", "251-b"),
         ] {
             let mut p = ReplyParser::new();
-            assert_eq!(p.push_line(first).unwrap(), None);
+            assert_eq!(push(&mut p, first).unwrap(), None);
             assert_eq!(
-                p.push_line(second),
+                push(&mut p, second),
                 Err(ReplyParseError::CodeMismatch),
                 "{first} then {second}"
             );
             // Parser must have recovered.
-            assert_eq!(p.push_line("250 OK").unwrap(), Some(Reply::ok()));
+            assert_eq!(push(&mut p, "250 OK").unwrap(), Some(Reply::ok()));
         }
     }
 
@@ -469,13 +682,13 @@ mod tests {
         let mut p = ReplyParser::new();
         // Exactly at the limit: accepted.
         let max_text = "x".repeat(MAX_REPLY_LINE_LEN - 4);
-        let ok = p.push_line(&format!("250 {max_text}")).unwrap().unwrap();
+        let ok = push(&mut p, &format!("250 {max_text}")).unwrap().unwrap();
         assert_eq!(ok.lines[0].len(), MAX_REPLY_LINE_LEN - 4);
         // One byte over: rejected, not truncated.
         let over = format!("250 {}x", max_text);
-        assert_eq!(p.push_line(&over), Err(ReplyParseError::LineTooLong));
+        assert_eq!(push(&mut p, &over), Err(ReplyParseError::LineTooLong));
         // The parser recovered and accepts a fresh reply.
-        assert_eq!(p.push_line("250 OK").unwrap(), Some(Reply::ok()));
+        assert_eq!(push(&mut p, "250 OK").unwrap(), Some(Reply::ok()));
     }
 
     #[test]
@@ -484,24 +697,24 @@ mod tests {
         // hit the cap instead of growing memory without bound.
         let mut p = ReplyParser::new();
         for i in 0..MAX_REPLY_LINES {
-            assert_eq!(p.push_line(&format!("250-line {i}")).unwrap(), None);
+            assert_eq!(push(&mut p, &format!("250-line {i}")).unwrap(), None);
         }
         assert_eq!(
-            p.push_line("250-one too many"),
+            push(&mut p, "250-one too many"),
             Err(ReplyParseError::TooManyLines)
         );
         // Error path resets the parser: the buffered lines are gone and a
         // complete reply parses from scratch.
-        assert_eq!(p.push_line("220 fresh").unwrap().unwrap().code, 220);
+        assert_eq!(push(&mut p, "220 fresh").unwrap().unwrap().code, 220);
     }
 
     #[test]
     fn parser_accepts_full_multiline_at_cap() {
         let mut p = ReplyParser::new();
         for i in 0..MAX_REPLY_LINES - 1 {
-            assert_eq!(p.push_line(&format!("250-line {i}")).unwrap(), None);
+            assert_eq!(push(&mut p, &format!("250-line {i}")).unwrap(), None);
         }
-        let r = p.push_line("250 final").unwrap().unwrap();
+        let r = push(&mut p, "250 final").unwrap().unwrap();
         assert_eq!(r.lines.len(), MAX_REPLY_LINES);
     }
 }

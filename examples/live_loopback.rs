@@ -26,7 +26,7 @@ use mailval::dns::{Message, Name};
 use mailval::measure::apparatus::SynthesizingAuthority;
 use mailval::measure::names::NameScheme;
 use mailval::measure::policies::SynthAddrs;
-use mailval::mta::actor::{ConnContext, MtaActor, MtaEvent, MtaInput, MtaOutput};
+use mailval::mta::actor::{ConnContext, MtaActor, MtaEvent, MtaInput, MtaOutput, MtaSink};
 use mailval::mta::profile::MtaProfile;
 use mailval::smtp::client::{ClientAction, ClientConfig, ClientSession};
 use mailval::smtp::mail::MailMessage;
@@ -147,6 +147,7 @@ fn main() {
     let mut reader = BufReader::new(stream);
     let mut parser = ReplyParser::new();
     let mut line = String::new();
+    let mut out = String::new();
     'outer: loop {
         line.clear();
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
@@ -154,15 +155,16 @@ fn main() {
         }
         print!("[client] <- {line}");
         if let Ok(Some(reply)) = parser.push_line(line.trim_end()) {
-            let mut action = client.on_reply(reply);
+            out.clear();
+            let mut action = client.on_reply(reply, &mut out);
             loop {
                 match action {
-                    ClientAction::Send(bytes) => {
-                        writer.write_all(&bytes).unwrap();
-                        if bytes.len() < 120 {
-                            print!("[client] -> {}", String::from_utf8_lossy(&bytes));
+                    ClientAction::Send => {
+                        writer.write_all(out.as_bytes()).unwrap();
+                        if out.len() < 120 {
+                            print!("[client] -> {out}");
                         } else {
-                            println!("[client] -> <{} bytes of message data>", bytes.len());
+                            println!("[client] -> <{} bytes of message data>", out.len());
                         }
                         break;
                     }
@@ -171,7 +173,7 @@ fn main() {
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(ms / 100));
-                        action = client.on_pause_elapsed();
+                        action = client.on_pause_elapsed(&mut out);
                     }
                     ClientAction::Close(outcome) => {
                         println!(
@@ -207,13 +209,14 @@ fn serve_mta(stream: TcpStream, peer: SocketAddr, dns_addr: SocketAddr) {
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
 
-    let mut pending = actor.handle(MtaInput::Connected);
+    let mut pending = MtaSink::default();
+    let mut next = MtaSink::default();
+    actor.handle(MtaInput::Connected, &mut pending);
     let mut line = String::new();
     loop {
         // Drain outputs, performing real I/O for each.
-        while !pending.is_empty() {
-            let mut next = Vec::new();
-            for output in pending.drain(..) {
+        while !pending.outputs.is_empty() {
+            for output in pending.outputs.drain(..) {
                 match output {
                     MtaOutput::Smtp(text) => {
                         let _ = writer.write_all(text.as_bytes());
@@ -221,11 +224,11 @@ fn serve_mta(stream: TcpStream, peer: SocketAddr, dns_addr: SocketAddr) {
                     MtaOutput::Resolve { qid, name, rtype } => {
                         println!("[mta] resolving {name} {rtype}");
                         let outcome = blocking_resolve(dns_addr, &name, rtype);
-                        next.extend(actor.handle(MtaInput::DnsFinished { qid, outcome }));
+                        actor.handle(MtaInput::DnsFinished { qid, outcome }, &mut next);
                     }
                     MtaOutput::SetTimer { token, delay_ms } => {
                         std::thread::sleep(Duration::from_millis(delay_ms / 1000));
-                        next.extend(actor.handle(MtaInput::Timer { token }));
+                        actor.handle(MtaInput::Timer { token }, &mut next);
                     }
                     MtaOutput::Event(MtaEvent::SpfConcluded(result)) => {
                         println!("[mta] SPF: {result}");
@@ -260,13 +263,13 @@ fn serve_mta(stream: TcpStream, peer: SocketAddr, dns_addr: SocketAddr) {
                     MtaOutput::Close => return,
                 }
             }
-            pending = next;
+            std::mem::swap(&mut pending, &mut next);
         }
         line.clear();
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
             return;
         }
-        pending = actor.handle(MtaInput::Line(line.trim_end()));
+        actor.handle(MtaInput::Line(line.trim_end()), &mut pending);
     }
 }
 

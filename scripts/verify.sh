@@ -99,7 +99,9 @@ artifacts() {
 
 fuzz() {
   # The fuzz harness drives 100k mutated frames straight into the
-  # parsers: zero panics, every rejection classified.
+  # parsers, then its storage, DKIM and MTA stages (mutated command
+  # lines, pipelined segments and DATA bodies through the MTA actor):
+  # zero panics, every rejection classified.
   echo "== fuzz: 100k mutated frames (mailval-artifacts fuzz) =="
   cargo run --release -q -p mailval-bench --bin mailval-artifacts -- fuzz 100000
 }
